@@ -22,7 +22,7 @@ from .errors import (
     NotABasis,
     PreconditionViolated,
 )
-from .sequences import Coloring, IndexedSequence
+from .sequences import Coloring, IndexedSequence, distinct_elements
 from .solver import Partition, build_partition, verify_partition
 
 
@@ -78,10 +78,9 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     def leaf_valid():
         if any(c == 0 for c in part_nonloops):
             return False
-        sets = [frozenset(e for _, e in p) for p in part_entries]
         for i in range(r - 1):
-            target = sets[i + 1]
-            for e in sets[i]:
+            target = frozenset(e for _, e in part_entries[i + 1])
+            for e in distinct_elements(part_entries[i]):
                 if not matroid.in_closure(e, target):
                     return False
         return True

@@ -50,6 +50,7 @@ from .matroids import (
     UniformMatroid,
     VectorMatroidGFp,
     VectorMatroidRational,
+    check_prime,
 )
 from .sequences import Coloring, IndexedSequence
 
@@ -209,6 +210,14 @@ def _int(token, line, what):
         raise ParseError(f"{what}: expected an integer, got {token!r}", line) from None
 
 
+def _prime(token, line, what):
+    """A prime checked before any coordinate is reduced modulo it."""
+    try:
+        return check_prime(_int(token, line, what))
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}", line) from None
+
+
 def _fraction(token, line):
     try:
         return Fraction(token)
@@ -285,7 +294,7 @@ def _read_vectors(children, dim, keyword):
 
 def _read_vector_gfp(children, line):
     values, rest = _scalar_fields(children, ("p", "dim"), "vector_gfp")
-    p = _int(*values["p"], "p")
+    p = _prime(*values["p"], "p")
     dim = _int(*values["dim"], "dim")
     raw = _read_vectors(rest, dim, "element")
     elements = {
@@ -318,7 +327,7 @@ def _read_affine(children, line):
     if fnode.tokens[1:] == ["rational"]:
         field = "rational"
     elif len(fnode.tokens) == 3 and fnode.tokens[1] == "gfp":
-        field = _int(fnode.tokens[2], fnode.line, "field prime")
+        field = _prime(fnode.tokens[2], fnode.line, "field prime")
     else:
         raise ParseError("field must be 'rational' or 'gfp <prime>'", fnode.line)
     rest = [n for n in children if n.tokens[0] != "field"]

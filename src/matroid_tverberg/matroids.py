@@ -10,8 +10,9 @@ graphic matroids, and direct sums (used to adjoin free coloop elements).
 
 Ground elements are plain hashable identifiers; the shipped constructors use
 strings.  Arithmetic is exact everywhere: residues mod a prime (via the
-kernels module) or ``fractions.Fraction``.  Floating point never enters a
-membership decision.
+kernels module), or for rational vectors Python integers, since each vector
+is scaled once to an integer row and reduced by fraction-free elimination.
+Floating point never enters a membership decision.
 
 Oracles are immutable after construction and safe to share between threads
 for reads; the per-oracle call counter is a plain int and relies on the GIL
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import UnknownElement
-from .kernels import gfp_rank
+from .kernels import _check_prime_size, gfp_rank
 
 _MISS = object()
 
@@ -170,7 +172,7 @@ class VectorMatroidGFp(MatroidOracle):
     """Vectors over GF(p); membership is exact linear solvability mod p."""
 
     def __init__(self, p, dim, vectors):
-        _check_prime(p)
+        check_prime(p)
         if dim < 0:
             raise ValueError("dim must be nonnegative")
         self.p = p
@@ -204,31 +206,64 @@ class VectorMatroidGFp(MatroidOracle):
         return gfp_rank(self._matrix, self.p)
 
 
+def integer_row(coords):
+    """A rational vector scaled by the lcm of its denominators: a tuple of ints.
+
+    Scaling by a nonzero constant leaves the span unchanged, so every
+    membership and rank question has the same answer on the scaled rows.
+    """
+    coords = [Fraction(c) for c in coords]
+    scale = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (scale // c.denominator) for c in coords)
+
+
+def _reduce(v, basis):
+    """Reduce the integer row ``v`` against an echelon ``basis`` of (pivot, row).
+
+    Fraction-free (Bareiss-style) updates ``g*v - f*row`` keep every entry an
+    integer, and the result is a nonzero multiple of the rational remainder.
+    Each basis row is zero on the pivots of the rows before it, so one pass
+    in basis order clears every pivot column of ``v``.
+    """
+    for c, row in basis:
+        f = v[c]
+        if f:
+            g = row[c]
+            h = gcd(f, g)
+            if h > 1:
+                f //= h
+                g //= h
+            v = [g * a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _insert(basis, v):
+    """Add ``v`` to the echelon ``basis`` unless it is in its span; True if added."""
+    v = _reduce(v, basis)
+    for c, a in enumerate(v):
+        if a:
+            d = gcd(*v)
+            if d > 1:
+                v = [b // d for b in v]
+            basis.append((c, v))
+            return True
+    return False
+
+
 def rational_rank(rows):
-    """Rank of a matrix given as rows of Fractions (exact elimination)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / prow[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a matrix given as rows of rationals (exact integer elimination)."""
+    basis = []
+    for row in rows:
+        _insert(basis, integer_row(row))
+    return len(basis)
 
 
 class VectorMatroidRational(MatroidOracle):
-    """Vectors with exact rational coordinates (arbitrary precision)."""
+    """Vectors with exact rational coordinates (arbitrary precision).
+
+    Each vector is stored once more as the integer row ``integer_row`` gives,
+    and membership runs on those rows alone.
+    """
 
     def __init__(self, dim, vectors):
         if dim < 0:
@@ -242,6 +277,7 @@ class VectorMatroidRational(MatroidOracle):
                 raise ValueError(f"element {eid!r}: expected {dim} coordinates")
             table[eid] = coords
         self._vectors = table
+        self._rows = {eid: integer_row(coords) for eid, coords in table.items()}
         self._order = {eid: i for i, eid in enumerate(ids)}
         super().__init__(ids)
 
@@ -253,12 +289,14 @@ class VectorMatroidRational(MatroidOracle):
     def _members(self, x, ys):
         if x in ys:
             return True
-        rows = [self._vectors[y] for y in sorted(ys, key=self._order.__getitem__)]
-        base = rational_rank(rows)
-        return rational_rank(rows + [self._vectors[x]]) == base
+        basis = []
+        for y in sorted(ys, key=self._order.__getitem__):
+            if _insert(basis, self._rows[y]) and len(basis) == self.dim:
+                return True
+        return not any(_reduce(self._rows[x], basis))
 
     def _compute_rank_bound(self):
-        return rational_rank([self._vectors[e] for e in self._ground])
+        return rational_rank(self._rows[e] for e in self._ground)
 
 
 class AffineMatroid(MatroidOracle):
@@ -478,10 +516,12 @@ def add_coloops(matroid, count):
     return DirectSumMatroid(matroid, UniformMatroid(count, count, ids=names))
 
 
-def _check_prime(p):
+def check_prime(p):
+    """Return ``p`` if it is a prime the GF(p) kernels accept; else ValueError."""
     p = int(p)
     if p < 2:
         raise ValueError(f"{p} is not a prime")
+    _check_prime_size(p)
     d = 2
     while d * d <= p:
         if p % d == 0:

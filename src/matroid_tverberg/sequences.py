@@ -183,6 +183,16 @@ class Coloring:
             n += 1
 
 
+def distinct_elements(entries):
+    """Distinct elements of (index, element) entries, in entry order.
+
+    Short-circuiting oracle scans walk this tuple rather than a frozenset,
+    whose order follows the string hash seed, so that ``oracle_calls`` is
+    the same in every run.
+    """
+    return tuple(dict.fromkeys(e for _, e in entries))
+
+
 def is_rainbow(seq, coloring):
     """True iff no two entries of ``seq`` share a color."""
     seen = set()

@@ -42,6 +42,7 @@ from .sequences import (
     check_general_profile,
     check_special_profile,
     color_class,
+    distinct_elements,
     is_rainbow,
 )
 
@@ -507,8 +508,8 @@ def _case_grow(view, coloring, ri, i_seq, aug, p_entry, check):
         if view.rank(grown.set_image) != len(grown):
             raise InternalInvariantBroken("exchange broke independence of RI")
         # Growth is genuine: cl(grown) equals cl(RI + p).
-        target = ri.set_image | {p_entry[1]}
-        if not all(view.in_closure(e, target) for e in grown.set_image):
+        target = distinct_elements(ri.entries + (p_entry,))
+        if not all(view.in_closure(e, target) for e in distinct_elements(grown)):
             raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
         if not all(view.in_closure(e, grown.set_image) for e in target):
             raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
@@ -523,7 +524,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     of a color new to K that escapes cl(new I), an exchange sequence is
     assembled from the old rules.
     """
-    ck_elems = list(c_k.set_image)
+    ck_elems = distinct_elements(c_k)
 
     def spans(elems):
         return all(view.in_closure(x, elems) for x in ck_elems)
@@ -590,6 +591,7 @@ def _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats):
     if ri.intersection(c_k) != i_seq:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
     i_elems = i_seq.set_image
+    i_order = distinct_elements(i_seq)
     eligible = {e for e in c_k if not view.in_closure(e[1], i_elems)}
     if set(aug) != eligible:
         raise InternalInvariantBroken("rules: exchange map domain mismatch")
@@ -603,7 +605,7 @@ def _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats):
         if new_color not in k_set - ri_colors:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
         rest = exchange.difference(seq.with_indices({p[0]}))
-        if not all(view.in_closure(e, i_elems) for e in rest.set_image):
+        if not all(view.in_closure(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
-        if not all(view.in_closure(e, rest.set_image) for e in i_elems):
+        if not all(view.in_closure(e, rest.set_image) for e in i_order):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")

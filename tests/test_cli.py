@@ -148,3 +148,17 @@ def test_missing_file_errors(capsys):
 def test_parse_error_exits_1(tmp_path, capsys):
     inst = write(tmp_path, "broken.txt", "mode special\nr 2\n")
     assert main(["solve", inst]) == 1
+
+
+@pytest.mark.parametrize("prime", ["0", str(2**31 + 11)])
+def test_bad_prime_exits_1_without_traceback(tmp_path, capsys, prime):
+    inst = write(
+        tmp_path,
+        "bad_prime.txt",
+        f"mode special\nr 2\nmatroid vector_gfp {{\n p {prime}\n dim 2\n element a 1 0\n"
+        " element b 0 1\n}\nsequence a b\ncolors c1 c2\n",
+    )
+    assert main(["solve", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out

@@ -111,6 +111,40 @@ def test_parse_errors():
     assert "prime" in str(err.value)
 
 
+AFFINE_GFP = """
+mode noncolor
+r 2
+matroid affine {
+    field gfp 3
+    dim 1
+    point a 1
+    point b 0
+}
+sequence a b
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SAMPLE.replace("p 3", "p 0"),
+        SAMPLE.replace("p 3", "p -3"),
+        SAMPLE.replace("p 3", "p 1"),
+        SAMPLE.replace("p 3", f"p {2**31 + 11}"),
+        AFFINE_GFP.replace("gfp 3", "gfp 0"),
+        AFFINE_GFP.replace("gfp 3", "gfp 4"),
+        AFFINE_GFP.replace("gfp 3", f"gfp {2**31 + 11}"),
+    ],
+    ids=["p0", "negative", "p1", "p_too_large", "affine_p0", "affine_composite", "affine_too_large"],
+)
+def test_bad_prime_is_a_parse_error(text):
+    # 2**31 + 11 is prime but beyond the int64 kernels; it must fail here,
+    # not later inside a solve.
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line is not None
+
+
 def test_parse_error_carries_line():
     bad = "mode special\nr x\n"
     with pytest.raises(ParseError) as err:
