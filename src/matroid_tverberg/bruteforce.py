@@ -52,6 +52,19 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     never be repaired by extensions, and every part of a valid partition
     must contain a non-loop, so states with more nonloop-free parts than
     non-loop entries remaining are dead.
+
+    Each part is held as a bitmask over the distinct elements of ``seq``
+    and a bitmask over colors; a label is undone by restoring the masks the
+    part had before it, so a repeated element keeps its bit while another
+    copy stays.  The prune reads a running count of nonloop-free parts.
+
+    At a leaf every part holds a non-loop (the prune guarantees it), so the
+    leaf is valid iff each part's elements lie in the closure of the next
+    part's elements.  The elements are read off the masks in order of first
+    occurrence in ``seq``, so ``oracle_calls`` does not depend on the hash
+    seed.  The labels visited, the nodes charged to the budget and every
+    leaf's verdict are those of the plain search over entry lists, so the
+    witness is too.
     """
     budget = budget or DEFAULT_BUDGET
     if not isinstance(r, int) or r < 1:
@@ -69,57 +82,80 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     for j in range(n - 1, -1, -1):
         nonloop_left[j] = nonloop_left[j + 1] + (1 if nonloop[j] else 0)
 
-    part_entries = [[] for _ in range(r)]
-    part_colors = [set() for _ in range(r)]
-    part_nonloops = [0] * r
+    elements = distinct_elements(entries)
+    element_bit = {e: 1 << b for b, e in enumerate(elements)}
+    entry_bit = [element_bit[e] for _, e in entries]
+    if coloring is None:
+        color_bit = [0] * n
+    else:
+        color_pos = {}
+        color_bit = [1 << color_pos.setdefault(coloring.of(entry), len(color_pos)) for entry in entries]
+
+    max_nodes = budget.max_assignments
+    part_mask = [0] * r
+    part_colors = [0] * r
+    has_nonloop = [False] * r
+    label = [-1] * n
+    empty = r  # parts without a non-loop
     nodes = 0
-    found = []
+
+    def covered(lower, upper):
+        """Does every element of mask ``lower`` lie in cl(elements of ``upper``)?"""
+        target = frozenset(e for e in elements if element_bit[e] & upper)
+        return all(
+            matroid.in_closure(e, target) for e in elements if element_bit[e] & lower
+        )
 
     def leaf_valid():
-        if any(c == 0 for c in part_nonloops):
-            return False
-        for i in range(r - 1):
-            target = frozenset(e for _, e in part_entries[i + 1])
-            for e in distinct_elements(part_entries[i]):
-                if not matroid.in_closure(e, target):
-                    return False
-        return True
+        return all(covered(part_mask[i], part_mask[i + 1]) for i in range(r - 1))
 
     def dfs(j):
-        nonlocal nodes
+        nonlocal nodes, empty
         nodes += 1
-        if nodes > budget.max_assignments:
-            raise BudgetExceeded(f"assignment budget of {budget.max_assignments} exhausted")
-        empty = sum(1 for c in part_nonloops if c == 0)
+        if nodes > max_nodes:
+            raise BudgetExceeded(f"assignment budget of {max_nodes} exhausted")
         if empty > nonloop_left[j]:
             return False
         if j == n:
-            if leaf_valid():
-                found.extend(list(p) for p in part_entries)
-                return True
-            return False
-        entry = entries[j]
+            return leaf_valid()
         if dfs(j + 1):  # label 0: leave the entry unused
             return True
-        color = coloring.of(entry) if coloring is not None else None
+        bit = entry_bit[j]
+        color = color_bit[j]
+        counts_nonloop = nonloop[j]
         for part in range(r):
-            if color is not None and color in part_colors[part]:
+            colors = part_colors[part]
+            if colors & color:
                 continue
-            part_entries[part].append(entry)
-            if color is not None:
-                part_colors[part].add(color)
-            part_nonloops[part] += 1 if nonloop[j] else 0
+            mask = part_mask[part]
+            first_nonloop = counts_nonloop and not has_nonloop[part]
+            part_colors[part] = colors | color
+            part_mask[part] = mask | bit
+            if first_nonloop:
+                has_nonloop[part] = True
+                empty -= 1
+            label[j] = part
             if dfs(j + 1):
                 return True
-            part_entries[part].pop()
-            if color is not None:
-                part_colors[part].discard(color)
-            part_nonloops[part] -= 1 if nonloop[j] else 0
+            part_colors[part] = colors
+            part_mask[part] = mask
+            if first_nonloop:
+                has_nonloop[part] = False
+                empty += 1
+        label[j] = -1
         return False
 
-    if not dfs(0):
+    found = dfs(0)
+    # dfs refers to itself through its closure; unlinking it frees the
+    # search state (the oracle and its memo included) on return, not at the
+    # next cyclic garbage collection.
+    del dfs
+    if not found:
         return None
-    parts = [seq.with_indices(i for i, _ in p) for p in found]
+    parts = [
+        seq.with_indices(i for (i, _), lab in zip(entries, label) if lab == part)
+        for part in range(r)
+    ]
     partition = build_partition(matroid, parts)
     report = verify_partition(matroid, seq, coloring, r, partition.parts)
     if not report:

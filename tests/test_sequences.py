@@ -110,15 +110,9 @@ def test_general_profile_examples():
     ok = check_general_profile(s2, coloring_of(["u", "u", "v", "v", "w"]), 2, 2)
     assert not ok and "has 2 entries" in ok.reason
     assert check_general_profile(s2, coloring_of(["u", "u", "v", "w", "x"]), 2, 2)
-
-
-def test_general_profile_rank_threshold_flag():
-    s = seq_of(["a", "b", "c", "d"])
-    c = coloring_of(["u", "u", "u", "v"])
-    # Three of one color passes the m-based caps with m = 3 but not the
-    # r-based caps with r = 2.
-    assert check_general_profile(s, c, 2, 3, use_rank_thresholds=True)
-    assert not check_general_profile(s, c, 2, 3)
+    # The caps follow r, not the rank: three of one color fail r = 2 at m = 3.
+    s3 = seq_of(["a", "b", "c", "d"])
+    assert not check_general_profile(s3, coloring_of(["u", "u", "u", "v"]), 2, 3)
 
 
 def test_special_profile_examples():
