@@ -312,6 +312,8 @@ def _read_vector_gfp(children, line):
 def _read_vector_rational(children, line):
     values, rest = _scalar_fields(children, ("dim",), "vector_rational")
     dim = _int(*values["dim"], "dim")
+    if dim < 0:
+        raise ParseError("dim must be nonnegative", line)
     raw = _read_vectors(rest, dim, "element")
     elements = {
         eid: tuple(_fraction(tok, ln) for tok in toks) for eid, (toks, ln) in raw.items()
@@ -366,6 +368,8 @@ def _read_uniform(children, line):
 def _read_graphic(children, line):
     values, rest = _scalar_fields(children, ("vertices",), "graphic")
     vertices = _int(*values["vertices"], "vertices")
+    if vertices < 0:
+        raise ParseError("vertices must be nonnegative", line)
     edges = {}
     for node in rest:
         if node.tokens[0] != "edge":

@@ -16,9 +16,9 @@ are capped at 2**31 (intermediate products then fit comfortably in int64).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from ._env import env_flag
 
 _P_LIMIT = 2**31
 
@@ -97,15 +97,10 @@ def _check_prime_size(p):
         raise ValueError(f"prime {p} too large for the int64 kernels (limit 2**31)")
 
 
-def _numba_requested():
-    flag = os.environ.get("MATROID_TVERBERG_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
 NUMBA_AVAILABLE = False
 gfp_rank_numba = None
 
-if _numba_requested():
+if env_flag("MATROID_TVERBERG_NUMBA"):
     try:
         from numba import njit
 

@@ -22,23 +22,18 @@ for reads; the per-oracle call counter is a plain int and relies on the GIL
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
+from ._env import env_flag
 from .errors import UnknownElement
 from .kernels import _check_prime_size, gfp_rank
 
 _MISS = object()
 
-_COUNTING = os.environ.get("MATROID_TVERBERG_COUNT", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
+_COUNTING = env_flag("MATROID_TVERBERG_COUNT")
 
 
 def set_call_counting(enabled):
@@ -58,9 +53,6 @@ class MatroidOracle:
     validated against the ground set.  ``in_closure`` adds validation, call
     counting and memoization (sound because oracles are immutable).
     """
-
-    _counts_queries = True
-    _memoizes = True
 
     def __init__(self, ground):
         ground = tuple(ground)
@@ -96,24 +88,26 @@ class MatroidOracle:
     def in_closure(self, x, ys):
         """Decide whether x lies in the closure of the set ``ys``.
 
-        This is the counted cost unit of every algorithm in the package.
+        This is the counted cost unit of every algorithm in the package.  The
+        memo holds validated queries only, so a hit needs no validation.
         """
-        if x not in self._ground_set:
-            raise UnknownElement(f"unknown element {x!r}")
         fs = ys if isinstance(ys, frozenset) else frozenset(ys)
-        if not fs <= self._ground_set:
-            bad = next(iter(fs - self._ground_set))
-            raise UnknownElement(f"unknown element {bad!r}")
-        if self._counts_queries and _COUNTING:
-            self._calls += 1
-        if not self._memoizes:
-            return self._members(x, fs)
         key = (x, fs)
         hit = self._memo.get(key, _MISS)
         if hit is _MISS:
-            hit = self._members(x, fs)
-            self._memo[key] = hit
+            self._check_query(x, fs)
+            hit = self._memo[key] = self._members(x, fs)
+        if _COUNTING:
+            self._calls += 1
         return hit
+
+    def _check_query(self, x, fs):
+        """Raise ``UnknownElement`` unless x and all of ``fs`` lie in the ground set."""
+        if x not in self._ground_set:
+            raise UnknownElement(f"unknown element {x!r}")
+        if not fs <= self._ground_set:
+            bad = next(iter(fs - self._ground_set))
+            raise UnknownElement(f"unknown element {bad!r}")
 
     def _members(self, x, ys):
         raise NotImplementedError
@@ -390,48 +384,46 @@ class GraphicMatroid(MatroidOracle):
         u, v = self._edges[x]
         if u == v:
             return True
-        parent = list(range(self.num_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for y in ys:
-            a, b = self._edges[y]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return find(u) == find(v)
+        parent, _ = _spanning_forest(map(self._edges.__getitem__, ys))
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        return u == v
 
     def _compute_rank_bound(self):
-        parent = list(range(self.num_vertices))
+        return _spanning_forest(self._edges.values())[1]
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        rank = 0
-        for u, v in self._edges.values():
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
-        return rank
+def _spanning_forest(edges):
+    """Union-find over the endpoints of ``edges``, an iterable of vertex pairs.
+
+    Returns the forest as a dict from each non-root vertex to its parent,
+    built with path halving, and the number of edges that joined two trees.
+    Only the vertices the edges touch are stored.
+    """
+    parent = {}
+    joined = 0
+    for a, b in edges:
+        while a in parent:
+            p = parent[a]
+            parent[a] = a = parent.get(p, p)
+        while b in parent:
+            p = parent[b]
+            parent[b] = b = parent.get(p, p)
+        if a != b:
+            parent[a] = b
+            joined += 1
+    return parent, joined
 
 
 class DirectSumMatroid(MatroidOracle):
     """Direct sum of two matroids on disjoint ground sets.
 
-    Membership is componentwise; queries delegate to exactly one summand, so
-    call counting happens in the summands and ``oracle_calls`` sums them.
+    Membership is componentwise; after checking the query against its own
+    ground set, a query goes straight to exactly one summand, so call
+    counting and the memo live in the summands and ``oracle_calls`` sums them.
     """
-
-    _counts_queries = False
-    _memoizes = False
 
     def __init__(self, left, right):
         if left.ground_set & right.ground_set:
@@ -444,10 +436,12 @@ class DirectSumMatroid(MatroidOracle):
     def oracle_calls(self):
         return self.left.oracle_calls + self.right.oracle_calls
 
-    def _members(self, x, ys):
-        if x in self.left.ground_set:
-            return self.left.in_closure(x, ys & self.left.ground_set)
-        return self.right.in_closure(x, ys & self.right.ground_set)
+    def in_closure(self, x, ys):
+        fs = ys if isinstance(ys, frozenset) else frozenset(ys)
+        if x not in self._ground_set or not fs <= self._ground_set:
+            self._check_query(x, fs)
+        side = self.left if x in self.left.ground_set else self.right
+        return side.in_closure(x, fs & side.ground_set)
 
     def _compute_rank_bound(self):
         return self.left.rank_bound + self.right.rank_bound
@@ -457,12 +451,10 @@ class RestrictionView(MatroidOracle):
     """The matroid restricted to a subset of its ground set.
 
     A thin forwarding view: closure questions among kept elements have the
-    same answers as in the parent, so queries delegate (and are counted)
-    there.  Chains of views flatten onto the original oracle.
+    same answers as in the parent, so after checking a query against the
+    kept elements the view hands it straight to the parent, where it is
+    counted and memoized.  Chains of views flatten onto the original oracle.
     """
-
-    _counts_queries = False
-    _memoizes = False
 
     def __init__(self, parent, keep):
         keep = frozenset(keep)
@@ -483,8 +475,11 @@ class RestrictionView(MatroidOracle):
     def oracle_calls(self):
         return self._parent.oracle_calls
 
-    def _members(self, x, ys):
-        return self._parent.in_closure(x, ys)
+    def in_closure(self, x, ys):
+        fs = ys if isinstance(ys, frozenset) else frozenset(ys)
+        if x not in self._ground_set or not fs <= self._ground_set:
+            self._check_query(x, fs)
+        return self._parent.in_closure(x, fs)
 
 
 def restrict_rank(matroid, subset):

@@ -21,20 +21,32 @@ def color_sort_key(color):
 
 
 class IndexedSequence:
-    """An ordered sequence of (index, element) entries with unique indices."""
+    """An ordered sequence of (index, element) entries with unique indices.
+
+    The constructor sorts and checks its entries and makes a root sequence.
+    Subsequences derived from it take their entries from an already sorted,
+    checked sequence and skip that work; every sequence builds its index
+    set, set image and index lookup on first use.
+    """
 
     __slots__ = ("_entries", "_root", "_index_set", "_set_image", "_by_index")
 
-    def __init__(self, entries, _root=None):
+    def __init__(self, entries):
         entries = sorted(entries, key=lambda pair: pair[0])
         for (i, _), (j, _) in zip(entries, entries[1:]):
             if i == j:
                 raise ValueError(f"duplicate index {i}")
         self._entries = tuple((int(i), e) for i, e in entries)
-        self._root = self if _root is None else _root
-        self._index_set = frozenset(i for i, _ in self._entries)
-        self._set_image = frozenset(e for _, e in self._entries)
-        self._by_index = dict(self._entries)
+        self._root = None
+        self._index_set = self._set_image = self._by_index = None
+
+    def _derive(self, entries):
+        """A subsequence of the same root from a tuple of this root's entries, in index order."""
+        seq = object.__new__(IndexedSequence)
+        seq._entries = entries
+        seq._root = self.root
+        seq._index_set = seq._set_image = seq._by_index = None
+        return seq
 
     @classmethod
     def from_elements(cls, elements):
@@ -47,16 +59,25 @@ class IndexedSequence:
 
     @property
     def root(self):
-        return self._root
+        return self if self._root is None else self._root
 
     @property
     def indices(self):
+        if self._index_set is None:
+            self._index_set = frozenset([i for i, _ in self._entries])
         return self._index_set
 
     @property
     def set_image(self):
         """The set of elements, forgetting indices (repeats collapse)."""
+        if self._set_image is None:
+            self._set_image = frozenset([e for _, e in self._entries])
         return self._set_image
+
+    def _lookup(self):
+        if self._by_index is None:
+            self._by_index = dict(self._entries)
+        return self._by_index
 
     def __len__(self):
         return len(self._entries)
@@ -65,7 +86,7 @@ class IndexedSequence:
         return iter(self._entries)
 
     def __contains__(self, entry):
-        return self._by_index.get(entry[0], _NO_ELEMENT) == entry[1]
+        return self._lookup().get(entry[0], _NO_ELEMENT) == entry[1]
 
     def __eq__(self, other):
         return isinstance(other, IndexedSequence) and self._entries == other._entries
@@ -78,44 +99,40 @@ class IndexedSequence:
 
     def element_at(self, index):
         try:
-            return self._by_index[index]
+            return self._lookup()[index]
         except KeyError:
             raise KeyError(index) from None
 
     def take_first(self, k):
         """Subsequence of the k lowest-index entries."""
-        return IndexedSequence(self._entries[:k], _root=self._root)
+        return self._derive(self._entries[:k])
 
     def with_indices(self, indices):
         """Subsequence formed by the entries whose index is in ``indices``."""
-        idx = frozenset(indices)
-        return IndexedSequence(
-            [pair for pair in self._entries if pair[0] in idx], _root=self._root
-        )
+        idx = indices if isinstance(indices, frozenset) else frozenset(indices)
+        return self._derive(tuple([pair for pair in self._entries if pair[0] in idx]))
 
     def filter(self, predicate):
-        return IndexedSequence(
-            [pair for pair in self._entries if predicate(pair)], _root=self._root
-        )
+        return self._derive(tuple(filter(predicate, self._entries)))
 
     def _check_root(self, other):
-        if self._root is not other._root:
+        if self.root is not other.root:
             raise MixedParents("operands come from different parent sequences")
 
     def difference(self, other):
         self._check_root(other)
-        return self.with_indices(self._index_set - other._index_set)
+        drop = other.indices
+        return self._derive(tuple([pair for pair in self._entries if pair[0] not in drop]))
 
     def intersection(self, other):
         self._check_root(other)
-        return self.with_indices(self._index_set & other._index_set)
+        return self.with_indices(other.indices)
 
     def union(self, other):
         self._check_root(other)
-        merged = {pair[0]: pair for pair in self._entries}
-        for pair in other._entries:
-            merged[pair[0]] = pair
-        return IndexedSequence(merged.values(), _root=self._root)
+        merged = dict(self._entries)
+        merged.update(other._entries)
+        return self._derive(tuple(sorted(merged.items())))
 
     def is_subsequence_of(self, other):
         return set(self._entries) <= set(other._entries)
@@ -160,7 +177,11 @@ class Coloring:
 
     def colors_of(self, seq):
         """Set of colors used by the entries of ``seq``."""
-        return frozenset(self.of(entry) for entry in seq)
+        assignment = self._assignment
+        try:
+            return frozenset([assignment[i] for i, _ in seq.entries])
+        except KeyError as exc:
+            raise UnknownColor(f"index {exc.args[0]} has no color") from None
 
     def overridden(self, new_assignments, extra_palette=()):
         """A new coloring with some indices recolored."""
@@ -210,7 +231,11 @@ def color_class(seq, coloring, colors):
     if not colors <= coloring.palette:
         bad = next(iter(colors - coloring.palette))
         raise UnknownColor(f"color {bad!r} is not in the palette")
-    return seq.filter(lambda entry: coloring.of(entry) in colors)
+    assignment = coloring._assignment
+    try:
+        return seq._derive(tuple([pair for pair in seq.entries if assignment[pair[0]] in colors]))
+    except KeyError as exc:
+        raise UnknownColor(f"index {exc.args[0]} has no color") from None
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ closure oracle, independently of how it was produced.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
+from ._env import env_flag
 from .errors import (
     InternalInvariantBroken,
     LoopInInput,
@@ -46,12 +46,7 @@ from .sequences import (
     is_rainbow,
 )
 
-_CHECKS_DEFAULT = os.environ.get("MATROID_TVERBERG_CHECKS", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
+_CHECKS_DEFAULT = env_flag("MATROID_TVERBERG_CHECKS")
 
 
 def _resolve_check(check):
@@ -228,14 +223,12 @@ def _normalize(matroid, seq, coloring):
     frequent colors, so the r / r-1 count thresholds survive each round.
     """
     while True:
-        rank = matroid.rank(seq.set_image)
+        view = RestrictionView(matroid, seq.set_image)
         used = coloring.colors_of(seq)
-        if len(used) <= rank:
-            break
+        if len(used) <= view.rank_bound:
+            return view, seq, coloring.narrowed_to(seq)
         profile = ColorCountProfile.of(seq, coloring, palette=used)
-        seq = color_class(seq, coloring, profile.top(rank))
-    view = RestrictionView(matroid, seq.set_image)
-    return view, seq, coloring.narrowed_to(seq)
+        seq = color_class(seq, coloring, profile.top(view.rank_bound))
 
 
 def special_precondition(matroid, seq, coloring, r):
@@ -436,19 +429,18 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
     c_k = color_class(seq, coloring, k_set)
     # Initially every entry colored from K is eligible (non-loops are never
     # in cl(empty)) and may simply replace the empty I by itself.
-    aug = {entry: (seq.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
+    aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
 
     iterations = 0
     while True:
         if check:
-            _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats)
+            _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
         if iterations > m:
             raise InternalInvariantBroken("cycle ran longer than the rank allows")
 
-        c_k = color_class(seq, coloring, k_set)
         i_elems = i_seq.set_image
         outside_i = [e for e in c_k if not view.in_closure(e[1], i_elems)]
         if not outside_i:
@@ -467,6 +459,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
 
         stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
         k_set, i_seq, aug = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
+        c_k = color_class(seq, coloring, k_set)
 
 
 def _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check):
@@ -550,10 +543,11 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
             raise InternalInvariantBroken("cl(I) did not strictly grow")
 
     k_next = k_set | coloring.colors_of(i_next)
-    new_entries = [e for e in i_next if e not in set(i_seq.entries)]
+    old_indices = i_seq.indices
+    new_entries = [e for e in i_next if e[0] not in old_indices]
     aug_next = {}
     for rr in new_entries:
-        reduced = i_next.difference(seq.with_indices({rr[0]}))
+        reduced = i_next.with_indices(i_next.indices - {rr[0]})
         reduced_elems = reduced.set_image
         witness = None
         for entry in c_k:
@@ -565,23 +559,24 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         if witness not in aug:
             raise InternalInvariantBroken("the witness entry has no exchange sequence")
         exchange_q, color_q = aug[witness]
-        color_rr = coloring.of(rr)
-        for p in color_class(seq, coloring, {color_rr}):
+        base = reduced.difference(i_seq).union(exchange_q)
+        same_color = color_class(seq, coloring, {coloring.of(rr)})
+        for p in same_color:
             if view.in_closure(p[1], i_next.set_image):
                 continue
-            built = reduced.difference(i_seq).union(exchange_q).union(seq.with_indices({p[0]}))
-            aug_next[p] = (built, color_q)
+            aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
     return k_next, i_next, aug_next
 
 
-def _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats):
+def _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats):
     """Assert the five invariants of the replacement rules, plus domain.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
     colors of I plus one color from K unused by RI; (3) each exchange is one
     entry longer than I; (4) each exchange contains its entry p and spans
     exactly cl(I) without it; (5) RI meets the K-colored entries exactly in
-    I, and K keeps a color unused by RI.
+    I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
+    ``seq``.
     """
     stats.invariant_checks += 1
     i_colors = coloring.colors_of(i_seq)
@@ -590,7 +585,6 @@ def _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats):
         raise InternalInvariantBroken("rules: colors of I do not sit strictly inside K")
     if not (k_set - ri_colors):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
-    c_k = color_class(seq, coloring, k_set)
     if ri.intersection(c_k) != i_seq:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
     i_elems = i_seq.set_image
@@ -607,7 +601,7 @@ def _check_rules(view, seq, coloring, ri, k_set, i_seq, aug, stats):
             raise InternalInvariantBroken("rules: exchange colors are not colors(I) plus one")
         if new_color not in k_set - ri_colors:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
-        rest = exchange.difference(seq.with_indices({p[0]}))
+        rest = exchange.with_indices(exchange.indices - {p[0]})
         if not all(view.in_closure(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
         if not all(view.in_closure(e, rest.set_image) for e in i_order):

@@ -145,6 +145,21 @@ def test_bad_prime_is_a_parse_error(text):
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode noncolor\nr 1\nmatroid vector_rational {\n dim -1\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid graphic {\n vertices -1\n}\nsequence a\n",
+    ],
+    ids=["rational_negative_dim", "graphic_negative_vertices"],
+)
+def test_negative_size_is_a_parse_error(text):
+    # Both raised ValueError from the matroid constructor, outside ParseError.
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == 3
+
+
 def test_parse_error_carries_line():
     bad = "mode special\nr x\n"
     with pytest.raises(ParseError) as err:

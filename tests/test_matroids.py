@@ -8,6 +8,7 @@ import pytest
 from matroid_tverberg import (
     AffineMatroid,
     DirectSumMatroid,
+    GraphicMatroid,
     UniformMatroid,
     UnknownElement,
     VectorMatroidGFp,
@@ -174,6 +175,58 @@ def test_restriction_counts_in_parent(gf2_plane):
     assert view.oracle_calls == gf2_plane.oracle_calls
 
 
+@pytest.mark.parametrize("family", sorted(family_zoo(3)))
+def test_unknown_elements_raise_with_a_warm_memo(family):
+    m, basis = family_zoo(3)[family]
+    b0, b1 = basis[0], basis[1]
+    answer = m.in_closure(b0, {b1})
+    assert m.in_closure(b0, {b1}) == answer  # now a memo hit
+    before = m.oracle_calls
+    with pytest.raises(UnknownElement):
+        m.in_closure("nope", {b1})
+    with pytest.raises(UnknownElement):
+        m.in_closure(b0, {b1, "nope"})
+    with pytest.raises(UnknownElement):
+        m.in_closure("nope", ())
+    assert m.oracle_calls == before
+
+
+def test_direct_sum_unknown_elements_raise_with_a_warm_memo():
+    left = UniformMatroid(1, 2, ids=("l0", "l1"))
+    ds = DirectSumMatroid(left, UniformMatroid(2, 3, ids=("r0", "r1", "r2")))
+    assert ds.in_closure("l1", {"l0"})
+    assert left.in_closure("l1", {"l0"})
+    before = ds.oracle_calls
+    with pytest.raises(UnknownElement):
+        ds.in_closure("l1", {"l0", "nope"})
+    with pytest.raises(UnknownElement):
+        ds.in_closure("nope", {"l0"})
+    assert ds.oracle_calls == before
+
+
+def test_restriction_rejects_elements_its_parent_has_memoized(gf2_plane):
+    assert gf2_plane.in_closure("z", {"x", "y"})
+    assert gf2_plane.in_closure("x", {"y", "z"})
+    view = gf2_plane.restrict({"x", "y"}).restrict({"x", "y"})
+    before = gf2_plane.oracle_calls
+    with pytest.raises(UnknownElement):
+        view.in_closure("z", {"x", "y"})
+    with pytest.raises(UnknownElement):
+        view.in_closure("x", {"y", "z"})
+    assert gf2_plane.oracle_calls == before
+    assert not view.in_closure("x", {"y"})
+    assert gf2_plane.oracle_calls == before + 1
+
+
+def test_restriction_of_a_direct_sum_rejects_memoized_outside_elements():
+    padded = add_coloops(UniformMatroid(1, 2, ids=("a", "b")), 2)
+    assert not padded.in_closure("x1", {"a", "x2"})
+    view = padded.restrict({"a", "b", "x2"})
+    with pytest.raises(UnknownElement):
+        view.in_closure("x1", {"a", "x2"})
+    assert not view.in_closure("x2", {"a", "b"})
+
+
 # ---------------------------------------------------------------------------
 # Sampled axioms, across every family.
 
@@ -271,6 +324,36 @@ def test_direct_sum_rank_additivity_sampled():
         y = _random_subset(rng, ds.ground)
         expected = left.rank(y & left.ground_set) + right.rank(y & right.ground_set)
         assert ds.rank(y) == expected
+
+
+def _connected(edges, u, v):
+    """Reference: is v reachable from u along ``edges`` (search, no union-find)?"""
+    reached, frontier = {u}, [u]
+    while frontier:
+        a = frontier.pop()
+        for p, q in edges:
+            for b, c in ((p, q), (q, p)):
+                if b == a and c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+    return v in reached
+
+
+def test_graphic_membership_and_rank_match_search():
+    rng = random.Random(11)
+    for trial in range(30):
+        n = rng.randrange(1, 9)
+        edges = {f"g{i}": (rng.randrange(n), rng.randrange(n)) for i in range(rng.randrange(1, 14))}
+        if trial % 3 == 0:  # a long path, listed back to front
+            edges.update({f"p{i}": (i + 1, i) for i in reversed(range(n - 1))})
+        g = GraphicMatroid(n, edges)
+        ids = list(edges)
+        for _ in range(40):
+            x = rng.choice(ids)
+            ys = frozenset(rng.sample(ids, rng.randrange(0, len(ids) + 1)))
+            assert g.in_closure(x, ys) == _connected([edges[y] for y in ys], *edges[x])
+        components = {min(v for v in range(n) if _connected(edges.values(), u, v)) for u in range(n)}
+        assert g.rank_bound == n - len(components)
 
 
 def test_prime_validation():

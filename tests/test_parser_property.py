@@ -1,0 +1,118 @@
+"""Property: any text either parses to an ``InstanceFile`` or raises ``ParseError``.
+
+Documents are drawn from the instance grammar (every field, every family,
+nested ``direct_sum`` blocks) with mostly valid values, so that many reach
+the later checks, and with integers from the whole integer range in the
+numeric fields.  Each document is then mutated up to three times: a line
+is dropped, repeated or swapped, or one token is replaced by any integer,
+fraction, identifier or keyword.  Arbitrary text is tried as well.  The
+one value kept small is a uniform matroid's ``n``: the parser builds each
+matroid to check the sequence's references, and that materializes ``n``
+ground elements (ROADMAP item 4 asks for a declared limit on it).
+"""
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from matroid_tverberg import ParseError, parse_instance
+from matroid_tverberg.instances import FAMILY_NAMES, MODES, InstanceFile
+
+IDS = ("a", "b", "c", "e0", "e1", "x1", "t1", "g0")
+JUNK = ("{", "}", "#", "-", "1/0", "3/4", "-5/7", "0x1f", "1e3", "rational", "gfp", "=")
+N_LIMIT = 1_000
+
+integer = st.integers().map(str)
+number = integer | st.sampled_from(JUNK) | st.fractions().map(str)
+ident = st.sampled_from(IDS) | st.text("abcxyz019_{}#", min_size=1, max_size=3)
+word = ident | number | st.sampled_from(FAMILY_NAMES + MODES)
+
+
+mostly_small = st.integers(0, 3) | st.integers()
+prime = st.sampled_from((2, 3, 5, 2147483647)) | st.integers()
+
+
+@st.composite
+def family_block(draw, ids, keyword="matroid", depth=0):
+    """Lines of one well-formed family block; ``ids`` collects its element ids."""
+    family = draw(st.sampled_from(FAMILY_NAMES if depth < 2 else FAMILY_NAMES[:-1]))
+    lines = [f"{keyword} {family} {{"]
+    fresh = [f"{keyword[0]}{depth}{i}" for i in range(draw(st.integers(0, 4)))]
+    if family in ("vector_gfp", "vector_rational", "affine"):
+        dim = draw(st.integers(0, 3) | st.integers(-1, 5))
+        coord = st.integers() if family == "vector_gfp" else st.integers() | st.fractions()
+        if family == "vector_gfp":
+            lines.append(f"p {draw(prime)}")
+        elif family == "affine":
+            lines.append(draw(st.just("field rational") | prime.map(lambda q: f"field gfp {q}")))
+        lines.append(f"dim {dim}")
+        keyword = "point" if family == "affine" else "element"
+        for eid in fresh:
+            coords = draw(st.lists(coord, min_size=max(dim, 0), max_size=max(dim, 0)))
+            lines.append(" ".join([keyword, eid, *map(str, coords)]))
+    elif family == "uniform":
+        n = draw(st.integers(-1, 6))
+        lines += [f"k {draw(mostly_small)}", f"n {n}"]
+        fresh = [f"e{i}" for i in range(max(n, 0))]
+    elif family == "graphic":
+        lines.append(f"vertices {draw(st.integers(4, 5) | mostly_small)}")
+        vertex = st.integers(0, 3) | mostly_small
+        for eid in fresh:
+            lines.append(f"edge {eid} {draw(vertex)} {draw(vertex)}")
+    else:
+        fresh = []
+        lines += draw(family_block(ids, "left", depth + 1))
+        lines += draw(family_block(ids, "right", depth + 1))
+    ids.extend(fresh)
+    lines.append("}")
+    return lines
+
+
+@st.composite
+def documents(draw):
+    ids = []
+    mode = draw(st.sampled_from(MODES))
+    lines = [f"mode {mode}", f"r {draw(st.integers(1, 3) | mostly_small)}"]
+    lines += draw(family_block(ids))
+    refs = draw(st.lists(st.sampled_from(ids or ["a"]), min_size=1, max_size=6))
+    lines.append(" ".join(["sequence", *refs]))
+    if mode != "noncolor":
+        colors = draw(st.lists(ident, min_size=len(refs), max_size=len(refs)))
+        lines.append(" ".join(["colors", *colors]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(("drop", "repeat", "swap", "token")))
+        if action == "drop" and len(lines) > 1:
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(j, lines[i])
+        elif action == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(word)
+            lines[i] = " ".join(tokens)
+    for line in lines:
+        tokens = line.split()
+        if len(tokens) == 2 and tokens[0] == "n":
+            assume(not tokens[1].lstrip("-").isdigit() or int(tokens[1]) <= N_LIMIT)
+    return "\n".join(lines)
+
+
+def _parses_or_parse_error(text):
+    try:
+        result = parse_instance(text)
+    except ParseError:
+        return
+    assert isinstance(result, InstanceFile)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(documents())
+def test_grammar_documents_parse_or_raise_parse_error(text):
+    _parses_or_parse_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    _parses_or_parse_error(text)

@@ -1,5 +1,7 @@
 """Indexed sequences, colorings, and the color-count profiles."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +77,29 @@ def test_mixed_parents_rejected():
         s1.union(s2)
     with pytest.raises(MixedParents):
         s1.intersection(s2)
+
+
+def test_root_sequence_is_not_a_reference_cycle():
+    s = seq_of(["a", "b", "c"])
+    assert all(ref is not s for ref in gc.get_referents(s))
+    t = s.with_indices(frozenset({0, 2}))
+    assert s.root is s and t.root is s and t.take_first(1).root is s
+    assert t.difference(t.take_first(1)).entries == ((2, "c"),)
+
+
+def test_derived_sequences_match_validated_ones():
+    s = IndexedSequence([(7, "x"), (2, "y"), (5, "x"), (0, "z")])
+    a = s.with_indices({0, 5, 7})
+    b = s.filter(lambda entry: entry[1] != "z")
+    for derived in (a, b, a.union(b), a.difference(b), a.intersection(b), s.take_first(3)):
+        fresh = IndexedSequence(list(derived.entries))
+        assert derived == fresh
+        assert derived.indices == fresh.indices
+        assert derived.set_image == fresh.set_image
+        assert all(entry in derived for entry in fresh)
+        assert all(derived.element_at(i) == e for i, e in fresh)
+    assert a.union(b).entries == ((0, "z"), (2, "y"), (5, "x"), (7, "x"))
+    assert (2, "x") not in a.union(b)
 
 
 def test_coloring_requires_assignment():
