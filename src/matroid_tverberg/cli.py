@@ -170,7 +170,8 @@ def _cmd_verify(args):
     for i, indices in enumerate(index_lists):
         stray = [j for j in indices if j not in known]
         if stray:
-            print(f"outcome error\nmessage part {i + 1} references unknown index {stray[0]}")
+            message = f"part {i + 1} references unknown index {stray[0]}"
+            _emit_report(RunReport(outcome="error", message=message), args.json)
             return EXIT_ERROR
     parts = [seq.with_indices(indices) for indices in index_lists]
     report = verify_partition(oracle, seq, coloring, inst.r, parts)

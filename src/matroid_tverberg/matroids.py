@@ -420,9 +420,12 @@ def _spanning_forest(edges):
 class DirectSumMatroid(MatroidOracle):
     """Direct sum of two matroids on disjoint ground sets.
 
-    Membership is componentwise; after checking the query against its own
-    ground set, a query goes straight to exactly one summand, so call
-    counting and the memo live in the summands and ``oracle_calls`` sums them.
+    Membership is componentwise: a query goes straight to the summand that
+    holds x, with the other summand's elements dropped from ys, so call
+    counting, the memo and the ground check live in the summands and
+    ``oracle_calls`` sums them.  An element of neither summand stays in the
+    forwarded query, which the summand's memo cannot hold, so the summand
+    rejects it.
     """
 
     def __init__(self, left, right):
@@ -438,10 +441,9 @@ class DirectSumMatroid(MatroidOracle):
 
     def in_closure(self, x, ys):
         fs = ys if isinstance(ys, frozenset) else frozenset(ys)
-        if x not in self._ground_set or not fs <= self._ground_set:
-            self._check_query(x, fs)
-        side = self.left if x in self.left.ground_set else self.right
-        return side.in_closure(x, fs & side.ground_set)
+        if x in self.left.ground_set:
+            return self.left.in_closure(x, fs - self.right.ground_set)
+        return self.right.in_closure(x, fs - self.left.ground_set)
 
     def _compute_rank_bound(self):
         return self.left.rank_bound + self.right.rank_bound

@@ -9,7 +9,7 @@ distinctly and delegates.
 
 The engine behind ``solve_special`` grows an inclusion-maximal rainbow
 independent subsequence RI.  If RI spans the working matroid it becomes the
-top part and the rest recurses with r-1.  Otherwise a replacement cycle
+top part and the rest is solved with r-1.  Otherwise a replacement cycle
 maintains a color set K, a subsequence I of RI, and for each eligible entry
 p an exchange sequence I^p that could replace I while gaining a color new to
 RI.  Each cycle pass either finds the answer inside a smaller flat, grows RI
@@ -164,9 +164,9 @@ def verify_partition(matroid, seq, coloring, r, parts):
         target = parts[i + 1].set_image
         for e in basis:
             if not matroid.in_closure(e, target):
-                return VerificationReport(
-                    False, "chain", f"cl(part {i + 1}) is not contained in cl(part {i + 2})"
-                )
+                index = next(j for j, el in parts[i] if el == e)
+                detail = f"entry ({index}, {e}) of part {i + 1} is outside cl(part {i + 2})"
+                return VerificationReport(False, "chain", detail)
     return VerificationReport(True)
 
 
@@ -183,6 +183,11 @@ def max_rainbow_independent(matroid, seq, coloring, seed=None):
         raise SeedInvalid("seed is not rainbow")
     if matroid.rank(seed.set_image) != len(seed):
         raise SeedInvalid("seed is not independent")
+    return _extend_rainbow(matroid, seq, coloring, seed)
+
+
+def _extend_rainbow(matroid, seq, coloring, seed):
+    """``max_rainbow_independent`` for a seed already known to be valid."""
     chosen = list(seed.entries)
     used_colors = {coloring.of(entry) for entry in seed}
     elems = list(seed.set_image)
@@ -221,9 +226,13 @@ def _normalize(matroid, seq, coloring):
     surviving sequence, whose rank equals the number of colors whenever the
     instance satisfies the special profile.  Dropping keeps the most
     frequent colors, so the r / r-1 count thresholds survive each round.
+    A ``matroid`` that is already the restriction to the sequence's
+    elements is used as it is.
     """
+    view = matroid
     while True:
-        view = RestrictionView(matroid, seq.set_image)
+        if not (isinstance(view, RestrictionView) and view.ground_set == seq.set_image):
+            view = RestrictionView(view, seq.set_image)
         used = coloring.colors_of(seq)
         if len(used) <= view.rank_bound:
             return view, seq, coloring.narrowed_to(seq)
@@ -257,19 +266,29 @@ def solve_special(matroid, seq, coloring, r, *, stats=None, check=None):
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
     _validate_input(matroid, seq, coloring, r)
+    parts = _special_parts(matroid, seq, coloring, r, stats, check)
+    partition = _certified(matroid, seq, coloring, r, parts, check)
+    stats.oracle_calls = matroid.oracle_calls - calls0
+    stats.wall_time = time.perf_counter() - start
+    return partition
+
+
+def _special_parts(matroid, seq, coloring, r, stats, check):
+    """The parts ``solve_special`` returns, for input it has already validated."""
     view, nseq, ncol = _normalize(matroid, seq, coloring)
     profile_ok = check_special_profile(nseq, ncol, r, view.rank_bound)
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    parts = _solve(view, nseq, ncol, r, 1, stats, check)
-    parts = [seq.with_indices(p.indices) for p in parts]
+    return [seq.with_indices(p.indices) for p in _solve(view, nseq, ncol, r, 1, stats, check)]
+
+
+def _certified(matroid, seq, coloring, r, parts, check):
+    """The Partition of ``parts`` with its certificate, verified when ``check`` is on."""
     partition = build_partition(matroid, parts)
     if check:
         report = verify_partition(matroid, seq, coloring, r, partition.parts)
         if not report:
             raise InternalInvariantBroken(f"output failed verification: {report.failure}")
-    stats.oracle_calls = matroid.oracle_calls - calls0
-    stats.wall_time = time.perf_counter() - start
     return partition
 
 
@@ -327,14 +346,12 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=None):
     assignment.update({entry[0]: col for entry, col in zip(extra_entries, deficits)})
     padded_coloring = Coloring(assignment)
 
-    inner = solve_special(padded_matroid, padded_seq, padded_coloring, r, stats=stats, check=check)
+    # Only the parts projected onto the original instance are certified:
+    # they are what this function returns.
+    inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats, check)
     kept_indices = trimmed.indices
-    parts = [seq.with_indices(p.indices & kept_indices) for p in inner.parts]
-    partition = build_partition(matroid, parts)
-    if check:
-        report = verify_partition(matroid, seq, coloring, r, partition.parts)
-        if not report:
-            raise InternalInvariantBroken(f"output failed verification: {report.failure}")
+    parts = [seq.with_indices(p.indices & kept_indices) for p in inner]
+    partition = _certified(matroid, seq, coloring, r, parts, check)
     stats.oracle_calls = padded_matroid.oracle_calls - calls0
     stats.wall_time = time.perf_counter() - start
     return partition
@@ -370,46 +387,49 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
 
     Trusts that (seq, coloring, r) satisfies the special profile after
     normalization; that is asserted (never raised on legal public input).
+    A spanning RI becomes the top part and the rest is solved with r-1 one
+    depth further down, in a loop rather than a recursive call, so the
+    stack does not grow with r.
     """
-    stats.recursion_depth = max(stats.recursion_depth, depth)
-    if r == 1:
-        # A single non-loop entry settles r = 1; no profile is needed, and
-        # after carving out a spanning RI with r' = 1 a color may
-        # legitimately have run out.
-        return [seq.take_first(1)]
-    view, seq, coloring = _normalize(parent, seq, coloring)
-    m = view.rank_bound
-    if check:
-        ok = check_special_profile(seq, coloring, r, m)
-        if not ok:
-            raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
-    if m == 1:
-        # Every entry spans the rank-1 working matroid; the profile
-        # guarantees at least r entries.
-        if len(seq) < r:
-            raise InternalInvariantBroken("rank-1 base case is short of entries")
-        return [seq.with_indices({seq.entries[i][0]}) for i in range(r)]
-
-    seed = None
-    restarts = 0
+    tops = []
     while True:
-        ri = max_rainbow_independent(view, seq, coloring, seed)
-        if len(ri) == m:
-            stats.note(depth, "spanning", ri=len(ri), r=r)
-            rest = _solve(view, seq.difference(ri), coloring, r - 1, depth + 1, stats, check)
-            return rest + [ri]
-        outcome = _run_cycle(view, seq, coloring, r, ri, depth, stats, check)
-        if outcome[0] == "parts":
-            return outcome[1]
-        restarts += 1
-        stats.restarts += 1
-        stats.max_restarts_per_level = max(stats.max_restarts_per_level, restarts)
-        if restarts > m:
-            raise InternalInvariantBroken("more cycle restarts than the rank allows")
-        grown = outcome[1]
-        if len(grown) != len(ri) + 1:
-            raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-        seed = grown
+        stats.recursion_depth = max(stats.recursion_depth, depth)
+        if r == 1:
+            # A single non-loop entry settles r = 1; no profile is needed, and
+            # after carving out a spanning RI with r' = 1 a color may
+            # legitimately have run out.
+            return [seq.take_first(1)] + tops[::-1]
+        view, seq, coloring = _normalize(parent, seq, coloring)
+        m = view.rank_bound
+        if check:
+            ok = check_special_profile(seq, coloring, r, m)
+            if not ok:
+                raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
+        if m == 1:
+            # Every entry spans the rank-1 working matroid; the profile
+            # guarantees at least r entries.
+            if len(seq) < r:
+                raise InternalInvariantBroken("rank-1 base case is short of entries")
+            return [seq.with_indices({seq.entries[i][0]}) for i in range(r)] + tops[::-1]
+
+        ri = _extend_rainbow(view, seq, coloring, seq.with_indices(()))
+        restarts = 0
+        while len(ri) < m:
+            outcome = _run_cycle(view, seq, coloring, r, ri, depth, stats, check)
+            if outcome[0] == "parts":
+                return outcome[1] + tops[::-1]
+            restarts += 1
+            stats.restarts += 1
+            stats.max_restarts_per_level = max(stats.max_restarts_per_level, restarts)
+            if restarts > m:
+                raise InternalInvariantBroken("more cycle restarts than the rank allows")
+            grown = outcome[1]
+            if len(grown) != len(ri) + 1:
+                raise InternalInvariantBroken("restart did not grow the rainbow independent set")
+            ri = _extend_rainbow(view, seq, coloring, grown)
+        stats.note(depth, "spanning", ri=len(ri), r=r)
+        tops.append(ri)
+        parent, seq, r, depth = view, seq.difference(ri), r - 1, depth + 1
 
 
 def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
@@ -433,16 +453,16 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
 
     iterations = 0
     while True:
+        i_elems = i_seq.set_image
+        outside_i = [e for e in c_k if not view.in_closure(e[1], i_elems)]
         if check:
-            _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats)
+            _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
         if iterations > m:
             raise InternalInvariantBroken("cycle ran longer than the rank allows")
 
-        i_elems = i_seq.set_image
-        outside_i = [e for e in c_k if not view.in_closure(e[1], i_elems)]
         if not outside_i:
             stats.note(depth, "case_a", k=len(k_set), i=len(i_seq))
             return "parts", _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check)
@@ -455,7 +475,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
                 break
         if escape is not None:
             stats.note(depth, "case_b", p=escape[0])
-            return "grow", _case_grow(view, coloring, ri, i_seq, aug, escape, check)
+            return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape, check)
 
         stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
         k_set, i_seq, aug = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
@@ -487,19 +507,26 @@ def _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check):
     return _solve(view, sub_seq, sub_coloring, r, depth + 1, stats, check)
 
 
-def _case_grow(view, coloring, ri, i_seq, aug, p_entry, check):
-    """Some eligible entry escapes cl(RI): swap I for I^p, growing RI by one."""
+def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
+    """Some eligible entry escapes cl(RI): swap I for I^p, growing RI by one.
+
+    The grown sequence seeds the restart, so what a seed must satisfy is
+    asserted here in both check modes: it is a rainbow, independent
+    subsequence of S.
+    """
     if p_entry not in aug:
         raise InternalInvariantBroken("escaping entry has no exchange sequence")
     exchange, _ = aug[p_entry]
     grown = ri.difference(i_seq).union(exchange)
+    if not grown.is_subsequence_of(seq):
+        raise InternalInvariantBroken("exchange left the sequence")
+    if not is_rainbow(grown, coloring):
+        raise InternalInvariantBroken("exchange broke rainbowness of RI")
+    if view.rank(grown.set_image) != len(grown):
+        raise InternalInvariantBroken("exchange broke independence of RI")
     if check:
         if len(grown) != len(ri) + 1:
             raise InternalInvariantBroken("exchange did not enlarge RI by one")
-        if not is_rainbow(grown, coloring):
-            raise InternalInvariantBroken("exchange broke rainbowness of RI")
-        if view.rank(grown.set_image) != len(grown):
-            raise InternalInvariantBroken("exchange broke independence of RI")
         # Growth is genuine: cl(grown) equals cl(RI + p).
         target = distinct_elements(ri.entries + (p_entry,))
         if not all(view.in_closure(e, target) for e in distinct_elements(grown)):
@@ -568,7 +595,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     return k_next, i_next, aug_next
 
 
-def _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats):
+def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     """Assert the five invariants of the replacement rules, plus domain.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
@@ -576,7 +603,9 @@ def _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats):
     entry longer than I; (4) each exchange contains its entry p and spans
     exactly cl(I) without it; (5) RI meets the K-colored entries exactly in
     I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
-    ``seq``.
+    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I), as
+    the cycle has just found them.  Exchanges that share their part
+    without p share its check, which runs once.
     """
     stats.invariant_checks += 1
     i_colors = coloring.colors_of(i_seq)
@@ -587,11 +616,11 @@ def _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
     if ri.intersection(c_k) != i_seq:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
+    if set(aug) != set(outside_i):
+        raise InternalInvariantBroken("rules: exchange map domain mismatch")
     i_elems = i_seq.set_image
     i_order = distinct_elements(i_seq)
-    eligible = {e for e in c_k if not view.in_closure(e[1], i_elems)}
-    if set(aug) != eligible:
-        raise InternalInvariantBroken("rules: exchange map domain mismatch")
+    checked = set()
     for p, (exchange, new_color) in aug.items():
         if len(exchange) != len(i_seq) + 1:
             raise InternalInvariantBroken("rules: exchange length is not |I| + 1")
@@ -602,6 +631,9 @@ def _check_rules(view, seq, coloring, ri, k_set, c_k, i_seq, aug, stats):
         if new_color not in k_set - ri_colors:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
         rest = exchange.with_indices(exchange.indices - {p[0]})
+        if rest.set_image in checked:
+            continue
+        checked.add(rest.set_image)
         if not all(view.in_closure(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
         if not all(view.in_closure(e, rest.set_image) for e in i_order):

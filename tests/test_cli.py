@@ -120,6 +120,22 @@ def test_verify_unknown_index_errors(tmp_path, special_instance, capsys):
     assert main(["verify", special_instance, part]) == 1
 
 
+def test_verify_unknown_index_json(tmp_path, special_instance, capsys):
+    part = write(tmp_path, "bad.txt", "parts 2\npart 9\npart 2\n")
+    assert main(["verify", special_instance, part, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "error"
+    assert payload["message"] == "part 1 references unknown index 9"
+
+
+def test_verify_json_names_the_entry_outside_the_next_closure(tmp_path, special_instance, capsys):
+    part = write(tmp_path, "chain.txt", "parts 2\npart 2\npart 0\n")
+    assert main(["verify", special_instance, part, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "failed"
+    assert payload["message"] == "chain: entry (2, c) of part 1 is outside cl(part 2)"
+
+
 def test_solve_direct_sum_instance(tmp_path, capsys):
     inst = write(
         tmp_path,

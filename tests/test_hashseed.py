@@ -1,8 +1,10 @@
 """``oracle_calls`` must not depend on the string hash seed.
 
-Each instance below is one on which a scan over frozenset order once made
-the count differ between ``PYTHONHASHSEED=1`` and ``=2``; the partitions
-never differed.
+Each instance in ``CASES`` is one on which a scan over frozenset order
+once made the count differ between ``PYTHONHASHSEED=1`` and ``=2``; the
+partitions never differed.  ``PADDED`` runs the paths that pad coloops: a
+general instance with five colors over rank 3 (two coloops), and a
+noncolor file, where every entry has its own color.
 """
 
 import json
@@ -26,6 +28,12 @@ CASES = [
     ("brute", "graphic", 3, 3, 7, 1),
 ]
 
+PADDED = [
+    # (family, rank, r, length, seed, mode)
+    ("graphic", 3, 4, 14, 1, "general"),
+    ("vector_gf2", 2, 6, 12, 1, "noncolor"),
+]
+
 
 def _run(command, path, hash_seed):
     env = dict(os.environ)
@@ -42,13 +50,31 @@ def _run(command, path, hash_seed):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("command, family, rank, r, length, seed", CASES)
-def test_oracle_calls_ignore_hash_seed(tmp_path, command, family, rank, r, length, seed):
+def _instance(tmp_path, family, rank, r, length, seed, mode="general"):
     path = tmp_path / "inst.txt"
     args = ["gen-random", "--family", family, "--rank", str(rank), "--r", str(r)]
     args += ["--length", str(length), "--seed", str(seed), "--profile", "general"]
     assert main(args + ["--out", str(path)]) == 0
+    if mode == "noncolor":
+        lines = path.read_text(encoding="utf-8").replace("mode general", "mode noncolor").splitlines()
+        path.write_text("\n".join(line for line in lines if not line.startswith("colors")) + "\n")
+    return path
+
+
+def _assert_same_under_hash_seeds_1_and_2(command, path):
     first = _run(command, path, 1)
     second = _run(command, path, 2)
     assert first["parts"] == second["parts"]
     assert first["oracle_calls"] == second["oracle_calls"]
+
+
+@pytest.mark.parametrize("command, family, rank, r, length, seed", CASES)
+def test_oracle_calls_ignore_hash_seed(tmp_path, command, family, rank, r, length, seed):
+    path = _instance(tmp_path, family, rank, r, length, seed)
+    _assert_same_under_hash_seeds_1_and_2(command, path)
+
+
+@pytest.mark.parametrize("family, rank, r, length, seed, mode", PADDED)
+def test_padded_solves_ignore_hash_seed(tmp_path, family, rank, r, length, seed, mode):
+    path = _instance(tmp_path, family, rank, r, length, seed, mode)
+    _assert_same_under_hash_seeds_1_and_2("solve", path)

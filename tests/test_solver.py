@@ -1,11 +1,15 @@
 """The constructive solvers and the independent partition verifier."""
 
+import inspect
+import sys
+
 import pytest
 
 from matroid_tverberg import (
     AffineMatroid,
     Coloring,
     IndexedSequence,
+    InternalInvariantBroken,
     LoopInInput,
     PreconditionViolated,
     SeedInvalid,
@@ -13,6 +17,7 @@ from matroid_tverberg import (
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
+    gen_random_instance,
     max_rainbow_independent,
     solve_general,
     solve_noncolor,
@@ -20,6 +25,7 @@ from matroid_tverberg import (
     verify_partition,
 )
 
+from matroid_tverberg import solver
 from conftest import gfp_matroid
 
 
@@ -297,6 +303,24 @@ def test_verify_chain_violation():
     parts = [s.with_indices({0}), s.with_indices({1})]
     report = verify_partition(m, s, c, 2, parts)
     assert report.failure == "chain"
+    assert report.detail == "entry (0, b1) of part 1 is outside cl(part 2)"
+
+
+def test_verify_chain_detail_names_the_first_copy_of_a_repeated_element():
+    m = gfp_matroid(2, 3)
+    s = seq_of(["b1", "b1", "b2", "b1", "b3"])
+    parts = [s.with_indices({0}), s.with_indices({1, 3}), s.with_indices({2, 4})]
+    report = verify_partition(m, s, None, 3, parts)
+    assert report.detail == "entry (1, b1) of part 2 is outside cl(part 3)"
+
+
+def test_verify_success_asks_only_the_chain_questions():
+    # One strictness question for b1, one rank scan of part 1 ({b1}), and
+    # one membership of b1 in cl(part 2).
+    m, s, c, parts = _valid_setup()
+    before = m.oracle_calls
+    assert verify_partition(m, s, c, 2, parts).ok
+    assert m.oracle_calls - before == 3
 
 
 def test_verify_foreign_entries_fail():
@@ -354,3 +378,125 @@ def test_mri_invalid_seeds():
     foreign = seq_of(["s"])  # entry (0, "s") does not occur in s
     with pytest.raises(SeedInvalid):
         max_rainbow_independent(m, s, c2, foreign)
+
+
+# ---------------------------------------------------------------------------
+# Each check runs once, and none is skipped.
+
+
+def _seeded(family, mode, m, r, length, seed):
+    profile = "general" if mode == "noncolor" else mode
+    inst = gen_random_instance(family, m, r, length, seed, profile)
+    return inst.build_matroid(), inst.build_sequence(), inst.build_coloring()
+
+
+def _run(mode, matroid, seq, coloring, r, stats=None, check=True):
+    if mode == "noncolor":
+        return solve_noncolor(matroid, seq, r, stats=stats, check=check)
+    solve = solve_general if mode == "general" else solve_special
+    return solve(matroid, seq, coloring, r, stats=stats, check=check)
+
+
+@pytest.mark.parametrize("mode", ["general", "noncolor"])
+def test_broken_parts_fail_certification(monkeypatch, mode):
+    # The general solve certifies only the parts it returns, on the original
+    # instance.  Moving an entry of the top part into the bottom part
+    # breaks the chain: in a uniform matroid of rank 4, cl(part 2) is part
+    # 2 itself.  The bottom part keeps its non-loop, so only the
+    # verification can catch it.
+    matroid, seq, coloring = _seeded("uniform", "general", 4, 4, 13, 1)
+    solve_parts = solver._special_parts
+
+    def broken(*args):
+        parts = solve_parts(*args)
+        moved = parts[-1].take_first(1)
+        parts[0] = parts[0].union(moved)
+        parts[-1] = parts[-1].difference(moved)
+        return parts
+
+    monkeypatch.setattr(solver, "_special_parts", broken)
+    with pytest.raises(InternalInvariantBroken, match="output failed verification"):
+        _run(mode, matroid, seq, coloring, 4)
+    partition = _run(mode, matroid, seq, coloring, 4, check=False)
+    report = verify_partition(matroid, seq, coloring if mode == "general" else None, 4, partition)
+    assert report.failure == "chain"
+
+
+def test_non_rainbow_parts_fail_certification(monkeypatch):
+    # Four colors over rank 3: the general solve pads one coloop.  Adding to
+    # the bottom part an entry of the top part that has the bottom entry's
+    # color breaks rainbowness.
+    matroid, seq, coloring = _seeded("uniform", "general", 3, 3, 7, 1)
+    solve_parts = solver._special_parts
+
+    def broken(matroid_, seq_, coloring_, *rest):
+        parts = solve_parts(matroid_, seq_, coloring_, *rest)
+        color = coloring_.of(parts[0].entries[0])
+        twin = parts[-1].filter(lambda e: coloring_.of(e) == color and e[0] in seq.indices)
+        parts[0] = parts[0].union(twin)
+        parts[-1] = parts[-1].difference(twin)
+        return parts
+
+    monkeypatch.setattr(solver, "_special_parts", broken)
+    with pytest.raises(InternalInvariantBroken, match="output failed verification: rainbow"):
+        solve_general(matroid, seq, coloring, 3, check=True)
+
+
+@pytest.mark.parametrize(
+    "mode, family, m, r, length",
+    [
+        ("special", "vector_gf2", 4, 4, 13),
+        ("general", "uniform", 3, 4, 14),
+        ("noncolor", "graphic", 2, 5, 9),
+    ],
+)
+def test_each_public_solve_certifies_once(monkeypatch, mode, family, m, r, length):
+    counts = {"build_partition": 0, "verify_partition": 0}
+    for name in counts:
+        real = getattr(solver, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    matroid, seq, coloring = _seeded(family, mode, m, r, length, 1)
+    _run(mode, matroid, seq, coloring, r, check=True)
+    assert counts == {"build_partition": 1, "verify_partition": 1}
+    _run(mode, matroid, seq, coloring, r, check=False)
+    assert counts == {"build_partition": 2, "verify_partition": 1}
+
+
+@pytest.mark.parametrize("mode", ["special", "general", "noncolor"])
+def test_checks_do_not_change_partitions_or_events(mode):
+    for family in ("uniform", "graphic", "vector_gf2", "vector_rational"):
+        for m, r, extra in ((3, 3, 0), (4, 4, 8), (2, 5, 3)):
+            for seed in range(3):
+                length = m * (r - 1) + 1 + (r if mode == "special" else 0) + extra
+                runs = []
+                for check in (True, False):
+                    matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
+                    stats = SolveStats()
+                    partition = _run(mode, matroid, seq, coloring, r, stats, check)
+                    events = [(depth, label) for depth, label, _ in stats.events]
+                    runs.append((partition.part_indices(), events, stats.recursion_depth))
+                assert runs[0] == runs[1], (family, m, r, seed)
+
+
+def test_many_spanning_levels_do_not_grow_the_stack():
+    # r = 400 levels of "RI spans, carve it out, solve the rest with r - 1"
+    # under a recursion limit of about 100 frames above this one.
+    r = 400
+    m = UniformMatroid(2, 2)
+    s = seq_of(["e0", "e1"] * (r - 1) + ["e0"])
+    c = coloring_of(["A", "B"] * (r - 1) + ["A"])
+    stats = SolveStats()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        part = solve_special(m, s, c, r, stats=stats, check=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(part.parts) == r
+    assert stats.recursion_depth == r
+    assert [(d, label) for d, label, _ in stats.events] == [(d, "spanning") for d in range(1, r)]
