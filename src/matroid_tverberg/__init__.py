@@ -50,8 +50,6 @@ from .matroids import (
     VectorMatroidGFp,
     VectorMatroidRational,
     add_coloops,
-    restrict_rank,
-    set_call_counting,
 )
 from .sequences import (
     ColorCountProfile,
@@ -127,9 +125,7 @@ __all__ = [
     "max_rainbow_independent",
     "parse_instance",
     "parse_partition",
-    "restrict_rank",
     "rota_check",
-    "set_call_counting",
     "solve_general",
     "solve_noncolor",
     "solve_special",

@@ -2,7 +2,7 @@
 
 Subcommands: ``solve`` an instance file, ``verify`` a partition file against
 an instance, ``brute`` -force search an instance, ``gen-tight`` and
-``gen-random`` instance generators, and ``bench`` for oracle-call sweeps.
+``gen-random`` instance generators.
 
 Exit codes: 0 success / partition found, 2 precondition violated,
 3 no partition exists (brute), 1 anything else.
@@ -11,7 +11,6 @@ Exit codes: 0 success / partition found, 2 precondition violated,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -35,8 +34,6 @@ from .instances import (
     parse_partition,
 )
 from .errors import InfeasibleRequest
-from .matroids import UniformMatroid
-from .sequences import Coloring, IndexedSequence
 from .solver import (
     SolveStats,
     solve_general,
@@ -129,7 +126,7 @@ def _emit_report(report, as_json):
 def _cmd_solve(args):
     inst, oracle, seq, coloring = _load(args.instance)
     stats = SolveStats()
-    check = False if args.no_check else None
+    check = not args.no_check
     try:
         if inst.mode == "general":
             partition = solve_general(oracle, seq, coloring, inst.r, stats=stats, check=check)
@@ -141,11 +138,13 @@ def _cmd_solve(args):
         report = RunReport(outcome="precondition-violated", message=str(exc))
         _emit_report(report, args.json)
         return EXIT_PRECONDITION
-    recheck = verify_partition(oracle, seq, coloring, inst.r, partition.parts)
-    if not recheck:
-        report = RunReport(outcome="error", message=f"re-verification failed: {recheck.failure}")
-        _emit_report(report, args.json)
-        return EXIT_ERROR
+    # With checks on the solver has verified the parts; otherwise verify them here.
+    if not check:
+        verdict = verify_partition(oracle, seq, coloring, inst.r, partition.parts)
+        if not verdict:
+            report = RunReport(outcome="error", message=f"verification failed: {verdict.failure}")
+            _emit_report(report, args.json)
+            return EXIT_ERROR
     report = RunReport(
         outcome="partition",
         parts=[list(p) for p in partition.part_indices()],
@@ -154,7 +153,7 @@ def _cmd_solve(args):
         restarts=stats.restarts,
         recursion_depth=stats.recursion_depth,
         wall_ms=stats.wall_time * 1000.0,
-        extra={"reverified": "pass", **_certificate_extra(partition)},
+        extra={"verified_by": "solver" if check else "cli", **_certificate_extra(partition)},
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -280,58 +279,6 @@ def _cmd_gen_random(args):
     return EXIT_OK
 
 
-def bench_rows(rank, r_values):
-    """Solve the minimum-length exact-profile uniform instance per r.
-
-    The sequence holds m(r-1)+1 distinct uniform elements, colored with the
-    minimum counts (r of the first color, r-1 of each other), which is the
-    tightest length the profile admits.
-    """
-    rows = []
-    for r in r_values:
-        length = rank * (r - 1) + 1
-        oracle = UniformMatroid(rank, length)
-        seq = IndexedSequence.from_elements(oracle.ground)
-        assignment = {}
-        idx = 0
-        for color_pos in range(rank):
-            quota = r if color_pos == 0 else r - 1
-            for _ in range(quota):
-                assignment[idx] = f"c{color_pos + 1}"
-                idx += 1
-        coloring = Coloring(assignment)
-        stats = SolveStats()
-        solve_special(oracle, seq, coloring, r, stats=stats)
-        rows.append(
-            {
-                "family": "uniform",
-                "m": rank,
-                "r": r,
-                "len": length,
-                "oracle_calls": stats.oracle_calls,
-                "iterations": stats.cycle_iterations,
-                "restarts": stats.restarts,
-                "wall_ms": round(stats.wall_time * 1000.0, 3),
-            }
-        )
-    return rows
-
-
-def _cmd_bench(args):
-    rows = bench_rows(args.rank, range(args.r_min, args.r_max + 1))
-    fieldnames = ["family", "m", "r", "len", "oracle_calls", "iterations", "restarts", "wall_ms"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    return EXIT_OK
-
-
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by later calls.
@@ -350,7 +297,11 @@ def _build_parser():
     p.add_argument("instance")
     p.add_argument("--out", help="write the partition to this file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-check", action="store_true", help="skip runtime invariant checks")
+    p.add_argument(
+        "--no-check",
+        action="store_true",
+        help="skip the solver's runtime checks; the CLI verifies the output instead",
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a partition file against an instance")
@@ -384,13 +335,6 @@ def _build_parser():
     p.add_argument("--profile", required=True, choices=("general", "special"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen_random)
-
-    p = sub.add_parser("bench", help="oracle-call sweep over r on uniform instances")
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--r-min", type=int, default=2)
-    p.add_argument("--r-max", type=int, default=50)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -292,28 +292,29 @@ def _read_vectors(children, dim, keyword):
     return table
 
 
+def _dim(values, line):
+    """The block's ``dim`` field, checked before any row is read."""
+    dim = _int(*values["dim"], "dim")
+    if dim < 0:
+        raise ParseError("dim must be nonnegative", line)
+    return dim
+
+
 def _read_vector_gfp(children, line):
     values, rest = _scalar_fields(children, ("p", "dim"), "vector_gfp")
     p = _prime(*values["p"], "p")
-    dim = _int(*values["dim"], "dim")
+    dim = _dim(values, line)
     raw = _read_vectors(rest, dim, "element")
     elements = {
         eid: tuple(_int(tok, ln, "coordinate") % p for tok in toks)
         for eid, (toks, ln) in raw.items()
     }
-    try:
-        spec = VectorGFpSpec(p, dim, elements)
-        spec.build()
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
-    return spec
+    return VectorGFpSpec(p, dim, elements)
 
 
 def _read_vector_rational(children, line):
     values, rest = _scalar_fields(children, ("dim",), "vector_rational")
-    dim = _int(*values["dim"], "dim")
-    if dim < 0:
-        raise ParseError("dim must be nonnegative", line)
+    dim = _dim(values, line)
     raw = _read_vectors(rest, dim, "element")
     elements = {
         eid: tuple(_fraction(tok, ln) for tok in toks) for eid, (toks, ln) in raw.items()
@@ -334,7 +335,7 @@ def _read_affine(children, line):
         raise ParseError("field must be 'rational' or 'gfp <prime>'", fnode.line)
     rest = [n for n in children if n.tokens[0] != "field"]
     values, rest = _scalar_fields(rest, ("dim",), "affine")
-    dim = _int(*values["dim"], "dim")
+    dim = _dim(values, line)
     raw = _read_vectors(rest, dim, "point")
     if field == "rational":
         points = {
@@ -346,12 +347,7 @@ def _read_affine(children, line):
             eid: tuple(_int(tok, ln, "coordinate") % field for tok in toks)
             for eid, (toks, ln) in raw.items()
         }
-    try:
-        spec = AffineSpec(field, dim, points)
-        spec.build()
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
-    return spec
+    return AffineSpec(field, dim, points)
 
 
 def _read_uniform(children, line):
@@ -400,12 +396,7 @@ def _read_direct_sum(children, line):
         sides[key] = _read_family(node.tokens[1], node.children, node.line)
     if set(sides) != {"left", "right"}:
         raise ParseError("direct_sum needs one left and one right block", line)
-    spec = DirectSumSpec(sides["left"], sides["right"])
-    try:
-        spec.build()
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
-    return spec
+    return DirectSumSpec(sides["left"], sides["right"])
 
 
 def _emit_family(spec, indent):
@@ -483,6 +474,7 @@ def parse_instance(text):
             if node.children is None:
                 raise ParseError("expected 'matroid <family> {'", node.line)
             matroid = _read_matroid(node)
+            matroid_line = node.line
         elif key == "sequence":
             if node.children is not None:
                 raise ParseError("sequence is not a block", node.line)
@@ -514,7 +506,10 @@ def parse_instance(text):
                 f"sequence has {len(sequence)} entries but colors lists {len(colors)}"
             )
         color_tuple = tuple(colors)
-    oracle = matroid.build()
+    try:
+        oracle = matroid.build()
+    except ValueError as exc:
+        raise ParseError(str(exc), matroid_line) from None
     for ref in sequence:
         if ref not in oracle.ground_set:
             raise ParseError(f"sequence references unknown element {ref!r}")

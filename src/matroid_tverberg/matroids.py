@@ -15,9 +15,7 @@ is scaled once to an integer row and reduced by fraction-free elimination.
 Floating point never enters a membership decision.
 
 Oracles are immutable after construction and safe to share between threads
-for reads; the per-oracle call counter is a plain int and relies on the GIL
-(disable counting via ``MATROID_TVERBERG_COUNT=0`` or
-``set_call_counting(False)`` if that is ever a concern).
+for reads; the per-oracle call counter is a plain int and relies on the GIL.
 """
 
 from __future__ import annotations
@@ -27,23 +25,19 @@ from math import gcd, lcm
 
 import numpy as np
 
-from ._env import env_flag
 from .errors import UnknownElement
 from .kernels import _check_prime_size, gfp_rank
 
 _MISS = object()
 
-_COUNTING = env_flag("MATROID_TVERBERG_COUNT")
-
-
-def set_call_counting(enabled):
-    """Globally enable or disable oracle call counting."""
-    global _COUNTING
-    _COUNTING = bool(enabled)
-
 
 def call_counting_enabled():
-    return _COUNTING
+    """Always True: every closure decision is counted.
+
+    Kept only because ``perfbench/harness.py`` records it in each run's
+    metadata; it goes when the harness stops reading it.
+    """
+    return True
 
 
 class MatroidOracle:
@@ -97,8 +91,7 @@ class MatroidOracle:
         if hit is _MISS:
             self._check_query(x, fs)
             hit = self._memo[key] = self._members(x, fs)
-        if _COUNTING:
-            self._calls += 1
+        self._calls += 1
         return hit
 
     def _check_query(self, x, fs):
@@ -116,22 +109,18 @@ class MatroidOracle:
         return self.rank(self._ground)
 
     def rank(self, ys):
-        """Size of a maximal independent subset of ``ys``.
-
-        Greedy scan in stored ground order, so results are reproducible.
-        """
+        """Size of a maximal independent subset of ``ys``."""
         fs = frozenset(ys)
         if not fs <= self._ground_set:
             bad = next(iter(fs - self._ground_set))
             raise UnknownElement(f"unknown element {bad!r}")
-        indep = []
-        for e in self._ground:
-            if e in fs and not self.in_closure(e, indep):
-                indep.append(e)
-        return len(indep)
+        return len(self.max_independent(fs))
 
     def max_independent(self, ys):
-        """A maximal independent subset of ``ys`` (greedy, ground order)."""
+        """A maximal independent subset of ``ys``.
+
+        Greedy scan in stored ground order, so results are reproducible.
+        """
         fs = frozenset(ys)
         indep = []
         for e in self._ground:
@@ -150,9 +139,6 @@ class MatroidOracle:
         if x not in self._ground_set:
             raise UnknownElement(f"unknown element {x!r}")
         return not self.in_closure(x, self._ground_set - {x})
-
-    def loops(self):
-        return frozenset(x for x in self._ground if self.is_loop(x))
 
     def restrict(self, keep):
         """Restriction of the matroid to the subset ``keep`` of its ground."""
@@ -482,12 +468,6 @@ class RestrictionView(MatroidOracle):
         if x not in self._ground_set or not fs <= self._ground_set:
             self._check_query(x, fs)
         return self._parent.in_closure(x, fs)
-
-
-def restrict_rank(matroid, subset):
-    """Restrict ``matroid`` to ``subset``; returns ``(view, rank of subset)``."""
-    view = RestrictionView(matroid, subset)
-    return view, view.rank_bound
 
 
 def add_coloops(matroid, count):

@@ -264,12 +264,6 @@ class ColorCountProfile:
         counts = tuple((c, tally[c]) for c in ordering)
         return cls(counts=counts, ordering=ordering)
 
-    def count(self, color):
-        for c, n in self.counts:
-            if c == color:
-                return n
-        raise UnknownColor(f"color {color!r} is not in the profile")
-
     @property
     def first_color(self):
         if not self.ordering:

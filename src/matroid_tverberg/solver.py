@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ._env import env_flag
 from .errors import (
     InternalInvariantBroken,
     LoopInInput,
@@ -45,13 +44,6 @@ from .sequences import (
     distinct_elements,
     is_rainbow,
 )
-
-_CHECKS_DEFAULT = env_flag("MATROID_TVERBERG_CHECKS")
-
-
-def _resolve_check(check):
-    return _CHECKS_DEFAULT if check is None else bool(check)
-
 
 @dataclass(frozen=True)
 class ChainCertificate:
@@ -259,10 +251,9 @@ def general_precondition(matroid, seq, coloring, r):
     return check_general_profile(seq, coloring, r, matroid.rank_bound)
 
 
-def solve_special(matroid, seq, coloring, r, *, stats=None, check=None):
+def solve_special(matroid, seq, coloring, r, *, stats=None, check=True):
     """Partition under the exact-profile hypothesis (m colors, counts >= r / r-1)."""
     stats = SolveStats() if stats is None else stats
-    check = _resolve_check(check)
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
     _validate_input(matroid, seq, coloring, r)
@@ -292,7 +283,7 @@ def _certified(matroid, seq, coloring, r, parts, check):
     return partition
 
 
-def solve_general(matroid, seq, coloring, r, *, stats=None, check=None):
+def solve_general(matroid, seq, coloring, r, *, stats=None, check=True):
     """Partition under the loose-profile hypothesis (counts <= r / r-1, |S| > m(r-1)).
 
     Trims S to exactly m(r-1)+1 entries, adjoins one fresh coloop per color
@@ -301,7 +292,6 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=None):
     the padded entries from the answer.
     """
     stats = SolveStats() if stats is None else stats
-    check = _resolve_check(check)
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
     _validate_input(matroid, seq, coloring, r)
@@ -310,6 +300,8 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=None):
     if not profile_ok:
         raise PreconditionViolated(f"general profile violated: {profile_ok.reason}")
     if r == 1:
+        # One entry of a loopless sequence is a valid answer by construction;
+        # build_partition's witness search is the one predicate left to check.
         partition = build_partition(matroid, [seq.take_first(1)])
         stats.oracle_calls = matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
@@ -357,24 +349,12 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=None):
     return partition
 
 
-def solve_noncolor(matroid, seq, r, *, stats=None, check=None):
+def solve_noncolor(matroid, seq, r, *, stats=None, check=True):
     """Partition without color constraints: |S| > m(r-1) suffices.
 
-    Every entry receives its own color, which satisfies the loose profile
-    for r >= 2; r = 1 returns a single non-loop entry directly.
+    Every entry receives its own color, which satisfies the loose profile.
     """
-    stats = SolveStats() if stats is None else stats
-    if not isinstance(r, int) or r < 1:
-        raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
-    if r == 1:
-        start = time.perf_counter()
-        calls0 = matroid.oracle_calls
-        _validate_input(matroid, seq, None, r)
-        partition = build_partition(matroid, [seq.take_first(1)])
-        stats.oracle_calls = matroid.oracle_calls - calls0
-        stats.wall_time = time.perf_counter() - start
-        return partition
-    coloring = Coloring({i: f"c{i}" for i, _ in seq}) if len(seq) else Coloring({})
+    coloring = Coloring({i: f"c{i}" for i, _ in seq})
     return solve_general(matroid, seq, coloring, r, stats=stats, check=check)
 
 

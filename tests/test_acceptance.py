@@ -18,6 +18,7 @@ from matroid_tverberg import (
     IndexedSequence,
     PreconditionViolated,
     SolveStats,
+    UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
     check_intersection_lemma,
@@ -29,7 +30,6 @@ from matroid_tverberg import (
     solve_special,
     verify_partition,
 )
-from matroid_tverberg.cli import bench_rows
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 from matroid_tverberg.kernels import gfp_rank
 
@@ -181,6 +181,43 @@ def test_criterion_4_intersection_lemma():
         f"\nACCEPTANCE 4 PASS: closure-intersection law held on {samples} sampled (B, U, V); "
         "non-basis negative control failed as expected"
     )
+
+
+def bench_rows(rank, r_values):
+    """Solve the minimum-length exact-profile uniform instance per r.
+
+    The sequence holds m(r-1)+1 distinct uniform elements, colored with the
+    minimum counts (r of the first color, r-1 of each other), which is the
+    tightest length the profile admits.
+    """
+    rows = []
+    for r in r_values:
+        length = rank * (r - 1) + 1
+        oracle = UniformMatroid(rank, length)
+        seq = IndexedSequence.from_elements(oracle.ground)
+        assignment = {}
+        idx = 0
+        for color_pos in range(rank):
+            quota = r if color_pos == 0 else r - 1
+            for _ in range(quota):
+                assignment[idx] = f"c{color_pos + 1}"
+                idx += 1
+        coloring = Coloring(assignment)
+        stats = SolveStats()
+        solve_special(oracle, seq, coloring, r, stats=stats)
+        rows.append(
+            {
+                "family": "uniform",
+                "m": rank,
+                "r": r,
+                "len": length,
+                "oracle_calls": stats.oracle_calls,
+                "iterations": stats.cycle_iterations,
+                "restarts": stats.restarts,
+                "wall_ms": round(stats.wall_time * 1000.0, 3),
+            }
+        )
+    return rows
 
 
 def test_criterion_5_complexity(corpus):

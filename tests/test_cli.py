@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from matroid_tverberg import cli, solver
 from matroid_tverberg.cli import main
+from matroid_tverberg.solver import Partition
 
 
 def write(tmp_path, name, text):
@@ -29,7 +31,7 @@ def test_solve_writes_partition_and_verifies(tmp_path, special_instance, capsys)
     assert code == 0
     out = capsys.readouterr().out
     assert "outcome partition" in out
-    assert "reverified pass" in out
+    assert "verified_by solver" in out
     code = main(["verify", special_instance, part_file])
     assert code == 0
     assert "outcome verified" in capsys.readouterr().out
@@ -148,12 +150,34 @@ def test_solve_direct_sum_instance(tmp_path, capsys):
     assert "outcome partition" in capsys.readouterr().out
 
 
-def test_bench_csv(tmp_path):
-    out_file = str(tmp_path / "bench.csv")
-    assert main(["bench", "--rank", "3", "--r-min", "2", "--r-max", "4", "--out", out_file]) == 0
-    lines = open(out_file).read().strip().splitlines()
-    assert lines[0] == "family,m,r,len,oracle_calls,iterations,restarts,wall_ms"
-    assert len(lines) == 4
+@pytest.mark.parametrize("flags, verifier", [([], "solver"), (["--no-check"], "cli")])
+def test_each_solve_is_verified_once(monkeypatch, special_instance, capsys, flags, verifier):
+    calls = []
+    verify = solver.verify_partition
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(solver, "verify_partition", counted)
+    monkeypatch.setattr(cli, "verify_partition", counted)
+    assert main(["solve", special_instance, "--json"] + flags) == 0
+    assert json.loads(capsys.readouterr().out)["verified_by"] == verifier
+    assert len(calls) == 1
+
+
+def test_no_check_still_rejects_a_broken_partition(monkeypatch, special_instance, capsys):
+    solve = cli.solve_special
+
+    def reversed_parts(*args, **kwargs):
+        partition = solve(*args, **kwargs)
+        return Partition(partition.parts[::-1], partition.certificate)
+
+    monkeypatch.setattr(cli, "solve_special", reversed_parts)
+    assert main(["solve", special_instance, "--json", "--no-check"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "error"
+    assert "chain" in payload["message"]
 
 
 def test_missing_file_errors(capsys):
@@ -177,6 +201,19 @@ def test_bad_prime_exits_1_without_traceback(tmp_path, capsys, prime):
     assert main(["solve", inst]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "block",
+    ["vector_gfp {\n p 2\n dim -1\n element\n}", "affine {\n field gfp 2\n dim -1\n point\n}"],
+    ids=["vector_gfp", "affine"],
+)
+def test_negative_dim_exits_1_without_traceback(tmp_path, capsys, block):
+    inst = write(tmp_path, "negative_dim.txt", f"mode noncolor\nr 1\nmatroid {block}\nsequence a\n")
+    assert main(["solve", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 3:")
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -17,6 +17,7 @@ from matroid_tverberg import (
     special_precondition,
 )
 from matroid_tverberg.instances import GENERATOR_FAMILIES
+from matroid_tverberg.matroids import VectorMatroidGFp
 
 SAMPLE = """
 # sample instance
@@ -150,12 +151,71 @@ def test_bad_prime_is_a_parse_error(text):
     [
         "mode noncolor\nr 1\nmatroid vector_rational {\n dim -1\n}\nsequence a\n",
         "mode noncolor\nr 1\nmatroid graphic {\n vertices -1\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid vector_gfp {\n p 2\n dim -1\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid vector_gfp {\n p 2\n dim -1\n element\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid vector_rational {\n dim -1\n element\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid affine {\n field gfp 2\n dim -1\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid affine {\n field gfp 2\n dim -1\n point\n}\nsequence a\n",
+        "mode noncolor\nr 1\nmatroid affine {\n field rational\n dim -1\n point\n}\nsequence a\n",
     ],
-    ids=["rational_negative_dim", "graphic_negative_vertices"],
+    ids=[
+        "rational_negative_dim",
+        "graphic_negative_vertices",
+        "gfp_negative_dim",
+        "gfp_negative_dim_bare_element",
+        "rational_negative_dim_bare_element",
+        "affine_gfp_negative_dim",
+        "affine_gfp_negative_dim_bare_point",
+        "affine_rational_negative_dim_bare_point",
+    ],
 )
 def test_negative_size_is_a_parse_error(text):
-    # Both raised ValueError from the matroid constructor, outside ParseError.
+    # A negative size once escaped as ValueError from the matroid
+    # constructor, or as IndexError when a bare element line followed.
     with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == 3
+
+
+GFP_SUM = """mode noncolor
+r 2
+matroid direct_sum {
+    left vector_gfp {
+        p 2
+        dim 1
+        element a 1
+    }
+    right vector_gfp {
+        p 3
+        dim 1
+        element b 1
+    }
+}
+sequence a b
+"""
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(SAMPLE, 1), (AFFINE_GFP, 1), (GFP_SUM, 2)],
+    ids=["vector_gfp", "affine_gfp", "direct_sum_of_two"],
+)
+def test_parse_builds_the_matroid_once(monkeypatch, text, expected):
+    builds = []
+    init = VectorMatroidGFp.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorMatroidGFp, "__init__", counted)
+    parse_instance(text)
+    assert len(builds) == expected
+
+
+def test_direct_sum_with_a_shared_id_is_a_parse_error():
+    text = GFP_SUM.replace("element b 1", "element a 1")
+    with pytest.raises(ParseError, match="disjoint") as err:
         parse_instance(text)
     assert err.value.line == 3
 

@@ -1,4 +1,4 @@
-"""GF(p) rank kernels: both backends against an enumeration oracle."""
+"""The GF(p) rank kernel against an enumeration oracle."""
 
 import itertools
 import random
@@ -6,12 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from matroid_tverberg.kernels import (
-    NUMBA_AVAILABLE,
-    gfp_rank,
-    gfp_rank_numba,
-    gfp_rank_numpy,
-)
+from matroid_tverberg.kernels import gfp_rank
 
 
 def span_size_rank(rows, p):
@@ -42,14 +37,7 @@ def random_matrices(seed, count):
 def test_numpy_backend_matches_span_enumeration():
     for p, mat in random_matrices(11, 200):
         arr = np.array(mat, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 1)
-        assert gfp_rank_numpy(arr, p) == span_size_rank(mat, p)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not importable")
-def test_numba_backend_matches_numpy():
-    for p, mat in random_matrices(12, 200):
-        arr = np.array(mat, dtype=np.int64).reshape(len(mat), len(mat[0]) if mat else 1)
-        assert gfp_rank_numba(arr, p) == gfp_rank_numpy(arr, p)
+        assert gfp_rank(arr, p) == span_size_rank(mat, p)
 
 
 def test_known_ranks():
@@ -69,4 +57,4 @@ def test_input_not_mutated():
 
 def test_large_prime_rejected():
     with pytest.raises(ValueError):
-        gfp_rank_numpy(np.eye(2, dtype=np.int64), 2**31 + 11)
+        gfp_rank(np.eye(2, dtype=np.int64), 2**31 + 11)

@@ -9,14 +9,13 @@ from matroid_tverberg import (
     AffineMatroid,
     DirectSumMatroid,
     GraphicMatroid,
+    RestrictionView,
     UniformMatroid,
     UnknownElement,
     VectorMatroidGFp,
     VectorMatroidRational,
     add_coloops,
-    restrict_rank,
 )
-from matroid_tverberg.matroids import call_counting_enabled, set_call_counting
 
 from conftest import family_zoo, gfp_matroid, triangle_graph
 
@@ -110,14 +109,11 @@ def test_add_coloops_avoids_id_collisions():
 
 def test_restrict_rank():
     m = gfp_matroid(3, 2, {"d": (2, 0)})
-    view, rank = restrict_rank(m, {"b1", "d"})
-    assert rank == 1  # both on the same line through the origin
+    view = RestrictionView(m, {"b1", "d"})
+    assert view.rank_bound == 1  # both on the same line through the origin
     assert set(view.ground) == {"b1", "d"}
-    assert view.rank_bound == 1
-    view_all, rank_all = restrict_rank(m, m.ground)
-    assert rank_all == m.rank_bound
-    view_none, rank_none = restrict_rank(m, ())
-    assert rank_none == 0
+    assert RestrictionView(m, m.ground).rank_bound == m.rank_bound
+    assert RestrictionView(m, ()).rank_bound == 0
 
 
 def test_restriction_flattens():
@@ -153,18 +149,11 @@ def test_direct_sum_componentwise():
     assert ds.in_closure("r2", {"r0", "r1"})
 
 
-def test_call_counting_and_disable(gf2_plane):
+def test_call_counting(gf2_plane):
     before = gf2_plane.oracle_calls
     gf2_plane.in_closure("x", {"y"})
     gf2_plane.in_closure("x", {"y"})  # memo hit still counts as a query
     assert gf2_plane.oracle_calls == before + 2
-    assert call_counting_enabled()
-    set_call_counting(False)
-    try:
-        gf2_plane.in_closure("x", {"y"})
-        assert gf2_plane.oracle_calls == before + 2
-    finally:
-        set_call_counting(True)
 
 
 def test_restriction_counts_in_parent(gf2_plane):

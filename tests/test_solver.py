@@ -234,6 +234,17 @@ def test_noncolor_r1():
     assert part.part_indices() == ((0,),)
 
 
+def test_noncolor_r1_pinned():
+    # Recorded when r = 1 still had its own branch in solve_noncolor: every
+    # entry is checked for a loop (5 calls), then the certificate (2 calls).
+    inst = gen_random_instance("vector_gf2", 3, 1, 5, 1, "general")
+    stats = SolveStats()
+    part = solve_noncolor(inst.build_matroid(), inst.build_sequence(), 1, stats=stats)
+    assert part.part_indices() == ((0,),)
+    assert part.certificate.witness_nonloop == (0, "g0")
+    assert stats.oracle_calls == 7
+
+
 def test_noncolor_uniform_threshold():
     m = UniformMatroid(3, 7)
     s = seq_of([f"e{i}" for i in range(7)])  # m(r-1)+1 = 7 for r = 3
