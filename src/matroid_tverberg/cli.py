@@ -104,7 +104,7 @@ def _read_text(path):
 
 def _load(path):
     inst = parse_instance(_read_text(path))
-    return inst, inst.build_matroid(), inst.build_sequence(), inst.build_coloring()
+    return inst, inst.oracle, inst.build_sequence(), inst.build_coloring()
 
 
 def _certificate_extra(partition):

@@ -39,7 +39,7 @@ A partition file lists one ``part`` line of entry indices per part::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfeasibleRequest, InternalInvariantBroken, ParseError
@@ -140,13 +140,19 @@ class DirectSumSpec:
 
 @dataclass
 class InstanceFile:
-    """A parsed instance: matroid spec, sequence of element ids, colors, r, mode."""
+    """A parsed instance: matroid spec, sequence of element ids, colors, r, mode.
+
+    ``oracle`` is the matroid ``parse_instance`` built to check the sequence's
+    references, or None for an instance made in code; it takes no part in
+    equality.  ``build_matroid`` always builds a fresh one.
+    """
 
     matroid: object
     sequence: tuple
     colors: tuple | None
     r: int
     mode: str
+    oracle: object = field(default=None, compare=False, repr=False)
 
     def build_matroid(self):
         return self.matroid.build()
@@ -519,6 +525,7 @@ def parse_instance(text):
         colors=color_tuple,
         r=r,
         mode=mode,
+        oracle=oracle,
     )
 
 

@@ -18,6 +18,11 @@ cycle runs at most rank-many passes.
 
 ``verify_partition`` checks any candidate output using nothing beyond the
 closure oracle, independently of how it was produced.
+
+Every closure question here is first put to the axiom Y ⊆ cl(Y): when x is
+a member of Y, x ∈ cl(Y) holds in every matroid, so the answer is True
+without asking the oracle.  Only the questions that axiom cannot settle go
+through ``in_closure`` and are counted.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ def build_partition(matroid, parts):
         indep = []
         elems = []
         for entry in part:
-            if not matroid.in_closure(entry[1], elems):
+            if entry[1] not in elems and not matroid.in_closure(entry[1], elems):
                 indep.append(entry)
                 elems.append(entry[1])
         subsets.append(tuple(indep))
@@ -155,7 +160,7 @@ def verify_partition(matroid, seq, coloring, r, parts):
         basis = matroid.max_independent(parts[i].set_image)
         target = parts[i + 1].set_image
         for e in basis:
-            if not matroid.in_closure(e, target):
+            if e not in target and not matroid.in_closure(e, target):
                 index = next(j for j, el in parts[i] if el == e)
                 detail = f"entry ({index}, {e}) of part {i + 1} is outside cl(part {i + 2})"
                 return VerificationReport(False, "chain", detail)
@@ -183,15 +188,17 @@ def _extend_rainbow(matroid, seq, coloring, seed):
     chosen = list(seed.entries)
     used_colors = {coloring.of(entry) for entry in seed}
     elems = list(seed.set_image)
+    elem_set = set(elems)
     for entry in seq:
         color = coloring.of(entry)
         if color in used_colors:
             continue
-        if matroid.in_closure(entry[1], elems):
+        if entry[1] in elem_set or matroid.in_closure(entry[1], elems):
             continue
         chosen.append(entry)
         used_colors.add(color)
         elems.append(entry[1])
+        elem_set.add(entry[1])
     return seq.with_indices(i for i, _ in chosen)
 
 
@@ -430,11 +437,10 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
     # Initially every entry colored from K is eligible (non-loops are never
     # in cl(empty)) and may simply replace the empty I by itself.
     aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
+    outside_i = list(c_k)
 
     iterations = 0
     while True:
-        i_elems = i_seq.set_image
-        outside_i = [e for e in c_k if not view.in_closure(e[1], i_elems)]
         if check:
             _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
         iterations += 1
@@ -450,7 +456,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
         ri_elems = ri.set_image
         escape = None
         for entry in outside_i:
-            if not view.in_closure(entry[1], ri_elems):
+            if entry[1] not in ri_elems and not view.in_closure(entry[1], ri_elems):
                 escape = entry
                 break
         if escape is not None:
@@ -458,7 +464,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
             return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape, check)
 
         stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
-        k_set, i_seq, aug = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
+        k_set, i_seq, aug, outside_i = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
         c_k = color_class(seq, coloring, k_set)
 
 
@@ -508,10 +514,11 @@ def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
         if len(grown) != len(ri) + 1:
             raise InternalInvariantBroken("exchange did not enlarge RI by one")
         # Growth is genuine: cl(grown) equals cl(RI + p).
-        target = distinct_elements(ri.entries + (p_entry,))
-        if not all(view.in_closure(e, target) for e in distinct_elements(grown)):
+        order = distinct_elements(ri.entries + (p_entry,))
+        target, grown_elems = frozenset(order), grown.set_image
+        if not all(e in target or view.in_closure(e, target) for e in distinct_elements(grown)):
             raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
-        if not all(view.in_closure(e, grown.set_image) for e in target):
+        if not all(e in grown_elems or view.in_closure(e, grown_elems) for e in order):
             raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
@@ -522,16 +529,19 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     The new I is an inclusion-minimal subsequence of RI spanning C_K,
     computed by greedy deletion in ascending index order.  For every entry p
     of a color new to K that escapes cl(new I), an exchange sequence is
-    assembled from the old rules.
+    assembled from the old rules.  Also returns the entries of the new color
+    classes outside cl(new I), in C_K order: the old C_K lies inside cl(new I)
+    by construction, so they are the next pass's entries of C_K outside cl(I).
     """
     ck_elems = distinct_elements(c_k)
     ck_set = frozenset(ck_elems)
 
-    def spans(elems):
-        return all(view.in_closure(x, elems) for x in ck_elems)
+    def spans(entries):
+        elems = frozenset([e for _, e in entries])
+        return all(x in elems or view.in_closure(x, elems) for x in ck_elems)
 
     current = list(ri.entries)
-    if check and not spans({e for _, e in current}):
+    if check and not spans(current):
         raise InternalInvariantBroken("RI does not span C_K in the advance case")
     for entry in ri.entries:
         # RI is independent, so the trial without this entry cannot span
@@ -539,7 +549,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         if entry not in current or entry[1] in ck_set:
             continue
         trial = [e for e in current if e != entry]
-        if spans({el for _, el in trial}):
+        if spans(trial):
             current = trial
     i_next = seq.with_indices(i for i, _ in current)
 
@@ -552,13 +562,14 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     k_next = k_set | coloring.colors_of(i_next)
     old_indices = i_seq.indices
     new_entries = [e for e in i_next if e[0] not in old_indices]
+    i_next_elems = i_next.set_image
     aug_next = {}
     for rr in new_entries:
         reduced = i_next.with_indices(i_next.indices - {rr[0]})
         reduced_elems = reduced.set_image
         witness = None
         for entry in c_k:
-            if not view.in_closure(entry[1], reduced_elems):
+            if entry[1] not in reduced_elems and not view.in_closure(entry[1], reduced_elems):
                 witness = entry
                 break
         if witness is None:
@@ -569,10 +580,10 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         base = reduced.difference(i_seq).union(exchange_q)
         same_color = color_class(seq, coloring, {coloring.of(rr)})
         for p in same_color:
-            if view.in_closure(p[1], i_next.set_image):
+            if p[1] in i_next_elems or view.in_closure(p[1], i_next_elems):
                 continue
             aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
-    return k_next, i_next, aug_next
+    return k_next, i_next, aug_next, sorted(aug_next)
 
 
 def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
@@ -583,11 +594,14 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     entry longer than I; (4) each exchange contains its entry p and spans
     exactly cl(I) without it; (5) RI meets the K-colored entries exactly in
     I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
-    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I), as
-    the cycle has just found them.  Exchanges that share their part
-    without p share its check, which runs once.
+    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I) as
+    the cycle was handed them; both it and the domain of ``aug`` must equal
+    the scan made here.  Exchanges that share their part without p share
+    its check, which runs once.
     """
     stats.invariant_checks += 1
+    i_elems = i_seq.set_image
+    scanned = [e for e in c_k if e[1] not in i_elems and not view.in_closure(e[1], i_elems)]
     i_colors = coloring.colors_of(i_seq)
     ri_colors = coloring.colors_of(ri)
     if not (i_colors < k_set):
@@ -596,9 +610,10 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
     if ri.intersection(c_k) != i_seq:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
-    if set(aug) != set(outside_i):
+    if set(aug) != set(scanned):
         raise InternalInvariantBroken("rules: exchange map domain mismatch")
-    i_elems = i_seq.set_image
+    if outside_i != scanned:
+        raise InternalInvariantBroken("rules: the cycle's entries outside cl(I) mismatch")
     i_order = distinct_elements(i_seq)
     checked = set()
     for p, (exchange, new_color) in aug.items():
@@ -611,10 +626,11 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         if new_color not in k_set - ri_colors:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
         rest = exchange.with_indices(exchange.indices - {p[0]})
-        if rest.set_image in checked:
+        rest_elems = rest.set_image
+        if rest_elems in checked:
             continue
-        checked.add(rest.set_image)
-        if not all(view.in_closure(e, i_elems) for e in distinct_elements(rest)):
+        checked.add(rest_elems)
+        if not all(e in i_elems or view.in_closure(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
-        if not all(view.in_closure(e, rest.set_image) for e in i_order):
+        if not all(e in rest_elems or view.in_closure(e, rest_elems) for e in i_order):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from matroid_tverberg import cli, solver
+from matroid_tverberg import VectorMatroidGFp, cli, solver
 from matroid_tverberg.cli import main
 from matroid_tverberg.solver import Partition
 
@@ -247,3 +247,29 @@ def test_undecodable_partition_exits_1(tmp_path, special_instance, capsys):
     part.write_bytes(b"parts 1\npart \xff\n")
     assert main(["verify", special_instance, str(part)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+GF2 = (
+    "mode noncolor\nr 2\nmatroid vector_gfp {\n p 2\n dim 2\n element a 1 0\n"
+    " element b 0 1\n element c 1 1\n}\nsequence a b c\n"
+)
+GFP_SUM = (
+    "mode noncolor\nr 2\nmatroid direct_sum {\n left vector_gfp {\n  p 2\n  dim 1\n"
+    "  element a 1\n }\n right vector_gfp {\n  p 3\n  dim 1\n  element b 1\n }\n}\n"
+    "sequence a b a\n"
+)
+
+
+@pytest.mark.parametrize("text, expected", [(GF2, 1), (GFP_SUM, 2)], ids=["gf2", "direct_sum_of_two"])
+def test_solve_builds_each_matroid_once(monkeypatch, tmp_path, capsys, text, expected):
+    builds = []
+    init = VectorMatroidGFp.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorMatroidGFp, "__init__", counted)
+    assert main(["solve", write(tmp_path, "inst.txt", text), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "partition"
+    assert len(builds) == expected

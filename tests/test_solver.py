@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+from itertools import product
 
 import pytest
 
@@ -11,12 +12,14 @@ from matroid_tverberg import (
     IndexedSequence,
     InternalInvariantBroken,
     LoopInInput,
+    MatroidOracle,
     PreconditionViolated,
     SeedInvalid,
     SolveStats,
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
+    build_partition,
     gen_random_instance,
     max_rainbow_independent,
     solve_general,
@@ -26,6 +29,7 @@ from matroid_tverberg import (
 )
 
 from matroid_tverberg import solver
+from matroid_tverberg.instances import GENERATOR_FAMILIES
 from conftest import gfp_matroid
 
 
@@ -511,3 +515,61 @@ def test_many_spanning_levels_do_not_grow_the_stack():
     assert len(part.parts) == r
     assert stats.recursion_depth == r
     assert [(d, label) for d, label, _ in stats.events] == [(d, "spanning") for d in range(1, r)]
+
+
+@pytest.mark.parametrize("fault", ["drop", "add"])
+def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
+    # The chained-advance instance hands a non-empty list to the second
+    # pass.  Dropping an entry of it, or adding an old C_K entry (inside
+    # cl(I) by construction), must trip the rule check although the
+    # exchange map itself is intact.
+    advance = solver._case_advance
+
+    def faulty(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
+        k_next, i_next, aug_next, outside = advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
+        if fault == "drop":
+            outside = outside[1:]
+        else:
+            outside = sorted(outside + [c_k.entries[0]])
+        return k_next, i_next, aug_next, outside
+
+    monkeypatch.setattr(solver, "_case_advance", faulty)
+    m = VectorMatroidGFp(2, 3, {
+        "g0": (0, 1, 0), "g1": (1, 1, 0), "g2": (0, 0, 1),
+        "g3": (1, 1, 0), "g4": (1, 0, 0),
+    })
+    s = seq_of(["g0", "g1", "g2", "g3", "g4"])
+    c = coloring_of(["c1", "c2", "c1", "c3", "c2"])
+    with pytest.raises(InternalInvariantBroken, match="outside cl\\(I\\) mismatch"):
+        solve_special(m, s, c, 2, check=True)
+
+
+@pytest.mark.parametrize("mode", ["special", "general", "noncolor"])
+def test_no_member_question_reaches_the_oracle(monkeypatch, mode):
+    # x in Y answers "is x in cl(Y)?" in every matroid, so neither the
+    # engine nor certification may put such a question to the oracle.  The
+    # general and noncolor modes pad with coloops, so their questions pass
+    # through the direct sum as well.
+    asked = []
+    in_closure = MatroidOracle.in_closure
+
+    def recorded(self, x, ys):
+        if x in frozenset(ys):
+            asked.append((type(self).__name__, x, ys))
+        return in_closure(self, x, ys)
+
+    monkeypatch.setattr(MatroidOracle, "in_closure", recorded)
+    labels = set()
+    for family in GENERATOR_FAMILIES:
+        for (m, r, extra), seed in product(((3, 3, 0), (4, 4, 8), (2, 5, 3), (5, 5, 0)), (1, 2, 3)):
+            length = m * (r - 1) + 1 + (r if mode == "special" else 0) + extra
+            for check in (True, False):
+                matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
+                stats = SolveStats()
+                partition = _run(mode, matroid, seq, coloring, r, stats, check)
+                labels.update(label for _, label, _ in stats.events)
+                coloring = None if mode == "noncolor" else coloring
+                assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
+                build_partition(matroid, partition.parts)
+    assert labels >= {"case_a", "case_b", "case_c"}
+    assert asked == []
