@@ -33,6 +33,7 @@ from .errors import (
 )
 from .instances import (
     InstanceFile,
+    Limits,
     emit_instance,
     emit_partition,
     gen_random_instance,
@@ -90,6 +91,7 @@ __all__ = [
     "InfeasibleRequest",
     "InstanceFile",
     "InternalInvariantBroken",
+    "Limits",
     "LoopInInput",
     "MatroidOracle",
     "MatroidTverbergError",

@@ -29,6 +29,9 @@ Matroid blocks:
     graphic          { vertices N  edge ID U V ... }
     direct_sum       { left FAMILY { .. }  right FAMILY { .. } }
 
+The sizes a file may declare are capped by ``Limits``, checked before the
+matroid is built.
+
 A partition file lists one ``part`` line of entry indices per part::
 
     parts 2
@@ -64,6 +67,26 @@ FAMILY_NAMES = (
     "graphic",
     "direct_sum",
 )
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Caps on the sizes an instance file may declare.
+
+    ``parse_instance`` checks them before it builds the matroid, so a short
+    file cannot ask for more memory than the host has: ``uniform { k 2 n
+    400000000 }`` would materialize 400 million ground elements.  The
+    defaults admit every instance the tests and the benchmark use.
+    """
+
+    max_n: int = 100_000
+    max_vertices: int = 100_000
+    max_dim: int = 1_000
+    max_r: int = 100_000
+    max_sequence: int = 1_000_000
+
+
+DEFAULT_LIMITS = Limits()
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +428,22 @@ def _read_direct_sum(children, line):
     return DirectSumSpec(sides["left"], sides["right"])
 
 
+def _check_limits(spec, limits, line):
+    """Raise ParseError if the spec, or a summand of it, declares more than ``limits`` allow."""
+    if spec.family == "direct_sum":
+        _check_limits(spec.left, limits, line)
+        _check_limits(spec.right, limits, line)
+        return
+    if spec.family == "uniform":
+        what, value, cap = "n", spec.n, limits.max_n
+    elif spec.family == "graphic":
+        what, value, cap = "vertices", spec.vertices, limits.max_vertices
+    else:
+        what, value, cap = "dim", spec.dim, limits.max_dim
+    if value > cap:
+        raise ParseError(f"{spec.family}: {what} {value} exceeds the limit of {cap}", line)
+
+
 def _emit_family(spec, indent):
     pad = "    " * indent
     inner = "    " * (indent + 1)
@@ -451,8 +490,11 @@ def _emit_family(spec, indent):
 # Instance parse / emit.
 
 
-def parse_instance(text):
-    """Parse an instance document into an InstanceFile (references validated)."""
+def parse_instance(text, limits=DEFAULT_LIMITS):
+    """Parse an instance document into an InstanceFile (references validated).
+
+    Sizes beyond ``limits`` raise ParseError before the matroid is built.
+    """
     tree = _parse_tree(text)
     mode = None
     r = None
@@ -474,6 +516,8 @@ def parse_instance(text):
             r = _int(node.tokens[1] if len(node.tokens) == 2 else "?", node.line, "r")
             if r < 1:
                 raise ParseError("r must be at least 1", node.line)
+            if r > limits.max_r:
+                raise ParseError(f"r {r} exceeds the limit of {limits.max_r}", node.line)
         elif key == "matroid":
             if matroid is not None:
                 raise ParseError("duplicate matroid block", node.line)
@@ -500,6 +544,10 @@ def parse_instance(text):
         raise ParseError("missing matroid block")
     if not sequence:
         raise ParseError("missing or empty sequence")
+    if len(sequence) > limits.max_sequence:
+        raise ParseError(
+            f"sequence has {len(sequence)} entries, beyond the limit of {limits.max_sequence}"
+        )
     if mode == "noncolor":
         if seen_colors:
             raise ParseError("mode noncolor does not take colors")
@@ -512,6 +560,7 @@ def parse_instance(text):
                 f"sequence has {len(sequence)} entries but colors lists {len(colors)}"
             )
         color_tuple = tuple(colors)
+    _check_limits(matroid, limits, matroid_line)
     try:
         oracle = matroid.build()
     except ValueError as exc:

@@ -46,7 +46,15 @@ class MatroidOracle:
     Subclasses implement ``_members(x, ys)`` with ``ys`` a frozenset already
     validated against the ground set.  ``in_closure`` adds validation, call
     counting and memoization (sound because oracles are immutable).
+
+    ``known_coloops`` is a set of elements the oracle knows to be coloops,
+    empty unless the family declares some.  A coloop c lies in cl(Y) only
+    when c is in Y, so a caller may answer questions about them itself.  A
+    restriction view passes on its parent's set as it is, so the set may
+    name elements outside the ground set; every one in it is a coloop.
     """
+
+    known_coloops = frozenset()
 
     def __init__(self, ground):
         ground = tuple(ground)
@@ -119,12 +127,14 @@ class MatroidOracle:
     def max_independent(self, ys):
         """A maximal independent subset of ``ys``.
 
-        Greedy scan in stored ground order, so results are reproducible.
+        Greedy scan in stored ground order, so results are reproducible.  A
+        known coloop is taken without asking: it is never in cl(indep).
         """
         fs = frozenset(ys)
+        coloops = self.known_coloops
         indep = []
         for e in self._ground:
-            if e in fs and not self.in_closure(e, indep):
+            if e in fs and (e in coloops or not self.in_closure(e, indep)):
                 indep.append(e)
         return tuple(indep)
 
@@ -317,7 +327,8 @@ class UniformMatroid(MatroidOracle):
     """U_k^n: every k-subset of the n ground elements is a basis.
 
     Closure of Y is Y itself when Y has fewer than k distinct elements and
-    the whole ground set otherwise.  For k = 0 every element is a loop.
+    the whole ground set otherwise.  For k = 0 every element is a loop; for
+    k >= n every element is a coloop, and the matroid declares them all.
     """
 
     def __init__(self, k, n, ids=None):
@@ -331,6 +342,8 @@ class UniformMatroid(MatroidOracle):
                 raise ValueError("ids must have length n")
         self.k = k
         super().__init__(ids)
+        if k >= n:
+            self.known_coloops = self._ground_set
 
     def _members(self, x, ys):
         return x in ys or len(ys) >= self.k
@@ -407,11 +420,13 @@ class DirectSumMatroid(MatroidOracle):
     """Direct sum of two matroids on disjoint ground sets.
 
     Membership is componentwise: a query goes straight to the summand that
-    holds x, with the other summand's elements dropped from ys, so call
-    counting, the memo and the ground check live in the summands and
-    ``oracle_calls`` sums them.  An element of neither summand stays in the
-    forwarded query, which the summand's memo cannot hold, so the summand
-    rejects it.
+    holds x, with the other summand's elements dropped from ys (the set is
+    forwarded as it is when it has none), so call counting, the memo and
+    the ground check live in the summands and ``oracle_calls`` sums them.
+    An element of neither summand stays in the forwarded query, which the
+    summand's memo cannot hold, so the summand rejects it.  A coloop of
+    either summand is a coloop of the sum, so the sum declares the coloops
+    its summands know of.
     """
 
     def __init__(self, left, right):
@@ -420,6 +435,11 @@ class DirectSumMatroid(MatroidOracle):
         self.left = left
         self.right = right
         super().__init__(left.ground + right.ground)
+        # A view's set may name elements outside its ground, even ones of
+        # the other summand, so each side keeps only its own.
+        self.known_coloops = (left.known_coloops & left.ground_set) | (
+            right.known_coloops & right.ground_set
+        )
 
     @property
     def oracle_calls(self):
@@ -428,8 +448,10 @@ class DirectSumMatroid(MatroidOracle):
     def in_closure(self, x, ys):
         fs = ys if isinstance(ys, frozenset) else frozenset(ys)
         if x in self.left.ground_set:
-            return self.left.in_closure(x, fs - self.right.ground_set)
-        return self.right.in_closure(x, fs - self.left.ground_set)
+            side, other = self.left, self.right.ground_set
+        else:
+            side, other = self.right, self.left.ground_set
+        return side.in_closure(x, fs if fs.isdisjoint(other) else fs - other)
 
     def _compute_rank_bound(self):
         return self.left.rank_bound + self.right.rank_bound
@@ -442,6 +464,9 @@ class RestrictionView(MatroidOracle):
     same answers as in the parent, so after checking a query against the
     kept elements the view hands it straight to the parent, where it is
     counted and memoized.  Chains of views flatten onto the original oracle.
+    A coloop of the parent is a coloop of every restriction that keeps it,
+    so the view shares its parent's ``known_coloops`` instead of building a
+    smaller set.
     """
 
     def __init__(self, parent, keep):
@@ -452,6 +477,7 @@ class RestrictionView(MatroidOracle):
         if isinstance(parent, RestrictionView):
             parent = parent._parent
         self._parent = parent
+        self.known_coloops = parent.known_coloops
         super().__init__(e for e in parent.ground if e in keep)
         self._rank_bound = parent.rank(self._ground)
 
@@ -475,7 +501,9 @@ def add_coloops(matroid, count):
 
     The fresh elements are coloops named ``x1``, ``x2``, ... (prefixed with
     underscores if those ids are taken); closure restricted to the original
-    elements is unchanged and the rank grows by exactly ``count``.
+    elements is unchanged and the rank grows by exactly ``count``.  The free
+    matroid is U_count^count, so the sum declares the fresh elements in its
+    ``known_coloops``.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -19,10 +19,14 @@ cycle runs at most rank-many passes.
 ``verify_partition`` checks any candidate output using nothing beyond the
 closure oracle, independently of how it was produced.
 
-Every closure question here is first put to the axiom Y ⊆ cl(Y): when x is
-a member of Y, x ∈ cl(Y) holds in every matroid, so the answer is True
-without asking the oracle.  Only the questions that axiom cannot settle go
-through ``in_closure`` and are counted.
+Every closure question here is first put to two axioms.  The member
+axiom Y ⊆ cl(Y): when x is a member of Y, x ∈ cl(Y) holds in every
+matroid.  The coloop axiom: when x is one of the matroid's
+``known_coloops`` (the padding that ``solve_general`` adds, for one), x ∈
+cl(Y) holds only if x is in Y.  Only the questions neither axiom settles go
+through ``in_closure`` and are counted.  The same coloop fact lets
+``_case_advance`` drop a coloop outside C_K from a set spanning C_K without
+a trial: the rest still spans C_K.
 """
 
 from __future__ import annotations
@@ -105,14 +109,16 @@ class SolveStats:
 def build_partition(matroid, parts):
     """Assemble a Partition, computing its chain certificate via the oracle."""
     parts = tuple(parts)
+    coloops = matroid.known_coloops
     subsets = []
     for part in parts:
         indep = []
         elems = []
         for entry in part:
-            if entry[1] not in elems and not matroid.in_closure(entry[1], elems):
+            e = entry[1]
+            if e not in elems and (e in coloops or not matroid.in_closure(e, elems)):
                 indep.append(entry)
-                elems.append(entry[1])
+                elems.append(e)
         subsets.append(tuple(indep))
     witness = None
     if parts:
@@ -132,7 +138,8 @@ def verify_partition(matroid, seq, coloring, r, parts):
     disjointness, rainbowness (skipped without a coloring), strictness at the
     bottom (some entry of the first part is a non-loop), and the closure
     chain itself, checked through oracle membership of a maximal independent
-    subset of each part in the closure of the next.
+    subset of each part in the closure of the next.  A failure's ``detail``
+    names the part and the entry, or the color, at fault.
     """
     if isinstance(parts, Partition):
         parts = parts.parts
@@ -140,27 +147,42 @@ def verify_partition(matroid, seq, coloring, r, parts):
     if r < 1 or len(parts) != r:
         return VerificationReport(False, "part_count", f"expected {r} parts, got {len(parts)}")
     entry_pool = set(seq.entries)
-    for i, part in enumerate(parts):
-        if not set(part.entries) <= entry_pool:
-            return VerificationReport(False, "not_subsequence", f"part {i + 1} is not a subsequence of S")
-    total = sum(len(p) for p in parts)
-    combined = set()
-    for part in parts:
-        combined |= part.indices
-    if len(combined) != total:
-        return VerificationReport(False, "disjointness", "two parts share an entry")
+    for k, part in enumerate(parts, 1):
+        for entry in part:
+            if entry not in entry_pool:
+                detail = f"entry ({entry[0]}, {entry[1]}) of part {k} is not an entry of S"
+                return VerificationReport(False, "not_subsequence", detail)
+    owner = {}
+    for k, part in enumerate(parts, 1):
+        for i, e in part:
+            j = owner.setdefault(i, k)
+            if j != k:
+                detail = f"entry ({i}, {e}) is in part {j} and in part {k}"
+                return VerificationReport(False, "disjointness", detail)
     if coloring is not None:
-        for i, part in enumerate(parts):
-            if not is_rainbow(part, coloring):
-                return VerificationReport(False, "rainbow", f"part {i + 1} repeats a color")
+        for k, part in enumerate(parts, 1):
+            first = {}
+            for entry in part:
+                color = coloring.of(entry)
+                if color in first:
+                    (i, e), (j, f) = first[color], entry
+                    detail = f"entries ({i}, {e}) and ({j}, {f}) of part {k} share color {color}"
+                    return VerificationReport(False, "rainbow", detail)
+                first[color] = entry
     strict = any(not matroid.in_closure(e, ()) for _, e in parts[0])
     if not strict:
-        return VerificationReport(False, "strictness", "closure of the first part equals cl(empty)")
+        if len(parts[0]) == 0:
+            detail = "part 1 is empty, so its closure is cl(empty)"
+        else:
+            i, e = parts[0].entries[0]
+            detail = f"every entry of part 1, the first ({i}, {e}), is a loop"
+        return VerificationReport(False, "strictness", detail)
+    coloops = matroid.known_coloops
     for i in range(r - 1):
         basis = matroid.max_independent(parts[i].set_image)
         target = parts[i + 1].set_image
         for e in basis:
-            if e not in target and not matroid.in_closure(e, target):
+            if e not in target and (e in coloops or not matroid.in_closure(e, target)):
                 index = next(j for j, el in parts[i] if el == e)
                 detail = f"entry ({index}, {e}) of part {i + 1} is outside cl(part {i + 2})"
                 return VerificationReport(False, "chain", detail)
@@ -189,11 +211,13 @@ def _extend_rainbow(matroid, seq, coloring, seed):
     used_colors = {coloring.of(entry) for entry in seed}
     elems = list(seed.set_image)
     elem_set = set(elems)
+    coloops = matroid.known_coloops
     for entry in seq:
         color = coloring.of(entry)
         if color in used_colors:
             continue
-        if entry[1] in elem_set or matroid.in_closure(entry[1], elems):
+        e = entry[1]
+        if e in elem_set or (e not in coloops and matroid.in_closure(e, elems)):
             continue
         chosen.append(entry)
         used_colors.add(color)
@@ -438,6 +462,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
     # in cl(empty)) and may simply replace the empty I by itself.
     aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
     outside_i = list(c_k)
+    coloops = view.known_coloops
 
     iterations = 0
     while True:
@@ -456,7 +481,8 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
         ri_elems = ri.set_image
         escape = None
         for entry in outside_i:
-            if entry[1] not in ri_elems and not view.in_closure(entry[1], ri_elems):
+            e = entry[1]
+            if e not in ri_elems and (e in coloops or not view.in_closure(e, ri_elems)):
                 escape = entry
                 break
         if escape is not None:
@@ -516,9 +542,16 @@ def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
         # Growth is genuine: cl(grown) equals cl(RI + p).
         order = distinct_elements(ri.entries + (p_entry,))
         target, grown_elems = frozenset(order), grown.set_image
-        if not all(e in target or view.in_closure(e, target) for e in distinct_elements(grown)):
+        coloops = view.known_coloops
+        if not all(
+            e in target or (e not in coloops and view.in_closure(e, target))
+            for e in distinct_elements(grown)
+        ):
             raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
-        if not all(e in grown_elems or view.in_closure(e, grown_elems) for e in order):
+        if not all(
+            e in grown_elems or (e not in coloops and view.in_closure(e, grown_elems))
+            for e in order
+        ):
             raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
@@ -535,10 +568,13 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     """
     ck_elems = distinct_elements(c_k)
     ck_set = frozenset(ck_elems)
+    coloops = view.known_coloops
 
     def spans(entries):
         elems = frozenset([e for _, e in entries])
-        return all(x in elems or view.in_closure(x, elems) for x in ck_elems)
+        return all(
+            x in elems or (x not in coloops and view.in_closure(x, elems)) for x in ck_elems
+        )
 
     current = list(ri.entries)
     if check and not spans(current):
@@ -549,7 +585,9 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         if entry not in current or entry[1] in ck_set:
             continue
         trial = [e for e in current if e != entry]
-        if spans(trial):
+        # A coloop outside C_K adds nothing to the span of C_K: the trial
+        # spans because ``current`` does.
+        if entry[1] in coloops or spans(trial):
             current = trial
     i_next = seq.with_indices(i for i, _ in current)
 
@@ -569,7 +607,8 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         reduced_elems = reduced.set_image
         witness = None
         for entry in c_k:
-            if entry[1] not in reduced_elems and not view.in_closure(entry[1], reduced_elems):
+            e = entry[1]
+            if e not in reduced_elems and (e in coloops or not view.in_closure(e, reduced_elems)):
                 witness = entry
                 break
         if witness is None:
@@ -580,7 +619,8 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         base = reduced.difference(i_seq).union(exchange_q)
         same_color = color_class(seq, coloring, {coloring.of(rr)})
         for p in same_color:
-            if p[1] in i_next_elems or view.in_closure(p[1], i_next_elems):
+            e = p[1]
+            if e in i_next_elems or (e not in coloops and view.in_closure(e, i_next_elems)):
                 continue
             aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
     return k_next, i_next, aug_next, sorted(aug_next)
@@ -601,7 +641,13 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     """
     stats.invariant_checks += 1
     i_elems = i_seq.set_image
-    scanned = [e for e in c_k if e[1] not in i_elems and not view.in_closure(e[1], i_elems)]
+    coloops = view.known_coloops
+    scanned = [
+        entry
+        for entry in c_k
+        if entry[1] not in i_elems
+        and (entry[1] in coloops or not view.in_closure(entry[1], i_elems))
+    ]
     i_colors = coloring.colors_of(i_seq)
     ri_colors = coloring.colors_of(ri)
     if not (i_colors < k_set):
@@ -630,7 +676,13 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         if rest_elems in checked:
             continue
         checked.add(rest_elems)
-        if not all(e in i_elems or view.in_closure(e, i_elems) for e in distinct_elements(rest)):
+        if not all(
+            e in i_elems or (e not in coloops and view.in_closure(e, i_elems))
+            for e in distinct_elements(rest)
+        ):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
-        if not all(e in rest_elems or view.in_closure(e, rest_elems) for e in i_order):
+        if not all(
+            e in rest_elems or (e not in coloops and view.in_closure(e, rest_elems))
+            for e in i_order
+        ):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from matroid_tverberg import VectorMatroidGFp, cli, solver
+from matroid_tverberg import VectorMatroidGFp, cli, instances, solver
 from matroid_tverberg.cli import main
 from matroid_tverberg.solver import Partition
 
@@ -215,6 +215,18 @@ def test_negative_dim_exits_1_without_traceback(tmp_path, capsys, block):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line 3:")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_size_past_the_limits_exits_1_before_anything_is_built(monkeypatch, tmp_path, capsys):
+    # A file of about 70 bytes that asks for 400 million ground elements.
+    built = []
+    monkeypatch.setattr(instances.UniformSpec, "build", built.append)
+    text = "mode noncolor\nr 2\nmatroid uniform {\n k 2\n n 400000000\n}\nsequence e0 e1\n"
+    inst = write(tmp_path, "huge.txt", text)
+    assert main(["solve", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: uniform: n 400000000 exceeds the limit of 100000\n"
+    assert built == []
 
 
 def test_consecutive_calls_share_no_options(tmp_path, special_instance, capsys):

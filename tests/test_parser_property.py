@@ -6,19 +6,20 @@ the later checks, and with integers from the whole integer range in the
 numeric fields.  Each document is then mutated up to three times: a line
 is dropped, repeated or swapped, or one token is replaced by any integer,
 fraction, identifier or keyword.  Arbitrary text is tried as well.  The
-one value kept small is a uniform matroid's ``n``: the parser builds each
-matroid to check the sequence's references, and that materializes ``n``
-ground elements (ROADMAP item 4 asks for a declared limit on it).
+sizes that ``Limits`` caps (uniform ``n``, graphic ``vertices``, ``dim``
+and ``r``) are also drawn just past their limits and from the whole
+integer range: the parser must reject them before it builds anything.
 """
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from matroid_tverberg import ParseError, parse_instance
-from matroid_tverberg.instances import FAMILY_NAMES, MODES, InstanceFile
+import pytest
+
+from matroid_tverberg import Limits, ParseError, parse_instance
+from matroid_tverberg.instances import DEFAULT_LIMITS, FAMILY_NAMES, MODES, InstanceFile
 
 IDS = ("a", "b", "c", "e0", "e1", "x1", "t1", "g0")
 JUNK = ("{", "}", "#", "-", "1/0", "3/4", "-5/7", "0x1f", "1e3", "rational", "gfp", "=")
-N_LIMIT = 1_000
 
 integer = st.integers().map(str)
 number = integer | st.sampled_from(JUNK) | st.fractions().map(str)
@@ -27,6 +28,12 @@ word = ident | number | st.sampled_from(FAMILY_NAMES + MODES)
 
 
 mostly_small = st.integers(0, 3) | st.integers()
+
+
+def near(cap):
+    """Integers at and just past ``cap``."""
+    return st.integers(cap - 1, cap + 2)
+
 prime = st.sampled_from((2, 3, 5, 2147483647)) | st.integers()
 
 
@@ -37,7 +44,8 @@ def family_block(draw, ids, keyword="matroid", depth=0):
     lines = [f"{keyword} {family} {{"]
     fresh = [f"{keyword[0]}{depth}{i}" for i in range(draw(st.integers(0, 4)))]
     if family in ("vector_gfp", "vector_rational", "affine"):
-        dim = draw(st.integers(0, 3) | st.integers(-1, 5))
+        dim = draw(st.integers(0, 3) | st.integers(-1, 5) | near(DEFAULT_LIMITS.max_dim))
+        width = max(dim, 0) if dim <= 5 else draw(st.integers(0, 5))
         coord = st.integers() if family == "vector_gfp" else st.integers() | st.fractions()
         if family == "vector_gfp":
             lines.append(f"p {draw(prime)}")
@@ -46,14 +54,15 @@ def family_block(draw, ids, keyword="matroid", depth=0):
         lines.append(f"dim {dim}")
         keyword = "point" if family == "affine" else "element"
         for eid in fresh:
-            coords = draw(st.lists(coord, min_size=max(dim, 0), max_size=max(dim, 0)))
+            coords = draw(st.lists(coord, min_size=width, max_size=width))
             lines.append(" ".join([keyword, eid, *map(str, coords)]))
     elif family == "uniform":
-        n = draw(st.integers(-1, 6))
+        n = draw(st.integers(-1, 6) | near(DEFAULT_LIMITS.max_n) | st.integers())
         lines += [f"k {draw(mostly_small)}", f"n {n}"]
-        fresh = [f"e{i}" for i in range(max(n, 0))]
+        fresh = [f"e{i}" for i in range(min(max(n, 0), 8))]
     elif family == "graphic":
-        lines.append(f"vertices {draw(st.integers(4, 5) | mostly_small)}")
+        vertices = st.integers(4, 5) | mostly_small | near(DEFAULT_LIMITS.max_vertices)
+        lines.append(f"vertices {draw(vertices)}")
         vertex = st.integers(0, 3) | mostly_small
         for eid in fresh:
             lines.append(f"edge {eid} {draw(vertex)} {draw(vertex)}")
@@ -70,7 +79,8 @@ def family_block(draw, ids, keyword="matroid", depth=0):
 def documents(draw):
     ids = []
     mode = draw(st.sampled_from(MODES))
-    lines = [f"mode {mode}", f"r {draw(st.integers(1, 3) | mostly_small)}"]
+    r = draw(st.integers(1, 3) | mostly_small | near(DEFAULT_LIMITS.max_r))
+    lines = [f"mode {mode}", f"r {r}"]
     lines += draw(family_block(ids))
     refs = draw(st.lists(st.sampled_from(ids or ["a"]), min_size=1, max_size=6))
     lines.append(" ".join(["sequence", *refs]))
@@ -91,10 +101,6 @@ def documents(draw):
             tokens = lines[i].split() or [""]
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(word)
             lines[i] = " ".join(tokens)
-    for line in lines:
-        tokens = line.split()
-        if len(tokens) == 2 and tokens[0] == "n":
-            assume(not tokens[1].lstrip("-").isdigit() or int(tokens[1]) <= N_LIMIT)
     return "\n".join(lines)
 
 
@@ -116,3 +122,45 @@ def test_grammar_documents_parse_or_raise_parse_error(text):
 @given(st.text())
 def test_arbitrary_text_parses_or_raises_parse_error(text):
     _parses_or_parse_error(text)
+
+
+
+SMALL = Limits(max_n=6, max_vertices=5, max_dim=3, max_r=4, max_sequence=3)
+
+
+def _document(block, r=2, refs=("e0",)):
+    return "\n".join(["mode noncolor", f"r {r}", *block, "sequence " + " ".join(refs)])
+
+
+UNIFORM = ["matroid uniform {", "k 1", "n 3", "}"]
+LIMITED = {
+    "n": (lambda v: _document(["matroid uniform {", "k 2", f"n {v}", "}"]), 6),
+    "vertices": (
+        lambda v: _document(["matroid graphic {", f"vertices {v}", "edge a 0 1", "}"], refs=("a",)),
+        5,
+    ),
+    "dim": (
+        lambda v: _document(
+            ["matroid vector_rational {", f"dim {v}", "element a " + " ".join("1" * v), "}"],
+            refs=("a",),
+        ),
+        3,
+    ),
+    "summand dim": (
+        lambda v: _document([
+            "matroid direct_sum {", "left uniform {", "k 1", "n 2", "}",
+            "right affine {", "field gfp 3", f"dim {v}", "}", "}",
+        ]),
+        3,
+    ),
+    "r": (lambda v: _document(UNIFORM, r=v), 4),
+    "sequence": (lambda v: _document(UNIFORM, refs=("e0",) * v), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED))
+def test_each_limit_admits_its_cap_and_rejects_one_more(name):
+    document, cap = LIMITED[name]
+    assert isinstance(parse_instance(document(cap), SMALL), InstanceFile)
+    with pytest.raises(ParseError, match="limit"):
+        parse_instance(document(cap + 1), SMALL)

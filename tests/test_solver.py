@@ -329,6 +329,43 @@ def test_verify_chain_detail_names_the_first_copy_of_a_repeated_element():
     assert report.detail == "entry (1, b1) of part 2 is outside cl(part 3)"
 
 
+def test_verify_not_subsequence_detail_names_the_foreign_entry():
+    m, s, c, _ = _valid_setup()
+    other = seq_of(["b1", "b2", "s", "b1", "s"])
+    parts = [other.with_indices({0}), other.with_indices({1, 4})]
+    report = verify_partition(m, s, c, 2, parts)
+    assert report.failure == "not_subsequence"
+    assert report.detail == "entry (4, s) of part 2 is not an entry of S"
+
+
+def test_verify_disjointness_detail_names_the_shared_entry_and_both_parts():
+    m, s, c, _ = _valid_setup()
+    parts = [s.with_indices({0, 2}), s.with_indices({1}), s.with_indices({2, 3})]
+    report = verify_partition(m, s, c, 3, parts)
+    assert report.failure == "disjointness"
+    assert report.detail == "entry (2, s) is in part 1 and in part 3"
+
+
+def test_verify_rainbow_detail_names_both_entries_and_the_color():
+    m = gfp_matroid(2, 2)
+    s = seq_of(["b1", "b2", "b1", "b2"])
+    c = coloring_of(["u", "v", "w", "v"])
+    parts = [s.with_indices({0}), s.with_indices({1, 2, 3})]
+    report = verify_partition(m, s, c, 2, parts)
+    assert report.failure == "rainbow"
+    assert report.detail == "entries (1, b2) and (3, b2) of part 2 share color v"
+
+
+def test_verify_strictness_detail_names_the_first_part():
+    m = gfp_matroid(2, 2, {"o": (0, 0)})
+    s = seq_of(["o", "b1", "o", "b2"])
+    report = verify_partition(m, s, None, 2, [s.with_indices({2, 0}), s.with_indices({1, 3})])
+    assert report.failure == "strictness"
+    assert report.detail == "every entry of part 1, the first (0, o), is a loop"
+    report = verify_partition(m, s, None, 2, [s.with_indices(()), s.with_indices({1, 3})])
+    assert report.detail == "part 1 is empty, so its closure is cl(empty)"
+
+
 def test_verify_success_asks_only_the_chain_questions():
     # One strictness question for b1, one rank scan of part 1 ({b1}), and
     # one membership of b1 in cl(part 2).
@@ -573,3 +610,38 @@ def test_no_member_question_reaches_the_oracle(monkeypatch, mode):
                 build_partition(matroid, partition.parts)
     assert labels >= {"case_a", "case_b", "case_c"}
     assert asked == []
+
+
+@pytest.mark.parametrize("mode", ["general", "noncolor"])
+def test_no_question_about_a_known_coloop_reaches_the_oracle(monkeypatch, mode):
+    # A coloop c lies in cl(Y) only when c is in Y, so the padding coloops
+    # that solve_general adds are never the subject of a question, neither
+    # in the engine nor in certification.
+    asked = []
+    padded = []
+    in_closure = MatroidOracle.in_closure
+    pad = solver.add_coloops
+
+    def recorded(self, x, ys):
+        asked.append(x in self.known_coloops)
+        return in_closure(self, x, ys)
+
+    def recorded_pad(matroid, count):
+        padded.append(count)
+        return pad(matroid, count)
+
+    monkeypatch.setattr(MatroidOracle, "in_closure", recorded)
+    monkeypatch.setattr(solver, "add_coloops", recorded_pad)
+    labels = set()
+    for family in GENERATOR_FAMILIES:
+        for (m, r, extra), seed in product(((3, 3, 4), (2, 5, 3), (3, 4, 0)), (1, 2)):
+            for check in (True, False):
+                matroid, seq, coloring = _seeded(family, mode, m, r, m * (r - 1) + 1 + extra, seed)
+                stats = SolveStats()
+                partition = _run(mode, matroid, seq, coloring, r, stats, check)
+                labels.update(label for _, label, _ in stats.events)
+                coloring = None if mode == "noncolor" else coloring
+                assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
+    assert labels >= {"case_a", "case_b", "case_c"}
+    assert any(padded) and (mode == "general" or all(padded))
+    assert asked and not any(asked)
