@@ -33,7 +33,6 @@ from .errors import (
 )
 from .instances import (
     InstanceFile,
-    Limits,
     emit_instance,
     emit_partition,
     gen_random_instance,
@@ -91,7 +90,6 @@ __all__ = [
     "InfeasibleRequest",
     "InstanceFile",
     "InternalInvariantBroken",
-    "Limits",
     "LoopInInput",
     "MatroidOracle",
     "MatroidTverbergError",

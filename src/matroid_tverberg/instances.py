@@ -29,8 +29,8 @@ Matroid blocks:
     graphic          { vertices N  edge ID U V ... }
     direct_sum       { left FAMILY { .. }  right FAMILY { .. } }
 
-The sizes a file may declare are capped by ``Limits``, checked before the
-matroid is built.
+The sizes a file may declare are capped by the ``MAX_*`` constants, checked
+before the matroid is built.
 
 A partition file lists one ``part`` line of entry indices per part::
 
@@ -69,24 +69,16 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Caps on the sizes an instance file may declare.
-
-    ``parse_instance`` checks them before it builds the matroid, so a short
-    file cannot ask for more memory than the host has: ``uniform { k 2 n
-    400000000 }`` would materialize 400 million ground elements.  The
-    defaults admit every instance the tests and the benchmark use.
-    """
-
-    max_n: int = 100_000
-    max_vertices: int = 100_000
-    max_dim: int = 1_000
-    max_r: int = 100_000
-    max_sequence: int = 1_000_000
-
-
-DEFAULT_LIMITS = Limits()
+# Caps on the sizes an instance file may declare.  ``parse_instance`` checks
+# them before it builds the matroid, so a short file cannot ask for more
+# memory than the host has: ``uniform { k 2 n 400000000 }`` would
+# materialize 400 million ground elements.  They admit every instance the
+# tests and the benchmark use.
+MAX_N = 100_000
+MAX_VERTICES = 100_000
+MAX_DIM = 1_000
+MAX_R = 100_000
+MAX_SEQUENCE = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +420,18 @@ def _read_direct_sum(children, line):
     return DirectSumSpec(sides["left"], sides["right"])
 
 
-def _check_limits(spec, limits, line):
-    """Raise ParseError if the spec, or a summand of it, declares more than ``limits`` allow."""
+def _check_limits(spec, line):
+    """Raise ParseError if the spec, or a summand of it, declares more than the caps allow."""
     if spec.family == "direct_sum":
-        _check_limits(spec.left, limits, line)
-        _check_limits(spec.right, limits, line)
+        _check_limits(spec.left, line)
+        _check_limits(spec.right, line)
         return
     if spec.family == "uniform":
-        what, value, cap = "n", spec.n, limits.max_n
+        what, value, cap = "n", spec.n, MAX_N
     elif spec.family == "graphic":
-        what, value, cap = "vertices", spec.vertices, limits.max_vertices
+        what, value, cap = "vertices", spec.vertices, MAX_VERTICES
     else:
-        what, value, cap = "dim", spec.dim, limits.max_dim
+        what, value, cap = "dim", spec.dim, MAX_DIM
     if value > cap:
         raise ParseError(f"{spec.family}: {what} {value} exceeds the limit of {cap}", line)
 
@@ -490,10 +482,10 @@ def _emit_family(spec, indent):
 # Instance parse / emit.
 
 
-def parse_instance(text, limits=DEFAULT_LIMITS):
+def parse_instance(text):
     """Parse an instance document into an InstanceFile (references validated).
 
-    Sizes beyond ``limits`` raise ParseError before the matroid is built.
+    Sizes beyond the ``MAX_*`` caps raise ParseError before the matroid is built.
     """
     tree = _parse_tree(text)
     mode = None
@@ -516,8 +508,8 @@ def parse_instance(text, limits=DEFAULT_LIMITS):
             r = _int(node.tokens[1] if len(node.tokens) == 2 else "?", node.line, "r")
             if r < 1:
                 raise ParseError("r must be at least 1", node.line)
-            if r > limits.max_r:
-                raise ParseError(f"r {r} exceeds the limit of {limits.max_r}", node.line)
+            if r > MAX_R:
+                raise ParseError(f"r {r} exceeds the limit of {MAX_R}", node.line)
         elif key == "matroid":
             if matroid is not None:
                 raise ParseError("duplicate matroid block", node.line)
@@ -544,10 +536,8 @@ def parse_instance(text, limits=DEFAULT_LIMITS):
         raise ParseError("missing matroid block")
     if not sequence:
         raise ParseError("missing or empty sequence")
-    if len(sequence) > limits.max_sequence:
-        raise ParseError(
-            f"sequence has {len(sequence)} entries, beyond the limit of {limits.max_sequence}"
-        )
+    if len(sequence) > MAX_SEQUENCE:
+        raise ParseError(f"sequence has {len(sequence)} entries, beyond the limit of {MAX_SEQUENCE}")
     if mode == "noncolor":
         if seen_colors:
             raise ParseError("mode noncolor does not take colors")
@@ -560,7 +550,7 @@ def parse_instance(text, limits=DEFAULT_LIMITS):
                 f"sequence has {len(sequence)} entries but colors lists {len(colors)}"
             )
         color_tuple = tuple(colors)
-    _check_limits(matroid, limits, matroid_line)
+    _check_limits(matroid, matroid_line)
     try:
         oracle = matroid.build()
     except ValueError as exc:

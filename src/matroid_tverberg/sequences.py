@@ -214,15 +214,20 @@ def distinct_elements(entries):
     return tuple(dict.fromkeys(e for _, e in entries))
 
 
-def is_rainbow(seq, coloring):
-    """True iff no two entries of ``seq`` share a color."""
-    seen = set()
+def color_clash(seq, coloring):
+    """The first two entries of ``seq`` that share a color, or None."""
+    first = {}
     for entry in seq:
         color = coloring.of(entry)
-        if color in seen:
-            return False
-        seen.add(color)
-    return True
+        if color in first:
+            return first[color], entry
+        first[color] = entry
+    return None
+
+
+def is_rainbow(seq, coloring):
+    """True iff no two entries of ``seq`` share a color."""
+    return color_clash(seq, coloring) is None
 
 
 def color_class(seq, coloring, colors):

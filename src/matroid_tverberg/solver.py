@@ -49,6 +49,7 @@ from .sequences import (
     ProfileCheck,
     check_general_profile,
     check_special_profile,
+    color_clash,
     color_class,
     distinct_elements,
     is_rainbow,
@@ -161,14 +162,12 @@ def verify_partition(matroid, seq, coloring, r, parts):
                 return VerificationReport(False, "disjointness", detail)
     if coloring is not None:
         for k, part in enumerate(parts, 1):
-            first = {}
-            for entry in part:
-                color = coloring.of(entry)
-                if color in first:
-                    (i, e), (j, f) = first[color], entry
-                    detail = f"entries ({i}, {e}) and ({j}, {f}) of part {k} share color {color}"
-                    return VerificationReport(False, "rainbow", detail)
-                first[color] = entry
+            clash = color_clash(part, coloring)
+            if clash is not None:
+                (i, e), (j, f) = clash
+                color = coloring.of(clash[1])
+                detail = f"entries ({i}, {e}) and ({j}, {f}) of part {k} share color {color}"
+                return VerificationReport(False, "rainbow", detail)
     strict = any(not matroid.in_closure(e, ()) for _, e in parts[0])
     if not strict:
         if len(parts[0]) == 0:

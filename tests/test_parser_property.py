@@ -6,7 +6,7 @@ the later checks, and with integers from the whole integer range in the
 numeric fields.  Each document is then mutated up to three times: a line
 is dropped, repeated or swapped, or one token is replaced by any integer,
 fraction, identifier or keyword.  Arbitrary text is tried as well.  The
-sizes that ``Limits`` caps (uniform ``n``, graphic ``vertices``, ``dim``
+sizes that the parser caps (uniform ``n``, graphic ``vertices``, ``dim``
 and ``r``) are also drawn just past their limits and from the whole
 integer range: the parser must reject them before it builds anything.
 """
@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pytest
 
-from matroid_tverberg import Limits, ParseError, parse_instance
-from matroid_tverberg.instances import DEFAULT_LIMITS, FAMILY_NAMES, MODES, InstanceFile
+from matroid_tverberg import ParseError, instances, parse_instance
+from matroid_tverberg.instances import FAMILY_NAMES, MODES, InstanceFile
 
 IDS = ("a", "b", "c", "e0", "e1", "x1", "t1", "g0")
 JUNK = ("{", "}", "#", "-", "1/0", "3/4", "-5/7", "0x1f", "1e3", "rational", "gfp", "=")
@@ -44,7 +44,7 @@ def family_block(draw, ids, keyword="matroid", depth=0):
     lines = [f"{keyword} {family} {{"]
     fresh = [f"{keyword[0]}{depth}{i}" for i in range(draw(st.integers(0, 4)))]
     if family in ("vector_gfp", "vector_rational", "affine"):
-        dim = draw(st.integers(0, 3) | st.integers(-1, 5) | near(DEFAULT_LIMITS.max_dim))
+        dim = draw(st.integers(0, 3) | st.integers(-1, 5) | near(instances.MAX_DIM))
         width = max(dim, 0) if dim <= 5 else draw(st.integers(0, 5))
         coord = st.integers() if family == "vector_gfp" else st.integers() | st.fractions()
         if family == "vector_gfp":
@@ -57,11 +57,11 @@ def family_block(draw, ids, keyword="matroid", depth=0):
             coords = draw(st.lists(coord, min_size=width, max_size=width))
             lines.append(" ".join([keyword, eid, *map(str, coords)]))
     elif family == "uniform":
-        n = draw(st.integers(-1, 6) | near(DEFAULT_LIMITS.max_n) | st.integers())
+        n = draw(st.integers(-1, 6) | near(instances.MAX_N) | st.integers())
         lines += [f"k {draw(mostly_small)}", f"n {n}"]
         fresh = [f"e{i}" for i in range(min(max(n, 0), 8))]
     elif family == "graphic":
-        vertices = st.integers(4, 5) | mostly_small | near(DEFAULT_LIMITS.max_vertices)
+        vertices = st.integers(4, 5) | mostly_small | near(instances.MAX_VERTICES)
         lines.append(f"vertices {draw(vertices)}")
         vertex = st.integers(0, 3) | mostly_small
         for eid in fresh:
@@ -79,7 +79,7 @@ def family_block(draw, ids, keyword="matroid", depth=0):
 def documents(draw):
     ids = []
     mode = draw(st.sampled_from(MODES))
-    r = draw(st.integers(1, 3) | mostly_small | near(DEFAULT_LIMITS.max_r))
+    r = draw(st.integers(1, 3) | mostly_small | near(instances.MAX_R))
     lines = [f"mode {mode}", f"r {r}"]
     lines += draw(family_block(ids))
     refs = draw(st.lists(st.sampled_from(ids or ["a"]), min_size=1, max_size=6))
@@ -125,42 +125,44 @@ def test_arbitrary_text_parses_or_raises_parse_error(text):
 
 
 
-SMALL = Limits(max_n=6, max_vertices=5, max_dim=3, max_r=4, max_sequence=3)
-
-
 def _document(block, r=2, refs=("e0",)):
     return "\n".join(["mode noncolor", f"r {r}", *block, "sequence " + " ".join(refs)])
 
 
 UNIFORM = ["matroid uniform {", "k 1", "n 3", "}"]
 LIMITED = {
-    "n": (lambda v: _document(["matroid uniform {", "k 2", f"n {v}", "}"]), 6),
+    "n": (lambda v: _document(["matroid uniform {", "k 2", f"n {v}", "}"]), "MAX_N"),
     "vertices": (
         lambda v: _document(["matroid graphic {", f"vertices {v}", "edge a 0 1", "}"], refs=("a",)),
-        5,
+        "MAX_VERTICES",
     ),
     "dim": (
         lambda v: _document(
             ["matroid vector_rational {", f"dim {v}", "element a " + " ".join("1" * v), "}"],
             refs=("a",),
         ),
-        3,
+        "MAX_DIM",
     ),
     "summand dim": (
         lambda v: _document([
             "matroid direct_sum {", "left uniform {", "k 1", "n 2", "}",
             "right affine {", "field gfp 3", f"dim {v}", "}", "}",
         ]),
-        3,
+        "MAX_DIM",
     ),
-    "r": (lambda v: _document(UNIFORM, r=v), 4),
-    "sequence": (lambda v: _document(UNIFORM, refs=("e0",) * v), 3),
+    "r": (lambda v: _document(UNIFORM, r=v), "MAX_R"),
+    "sequence": (lambda v: _document(UNIFORM, refs=("e0",) * v), "MAX_SEQUENCE"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIMITED))
-def test_each_limit_admits_its_cap_and_rejects_one_more(name):
-    document, cap = LIMITED[name]
-    assert isinstance(parse_instance(document(cap), SMALL), InstanceFile)
+def test_each_limit_admits_its_cap_and_rejects_one_more(monkeypatch, name):
+    document, constant = LIMITED[name]
+    if name == "sequence":
+        # A million-entry document is slow to build; the check reads the
+        # module constant, so a small cap exercises the same code.
+        monkeypatch.setattr(instances, constant, 3)
+    cap = getattr(instances, constant)
+    assert isinstance(parse_instance(document(cap)), InstanceFile)
     with pytest.raises(ParseError, match="limit"):
-        parse_instance(document(cap + 1), SMALL)
+        parse_instance(document(cap + 1))

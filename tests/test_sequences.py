@@ -16,6 +16,7 @@ from matroid_tverberg import (
     color_class,
     is_rainbow,
 )
+from matroid_tverberg.sequences import color_clash
 
 
 def seq_of(elements):
@@ -45,6 +46,9 @@ def test_rainbow_examples():
     two = seq_of(["a", "b"])
     assert is_rainbow(two, coloring_of(["red", "blue"]))
     assert not is_rainbow(two, coloring_of(["red", "red"]))
+    four = seq_of(["a", "b", "c", "d"])
+    assert color_clash(four, coloring_of(["red", "blue", "green", "gold"])) is None
+    assert color_clash(four, coloring_of(["red", "blue", "blue", "red"])) == ((1, "b"), (2, "c"))
 
 
 def test_color_class_examples():
