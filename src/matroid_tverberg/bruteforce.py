@@ -3,8 +3,8 @@
 ``brute_force_solve`` searches every assignment of sequence entries to one
 of {unused, part 1, .., part r} and reports the first (in lexicographic
 order) whose parts pass ``verify_partition``.  It shares nothing with the
-constructive solver beyond the closure oracle, so agreement between the two
-is meaningful evidence.
+constructive solver beyond the matroid (its closure oracle and its declared
+loops), so agreement between the two is meaningful evidence.
 
 The module also builds the worst-case instances of length m(r-1) that admit
 no partition, checks them exhaustively, checks the closure-intersection law
@@ -51,7 +51,8 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     small without changing that witness: a color repeated inside a part can
     never be repaired by extensions, and every part of a valid partition
     must contain a non-loop, so states with more nonloop-free parts than
-    non-loop entries remaining are dead.
+    non-loop entries remaining are dead.  Which entries are loops is read
+    from the matroid's ``loops``.
 
     Each part is held as a bitmask over the distinct elements of ``seq``
     and a bitmask over colors; a label is undone by restoring the masks the
@@ -76,7 +77,7 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
         raise BudgetExceeded(f"r = {r} exceeds the budget of {budget.max_r}")
 
     entries = seq.entries
-    nonloop = [not matroid.in_closure(e, ()) for _, e in entries]
+    nonloop = [not matroid.is_loop(e) for _, e in entries]
     # nonloop_left[j] = how many non-loop entries sit at positions >= j.
     nonloop_left = [0] * (n + 1)
     for j in range(n - 1, -1, -1):

@@ -73,12 +73,15 @@ FAMILY_NAMES = (
 # them before it builds the matroid, so a short file cannot ask for more
 # memory than the host has: ``uniform { k 2 n 400000000 }`` would
 # materialize 400 million ground elements.  They admit every instance the
-# tests and the benchmark use.
+# tests and the benchmark use.  ``MAX_P``, the largest prime below 2**31,
+# keeps the int64 GF(p) kernel exact; ``matroids.check_prime`` enforces it
+# for every GF(p) matroid, read from a file or built in code.
 MAX_N = 100_000
 MAX_VERTICES = 100_000
 MAX_DIM = 1_000
 MAX_R = 100_000
 MAX_SEQUENCE = 1_000_000
+MAX_P = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every algorithm in this package sees a matroid only through
 ``in_closure(x, ys)``: "does x lie in the closure of ys?".  Rank,
-independence, loops and coloops are all derived from that single question.
+independence and coloops are all derived from that single question.  The
+loops, cl(∅), are the one exception: each family reads them off its data at
+construction (``loops``), and the solvers answer "is x a loop?" from them.
 
 Concrete families: vectors over GF(p), vectors over the rationals, affine
 point sets over either field (homogenized internally), uniform matroids,
@@ -10,8 +12,9 @@ graphic matroids, and direct sums (used to adjoin free coloop elements).
 
 Ground elements are plain hashable identifiers; the shipped constructors use
 strings.  Arithmetic is exact everywhere: residues mod a prime (via the
-kernels module), or for rational vectors Python integers, since each vector
-is scaled once to an integer row and reduced by fraction-free elimination.
+kernels module, the package's one numpy user, imported with the first GF(p)
+matroid), or for rational vectors Python integers, since each vector is
+scaled once to an integer row and reduced by fraction-free elimination.
 Floating point never enters a membership decision.
 
 Oracles are immutable after construction and safe to share between threads
@@ -21,14 +24,21 @@ for reads; the per-oracle call counter is a plain int and relies on the GIL.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import UnknownElement
-from .kernels import _check_prime_size, gfp_rank
 
 _MISS = object()
+
+
+def active_backend():
+    """Always ``"numpy"``: the one GF(p) elimination backend.
+
+    Kept only because ``perfbench/harness.py`` records it in each run's
+    metadata; it goes when the harness stops reading it.
+    """
+    return "numpy"
 
 
 def call_counting_enabled():
@@ -52,9 +62,18 @@ class MatroidOracle:
     when c is in Y, so a caller may answer questions about them itself.  A
     restriction view passes on its parent's set as it is, so the set may
     name elements outside the ground set; every one in it is a coloop.
+
+    ``loops`` is the exact set of loops, cl(∅).  Every family of this module
+    declares it at construction from its own data; a view shares its
+    parent's set, so it too may name elements outside the ground set.
     """
 
     known_coloops = frozenset()
+
+    @cached_property
+    def loops(self):
+        """The loops, for a subclass that does not declare them: asked of the oracle once."""
+        return frozenset(x for x in self._ground if self.in_closure(x, ()))
 
     def __init__(self, ground):
         ground = tuple(ground)
@@ -143,7 +162,9 @@ class MatroidOracle:
         return frozenset(x for x in self._ground if self.in_closure(x, ys))
 
     def is_loop(self, x):
-        return self.in_closure(x, ())
+        if x not in self._ground_set:
+            raise UnknownElement(f"unknown element {x!r}")
+        return x in self.loops
 
     def is_coloop(self, x):
         if x not in self._ground_set:
@@ -159,7 +180,11 @@ class MatroidOracle:
 
 
 class VectorMatroidGFp(MatroidOracle):
-    """Vectors over GF(p); membership is exact linear solvability mod p."""
+    """Vectors over GF(p); membership is exact linear solvability mod p.
+
+    The loops are the zero vectors.  The rows are held as a numpy matrix, so
+    the first construction imports the kernels module, and numpy with it.
+    """
 
     def __init__(self, p, dim, vectors):
         check_prime(p)
@@ -168,15 +193,19 @@ class VectorMatroidGFp(MatroidOracle):
         self.p = p
         self.dim = dim
         ids = tuple(vectors)
-        mat = np.zeros((len(ids), dim), dtype=np.int64)
-        for i, eid in enumerate(ids):
+        rows = []
+        for eid in ids:
             coords = tuple(vectors[eid])
             if len(coords) != dim:
                 raise ValueError(f"element {eid!r}: expected {dim} coordinates")
-            mat[i] = [int(c) % p for c in coords]
-        self._matrix = mat
+            rows.append([int(c) % p for c in coords])
+        from . import kernels
+
+        self._kernels = kernels
+        self._matrix = kernels.gfp_matrix(rows, dim)
         self._row = {eid: i for i, eid in enumerate(ids)}
         super().__init__(ids)
+        self.loops = frozenset(eid for eid, row in zip(ids, rows) if not any(row))
 
     def coords(self, eid):
         if eid not in self._row:
@@ -187,13 +216,10 @@ class VectorMatroidGFp(MatroidOracle):
         if x in ys:
             return True
         rows = sorted(self._row[y] for y in ys)
-        sub = self._matrix[rows]
-        base = gfp_rank(sub, self.p)
-        aug = np.vstack([sub, self._matrix[self._row[x]][None, :]])
-        return gfp_rank(aug, self.p) == base
+        return self._kernels.gfp_in_span(self._matrix, rows, self._row[x], self.p)
 
     def _compute_rank_bound(self):
-        return gfp_rank(self._matrix, self.p)
+        return self._kernels.gfp_rank(self._matrix, self.p)
 
 
 def integer_row(coords):
@@ -252,7 +278,7 @@ class VectorMatroidRational(MatroidOracle):
     """Vectors with exact rational coordinates (arbitrary precision).
 
     Each vector is stored once more as the integer row ``integer_row`` gives,
-    and membership runs on those rows alone.
+    and membership runs on those rows alone.  The loops are the zero vectors.
     """
 
     def __init__(self, dim, vectors):
@@ -270,6 +296,7 @@ class VectorMatroidRational(MatroidOracle):
         self._rows = {eid: integer_row(coords) for eid, coords in table.items()}
         self._order = {eid: i for i, eid in enumerate(ids)}
         super().__init__(ids)
+        self.loops = frozenset(eid for eid, row in self._rows.items() if not any(row))
 
     def coords(self, eid):
         if eid not in self._vectors:
@@ -295,8 +322,10 @@ class AffineMatroid(MatroidOracle):
     Implemented by homogenization: a point gets an extra coordinate fixed to
     1 and membership is delegated to the corresponding vector matroid, since
     affine-hull membership of points is linear membership of lifted vectors.
-    Affine matroids are loopless by construction.
+    Affine matroids are loopless by construction: no lifted vector is zero.
     """
+
+    loops = frozenset()
 
     def __init__(self, field, dim, points):
         if dim < 0:
@@ -328,7 +357,7 @@ class UniformMatroid(MatroidOracle):
 
     Closure of Y is Y itself when Y has fewer than k distinct elements and
     the whole ground set otherwise.  For k = 0 every element is a loop; for
-    k >= n every element is a coloop, and the matroid declares them all.
+    k >= n every element is a coloop.  The matroid declares both.
     """
 
     def __init__(self, k, n, ids=None):
@@ -342,6 +371,7 @@ class UniformMatroid(MatroidOracle):
                 raise ValueError("ids must have length n")
         self.k = k
         super().__init__(ids)
+        self.loops = self._ground_set if k == 0 else frozenset()
         if k >= n:
             self.known_coloops = self._ground_set
 
@@ -373,6 +403,7 @@ class GraphicMatroid(MatroidOracle):
             table[eid] = (u, v)
         self._edges = table
         super().__init__(tuple(table))
+        self.loops = frozenset(eid for eid, (u, v) in table.items() if u == v)
 
     def endpoints(self, eid):
         if eid not in self._edges:
@@ -426,7 +457,7 @@ class DirectSumMatroid(MatroidOracle):
     An element of neither summand stays in the forwarded query, which the
     summand's memo cannot hold, so the summand rejects it.  A coloop of
     either summand is a coloop of the sum, so the sum declares the coloops
-    its summands know of.
+    its summands know of; its loops are the union of theirs.
     """
 
     def __init__(self, left, right):
@@ -435,11 +466,12 @@ class DirectSumMatroid(MatroidOracle):
         self.left = left
         self.right = right
         super().__init__(left.ground + right.ground)
-        # A view's set may name elements outside its ground, even ones of
+        # A view's sets may name elements outside its ground, even ones of
         # the other summand, so each side keeps only its own.
         self.known_coloops = (left.known_coloops & left.ground_set) | (
             right.known_coloops & right.ground_set
         )
+        self.loops = (left.loops & left.ground_set) | (right.loops & right.ground_set)
 
     @property
     def oracle_calls(self):
@@ -465,8 +497,8 @@ class RestrictionView(MatroidOracle):
     kept elements the view hands it straight to the parent, where it is
     counted and memoized.  Chains of views flatten onto the original oracle.
     A coloop of the parent is a coloop of every restriction that keeps it,
-    so the view shares its parent's ``known_coloops`` instead of building a
-    smaller set.
+    and a loop stays a loop, so the view shares its parent's
+    ``known_coloops`` and ``loops`` instead of building smaller sets.
     """
 
     def __init__(self, parent, keep):
@@ -478,6 +510,7 @@ class RestrictionView(MatroidOracle):
             parent = parent._parent
         self._parent = parent
         self.known_coloops = parent.known_coloops
+        self.loops = parent.loops
         super().__init__(e for e in parent.ground if e in keep)
         self._rank_bound = parent.rank(self._ground)
 
@@ -522,11 +555,19 @@ def add_coloops(matroid, count):
 
 
 def check_prime(p):
-    """Return ``p`` if it is a prime the GF(p) kernels accept; else ValueError."""
+    """Return ``p`` if it is a prime of at most ``instances.MAX_P``; else ValueError.
+
+    The cap keeps the int64 kernel exact, and this check is what enforces
+    it, for files and for direct construction alike, without loading the
+    kernel.
+    """
+    from .instances import MAX_P  # instances imports this module, so read the cap here
+
     p = int(p)
     if p < 2:
         raise ValueError(f"{p} is not a prime")
-    _check_prime_size(p)
+    if p > MAX_P:
+        raise ValueError(f"prime {p} is above the limit of {MAX_P} for the int64 kernel")
     d = 2
     while d * d <= p:
         if p % d == 0:

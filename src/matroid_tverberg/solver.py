@@ -17,14 +17,18 @@ by one (and restarts), or advances (K, I) to a strictly larger flat, so a
 cycle runs at most rank-many passes.
 
 ``verify_partition`` checks any candidate output using nothing beyond the
-closure oracle, independently of how it was produced.
+matroid (its closure oracle and its declared loops), independently of how
+it was produced.
 
-Every closure question here is first put to two axioms.  The member
+Every closure question here is first put to three axioms.  The member
 axiom Y ⊆ cl(Y): when x is a member of Y, x ∈ cl(Y) holds in every
 matroid.  The coloop axiom: when x is one of the matroid's
 ``known_coloops`` (the padding that ``solve_general`` adds, for one), x ∈
-cl(Y) holds only if x is in Y.  Only the questions neither axiom settles go
-through ``in_closure`` and are counted.  The same coloop fact lets
+cl(Y) holds only if x is in Y.  The loop axiom: x ∈ cl(∅) holds exactly
+when x is one of the matroid's ``loops``, which every family declares, so
+the input check, the certificate's witness and the strictness check ask
+no question.  Only the questions no axiom settles go through
+``in_closure`` and are counted.  The same coloop fact lets
 ``_case_advance`` drop a coloop outside C_K from a set spanning C_K without
 a trial: the rest still spans C_K.
 """
@@ -124,7 +128,7 @@ def build_partition(matroid, parts):
     witness = None
     if parts:
         for entry in parts[0]:
-            if not matroid.in_closure(entry[1], ()):
+            if not matroid.is_loop(entry[1]):
                 witness = entry
                 break
     if witness is None:
@@ -168,7 +172,7 @@ def verify_partition(matroid, seq, coloring, r, parts):
                 color = coloring.of(clash[1])
                 detail = f"entries ({i}, {e}) and ({j}, {f}) of part {k} share color {color}"
                 return VerificationReport(False, "rainbow", detail)
-    strict = any(not matroid.in_closure(e, ()) for _, e in parts[0])
+    strict = any(not matroid.is_loop(e) for _, e in parts[0])
     if not strict:
         if len(parts[0]) == 0:
             detail = "part 1 is empty, so its closure is cl(empty)"
@@ -236,8 +240,9 @@ def _validate_input(matroid, seq, coloring, r):
     if coloring is not None:
         for entry in seq:
             coloring.of(entry)
+    loops = matroid.loops
     for i, e in seq:
-        if matroid.in_closure(e, ()):
+        if e in loops:
             raise LoopInInput(f"entry ({i}, {e!r}) is a loop")
 
 

@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from matroid_tverberg import VectorMatroidGFp
 from matroid_tverberg.kernels import gfp_rank
+from matroid_tverberg.matroids import check_prime
 
 
 def span_size_rank(rows, p):
@@ -56,5 +58,14 @@ def test_input_not_mutated():
 
 
 def test_large_prime_rejected():
-    with pytest.raises(ValueError):
-        gfp_rank(np.eye(2, dtype=np.int64), 2**31 + 11)
+    # The int64 elimination is exact only for primes below 2**31, so a GF(p)
+    # matroid over a larger one is refused before any matrix is built.
+    with pytest.raises(ValueError, match="limit"):
+        VectorMatroidGFp(2**31 + 11, 2, {"a": (1, 0)})
+    with pytest.raises(ValueError, match="limit"):
+        check_prime(2**31 + 11)
+    # At the cap itself the products still fit: (p-1, 1) and (1, p-1) are
+    # parallel, and (1, 1) is not.
+    p = check_prime(2**31 - 1)
+    assert gfp_rank(np.array([[p - 1, 1], [1, p - 1]], dtype=np.int64), p) == 1
+    assert gfp_rank(np.array([[p - 1, 1], [1, 1]], dtype=np.int64), p) == 2

@@ -152,7 +152,18 @@ LIMITED = {
     ),
     "r": (lambda v: _document(UNIFORM, r=v), "MAX_R"),
     "sequence": (lambda v: _document(UNIFORM, refs=("e0",) * v), "MAX_SEQUENCE"),
+    "vector_gfp p": (
+        lambda v: _document(["matroid vector_gfp {", f"p {v}", "dim 1", "element a 1", "}"], refs=("a",)),
+        "MAX_P",
+    ),
+    "affine gfp p": (
+        lambda v: _document(["matroid affine {", f"field gfp {v}", "dim 1", "point a 1", "}"], refs=("a",)),
+        "MAX_P",
+    ),
 }
+# The value just past each cap is cap + 1, except for the prime: the cap
+# 2**31 - 1 is prime, and the next prime is 2**31 + 11.
+PAST = {"MAX_P": (2**31 - 1, 2**31 + 11)}
 
 
 @pytest.mark.parametrize("name", sorted(LIMITED))
@@ -163,6 +174,8 @@ def test_each_limit_admits_its_cap_and_rejects_one_more(monkeypatch, name):
         # module constant, so a small cap exercises the same code.
         monkeypatch.setattr(instances, constant, 3)
     cap = getattr(instances, constant)
+    admitted, past = PAST.get(constant, (cap, cap + 1))
+    assert admitted == cap
     assert isinstance(parse_instance(document(cap)), InstanceFile)
     with pytest.raises(ParseError, match="limit"):
-        parse_instance(document(cap + 1))
+        parse_instance(document(past))

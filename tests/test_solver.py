@@ -239,14 +239,15 @@ def test_noncolor_r1():
 
 
 def test_noncolor_r1_pinned():
-    # Recorded when r = 1 still had its own branch in solve_noncolor: every
-    # entry is checked for a loop (5 calls), then the certificate (2 calls).
+    # Loops are read from the matroid's declared ``loops``, so neither the
+    # input check (5 entries) nor the certificate's witness asks the oracle;
+    # the one call left is the certificate's independent-subset scan.
     inst = gen_random_instance("vector_gf2", 3, 1, 5, 1, "general")
     stats = SolveStats()
     part = solve_noncolor(inst.build_matroid(), inst.build_sequence(), 1, stats=stats)
     assert part.part_indices() == ((0,),)
     assert part.certificate.witness_nonloop == (0, "g0")
-    assert stats.oracle_calls == 7
+    assert stats.oracle_calls == 1
 
 
 def test_noncolor_uniform_threshold():
@@ -367,12 +368,12 @@ def test_verify_strictness_detail_names_the_first_part():
 
 
 def test_verify_success_asks_only_the_chain_questions():
-    # One strictness question for b1, one rank scan of part 1 ({b1}), and
-    # one membership of b1 in cl(part 2).
+    # One rank scan of part 1 ({b1}) and one membership of b1 in cl(part 2);
+    # strictness reads the matroid's declared loops.
     m, s, c, parts = _valid_setup()
     before = m.oracle_calls
     assert verify_partition(m, s, c, 2, parts).ok
-    assert m.oracle_calls - before == 3
+    assert m.oracle_calls - before == 2
 
 
 def test_verify_foreign_entries_fail():
