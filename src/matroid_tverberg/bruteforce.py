@@ -61,11 +61,14 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
 
     At a leaf every part holds a non-loop (the prune guarantees it), so the
     leaf is valid iff each part's elements lie in the closure of the next
-    part's elements.  The elements are read off the masks in order of first
-    occurrence in ``seq``, so ``oracle_calls`` does not depend on the hash
-    seed.  The labels visited, the nodes charged to the budget and every
-    leaf's verdict are those of the plain search over entry lists, so the
-    witness is too.
+    part's elements.  The leaf walks the adjacent pairs in order and stops
+    at the first element outside.  Each part mask's elements are read off
+    once per search, in order of first occurrence in ``seq`` (so
+    ``oracle_calls`` does not depend on the hash seed), and kept both as a
+    list to ask about and as the frozenset to ask against; later leaves
+    with the same mask reuse them.  The labels visited, the nodes charged
+    to the budget and every leaf's verdict are those of the plain search
+    over entry lists, so the witness is too.
     """
     budget = budget or DEFAULT_BUDGET
     if not isinstance(r, int) or r < 1:
@@ -100,15 +103,28 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     empty = r  # parts without a non-loop
     nodes = 0
 
-    def covered(lower, upper):
-        """Does every element of mask ``lower`` lie in cl(elements of ``upper``)?"""
-        target = frozenset(e for e in elements if element_bit[e] & upper)
-        return all(
-            matroid.in_closure(e, target) for e in elements if element_bit[e] & lower
-        )
+    # Part mask -> (its elements in order of first occurrence, the same as a
+    # frozenset); at most 2**len(elements) entries, built once each.
+    mask_elements = {}
+
+    def elements_of(mask):
+        got = mask_elements.get(mask)
+        if got is None:
+            listed = [e for e, b in element_bit.items() if b & mask]
+            got = mask_elements[mask] = (listed, frozenset(listed))
+        return got
 
     def leaf_valid():
-        return all(covered(part_mask[i], part_mask[i + 1]) for i in range(r - 1))
+        """Does every element of each part lie in cl(elements of the next part)?"""
+        in_closure = matroid.in_closure
+        lower = elements_of(part_mask[0])[0]
+        for i in range(1, r):
+            listed, target = elements_of(part_mask[i])
+            for e in lower:
+                if not in_closure(e, target):
+                    return False
+            lower = listed
+        return True
 
     def dfs(j):
         nonlocal nodes, empty
@@ -148,8 +164,8 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
 
     found = dfs(0)
     # dfs refers to itself through its closure; unlinking it frees the
-    # search state (the oracle and its memo included) on return, not at the
-    # next cyclic garbage collection.
+    # search state (the per-mask element sets, and the oracle with its memo)
+    # on return, not at the next cyclic garbage collection.
     del dfs
     if not found:
         return None

@@ -559,7 +559,9 @@ def check_prime(p):
 
     The cap keeps the int64 kernel exact, and this check is what enforces
     it, for files and for direct construction alike, without loading the
-    kernel.
+    kernel.  Primality is decided by Miller-Rabin to the bases 2, 7 and 61,
+    which is exact for every p below 4,759,123,141, so for every p up to
+    the cap.
     """
     from .instances import MAX_P  # instances imports this module, so read the cap here
 
@@ -568,9 +570,25 @@ def check_prime(p):
         raise ValueError(f"{p} is not a prime")
     if p > MAX_P:
         raise ValueError(f"prime {p} is above the limit of {MAX_P} for the int64 kernel")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p % 2 == 0:
+        if p == 2:
+            return p
+        raise ValueError(f"{p} is not a prime")
+    # p - 1 = d * 2**s with d odd.
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        if a % p == 0:
+            continue  # p is the base itself, a prime
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError(f"{p} is not a prime")
-        d += 1
     return p

@@ -16,6 +16,8 @@ from matroid_tverberg import (
     VectorMatroidRational,
     add_coloops,
 )
+from matroid_tverberg.instances import MAX_P
+from matroid_tverberg.matroids import check_prime
 
 from conftest import family_zoo, gfp_matroid, triangle_graph
 
@@ -350,3 +352,32 @@ def test_prime_validation():
         VectorMatroidGFp(4, 1, {"x": (1,)})
     with pytest.raises(ValueError):
         VectorMatroidGFp(1, 1, {"x": (1,)})
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _accepts(n):
+    try:
+        return check_prime(n) == n
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "low, high", [(-5, 20_000), (2**31 - 2_000, 2**31)], ids=["small", "at the cap"]
+)
+def test_check_prime_agrees_with_trial_division(low, high):
+    assert MAX_P == 2**31 - 1
+    for n in range(low, high):
+        assert _accepts(n) == _is_prime_by_trial_division(n), n
+
+
+def test_check_prime_refuses_pseudoprimes():
+    # A Carmichael number, and strong pseudoprimes to base 2, to bases 2
+    # and 3, and to bases 2, 3 and 5.
+    for n in (561, 2047, 1_373_653, 25_326_001):
+        assert not _is_prime_by_trial_division(n)
+        with pytest.raises(ValueError, match="not a prime"):
+            check_prime(n)
