@@ -570,9 +570,9 @@ def check_prime(p):
         raise ValueError(f"{p} is not a prime")
     if p > MAX_P:
         raise ValueError(f"prime {p} is above the limit of {MAX_P} for the int64 kernel")
+    if p == 2:
+        return p
     if p % 2 == 0:
-        if p == 2:
-            return p
         raise ValueError(f"{p} is not a prime")
     # p - 1 = d * 2**s with d odd.
     d, s = p - 1, 0

@@ -1,10 +1,10 @@
 """The referee's search against the plain search it replaced.
 
 ``reference_search`` is ``brute_force_solve``'s search as it stood before
-parts became bitmasks and adjacent-pair verdicts were memoized: parts are
-entry lists with color sets, the empty-part count is recomputed at every
-node, and every leaf rebuilds each part's set-image and asks the oracle
-again.  Both searches must return the same lexicographically first witness
+parts became bitmasks and each part mask's elements were read off once per
+search: parts are entry lists with color sets, the empty-part count is
+recomputed at every node, and every leaf rebuilds each part's set-image and
+asks the oracle again.  Both searches must return the same lexicographically first witness
 (or both none) and charge the same number of nodes to the budget, so they
 also run out of budget on exactly the same instances.
 """

@@ -1,5 +1,6 @@
 """Matroid families: closure answers, derived primitives, and the axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -355,7 +356,7 @@ def test_prime_validation():
 
 
 def _is_prime_by_trial_division(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _accepts(n):
