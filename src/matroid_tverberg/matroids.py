@@ -554,37 +554,37 @@ def add_coloops(matroid, count):
     return DirectSumMatroid(matroid, UniformMatroid(count, count, ids=names))
 
 
+# Miller-Rabin to these bases decides primality exactly for every n below
+# the bound (Jaeschke 1993), so ``check_prime`` is exact only while the
+# cap ``instances.MAX_P`` stays below it.
+_MR_BASES = (2, 7, 61)
+_MR_EXACT_BELOW = 4_759_123_141
+
+
 def check_prime(p):
     """Return ``p`` if it is a prime of at most ``instances.MAX_P``; else ValueError.
 
     The cap keeps the int64 kernel exact, and this check is what enforces
     it, for files and for direct construction alike, without loading the
-    kernel.  Primality is decided by Miller-Rabin to the bases 2, 7 and 61,
-    which is exact for every p below 4,759,123,141, so for every p up to
-    the cap.
+    kernel.  Primality is decided by Miller-Rabin to ``_MR_BASES``.
     """
     from .instances import MAX_P  # instances imports this module, so read the cap here
 
+    assert MAX_P < _MR_EXACT_BELOW, "the Miller-Rabin bases are not exact up to MAX_P"
     p = int(p)
     if p < 2:
         raise ValueError(f"{p} is not a prime")
     if p > MAX_P:
         raise ValueError(f"prime {p} is above the limit of {MAX_P} for the int64 kernel")
-    if p == 2:
-        return p
-    if p % 2 == 0:
-        raise ValueError(f"{p} is not a prime")
-    # p - 1 = d * 2**s with d odd.
+    # p - 1 = d * 2**s with d odd.  An even p > 2 fails at base 2: s is 0
+    # and x is even.
     d, s = p - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 7, 61):
-        if a % p == 0:
-            continue  # p is the base itself, a prime
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
         x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
+        if a % p == 0 or x == 1 or x == p - 1:
+            continue  # a % p == 0: p is the base itself, a prime
         for _ in range(s - 1):
             x = x * x % p
             if x == p - 1:

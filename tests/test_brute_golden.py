@@ -8,26 +8,17 @@ matroid from ``conftest.family_zoo``, searched without colors, for (m, r)
 in (2, 4), (3, 3) and (4, 3); none of them has a partition.  Each row pins
 the witness ``brute_force_solve`` returns (its part indices, or "none") and
 the ``oracle_calls`` it spends: a change to the referee's search or to its
-leaf check must find the same witness by asking the same questions.  The
-counts do not depend on the hash seed; ``test_rows_ignore_hash_seed``
-recomputes every row under ``PYTHONHASHSEED`` 0 to 3.
+leaf check must find the same witness by asking the same questions.  Every
+row read the same under ``PYTHONHASHSEED`` 0 to 3 when it was recorded;
+``test_hashseed.py`` reruns a length-10 special row and a tight (4, 3)
+search under two hash seeds.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import matroid_tverberg
 from matroid_tverberg import brute_force_solve, gen_random_instance, tight_instance
 
 from conftest import family_zoo
-
-SRC = str(Path(matroid_tverberg.__file__).resolve().parent.parent)
-TESTS = str(Path(__file__).resolve().parent)
 
 # (family, profile or "tight", m, r, length, oracle_calls, witness as "i j .. | k .. | .." or "none")
 GOLDEN = [
@@ -171,18 +162,3 @@ def observe(family, profile, m, r, length):
 def test_pinned_brute_force(family, profile, m, r, length, calls, witness):
     assert observe(family, profile, m, r, length) == (calls, witness)
 
-
-@pytest.mark.parametrize("hash_seed", [0, 1, 2, 3])
-def test_rows_ignore_hash_seed(hash_seed):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
-    code = (
-        "import json, test_brute_golden as g; "
-        "print(json.dumps([g.observe(*row[:5]) for row in g.GOLDEN]))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert [tuple(row) for row in json.loads(done.stdout)] == [row[5:] for row in GOLDEN]

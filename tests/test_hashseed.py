@@ -4,7 +4,9 @@ Each instance in ``CASES`` is one on which a scan over frozenset order
 once made the count differ between ``PYTHONHASHSEED=1`` and ``=2``; the
 partitions never differed.  ``PADDED`` runs the paths that pad coloops: a
 general instance with five colors over rank 3 (two coloops), and a
-noncolor file, where every entry has its own color.
+noncolor file, where every entry has its own color.  ``REFEREE`` runs
+``brute`` on a length-10 special row of ``test_brute_golden.py`` and on the
+tight graphic instance ``gen-tight`` emits for (m, r) = (4, 3).
 """
 
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import matroid_tverberg
-from matroid_tverberg.cli import main
+from matroid_tverberg.cli import EXIT_NO_PARTITION, EXIT_OK, main
 
 SRC = str(Path(matroid_tverberg.__file__).resolve().parent.parent)
 
@@ -28,6 +30,12 @@ CASES = [
     ("brute", "graphic", 3, 3, 7, 1),
 ]
 
+REFEREE = [
+    # (family, rank, r, length, seed, profile); "tight" is ``gen-tight``
+    ("vector_rational", 2, 3, 10, 1, "special"),
+    ("graphic", 4, 3, 8, 1, "tight"),
+]
+
 PADDED = [
     # (family, rank, r, length, seed, mode)
     ("graphic", 3, 4, 14, 1, "general"),
@@ -35,7 +43,7 @@ PADDED = [
 ]
 
 
-def _run(command, path, hash_seed):
+def _run(command, path, hash_seed, exit_code=EXIT_OK):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -46,14 +54,18 @@ def _run(command, path, hash_seed):
         text=True,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == exit_code, done.stderr
     return json.loads(done.stdout)
 
 
-def _instance(tmp_path, family, rank, r, length, seed, mode="general"):
+def _instance(tmp_path, family, rank, r, length, seed, mode="general", profile="general"):
     path = tmp_path / "inst.txt"
-    args = ["gen-random", "--family", family, "--rank", str(rank), "--r", str(r)]
-    args += ["--length", str(length), "--seed", str(seed), "--profile", "general"]
+    args = ["--family", family, "--rank", str(rank), "--r", str(r)]
+    if profile == "tight":
+        args = ["gen-tight"] + args
+    else:
+        args = ["gen-random"] + args
+        args += ["--length", str(length), "--seed", str(seed), "--profile", profile]
     assert main(args + ["--out", str(path)]) == 0
     if mode == "noncolor":
         lines = path.read_text(encoding="utf-8").replace("mode general", "mode noncolor").splitlines()
@@ -61,9 +73,9 @@ def _instance(tmp_path, family, rank, r, length, seed, mode="general"):
     return path
 
 
-def _assert_same_under_hash_seeds_1_and_2(command, path):
-    first = _run(command, path, 1)
-    second = _run(command, path, 2)
+def _assert_same_under_hash_seeds_1_and_2(command, path, exit_code=EXIT_OK):
+    first = _run(command, path, 1, exit_code)
+    second = _run(command, path, 2, exit_code)
     assert first["parts"] == second["parts"]
     assert first["oracle_calls"] == second["oracle_calls"]
 
@@ -78,3 +90,11 @@ def test_oracle_calls_ignore_hash_seed(tmp_path, command, family, rank, r, lengt
 def test_padded_solves_ignore_hash_seed(tmp_path, family, rank, r, length, seed, mode):
     path = _instance(tmp_path, family, rank, r, length, seed, mode)
     _assert_same_under_hash_seeds_1_and_2("solve", path)
+
+
+@pytest.mark.parametrize("family, rank, r, length, seed, profile", REFEREE)
+def test_referee_rows_ignore_hash_seed(tmp_path, family, rank, r, length, seed, profile):
+    path = _instance(tmp_path, family, rank, r, length, seed, profile=profile)
+    # The tight instance has no partition, which ``brute`` reports by its exit code.
+    exit_code = EXIT_NO_PARTITION if profile == "tight" else EXIT_OK
+    _assert_same_under_hash_seeds_1_and_2("brute", path, exit_code)
