@@ -56,10 +56,12 @@ class MatroidOracle:
     Subclasses implement ``_members(x, ys)`` with ``ys`` a frozenset already
     validated against the ground set.  ``in_closure`` adds validation, call
     counting and memoization (sound because oracles are immutable).
+    ``covers`` puts the member and coloop axioms first and asks
+    ``in_closure`` only what they leave open.
 
     ``known_coloops`` is a set of elements the oracle knows to be coloops,
     empty unless the family declares some.  A coloop c lies in cl(Y) only
-    when c is in Y, so a caller may answer questions about them itself.  A
+    when c is in Y, so ``covers`` answers questions about them itself.  A
     restriction view passes on its parent's set as it is, so the set may
     name elements outside the ground set; every one in it is a coloop.
 
@@ -121,6 +123,15 @@ class MatroidOracle:
         self._calls += 1
         return hit
 
+    def covers(self, x, ys):
+        """Decide whether x lies in the closure of the set ``ys``, axioms first.
+
+        A member of ``ys`` is in cl(ys), and a known coloop outside ``ys`` is
+        not; only the questions these two axioms leave open go to
+        ``in_closure`` and are counted.
+        """
+        return x in ys or (x not in self.known_coloops and self.in_closure(x, ys))
+
     def _check_query(self, x, fs):
         """Raise ``UnknownElement`` unless x and all of ``fs`` lie in the ground set."""
         if x not in self._ground_set:
@@ -146,14 +157,12 @@ class MatroidOracle:
     def max_independent(self, ys):
         """A maximal independent subset of ``ys``.
 
-        Greedy scan in stored ground order, so results are reproducible.  A
-        known coloop is taken without asking: it is never in cl(indep).
+        Greedy scan in stored ground order, so results are reproducible.
         """
         fs = frozenset(ys)
-        coloops = self.known_coloops
         indep = []
         for e in self._ground:
-            if e in fs and (e in coloops or not self.in_closure(e, indep)):
+            if e in fs and not self.covers(e, indep):
                 indep.append(e)
         return tuple(indep)
 

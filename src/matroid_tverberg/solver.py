@@ -20,17 +20,13 @@ cycle runs at most rank-many passes.
 matroid (its closure oracle and its declared loops), independently of how
 it was produced.
 
-Every closure question here is first put to three axioms.  The member
-axiom Y ⊆ cl(Y): when x is a member of Y, x ∈ cl(Y) holds in every
-matroid.  The coloop axiom: when x is one of the matroid's
-``known_coloops`` (the padding that ``solve_general`` adds, for one), x ∈
-cl(Y) holds only if x is in Y.  The loop axiom: x ∈ cl(∅) holds exactly
-when x is one of the matroid's ``loops``, which every family declares, so
-the input check, the certificate's witness and the strictness check ask
-no question.  Only the questions no axiom settles go through
-``in_closure`` and are counted.  The same coloop fact lets
-``_case_advance`` drop a coloop outside C_K from a set spanning C_K without
-a trial: the rest still spans C_K.
+Every closure question here goes through the matroid's ``covers``, which
+answers by the member and coloop axioms where they settle it and asks
+``in_closure``, counted, otherwise.  The loop axiom: x ∈ cl(∅) exactly when
+x is one of the ``loops`` every family declares, so the input check, the
+certificate's witness and the strictness check ask no question.  The coloop
+fact also lets ``_case_advance`` drop a coloop outside C_K from a set
+spanning C_K without a trial: the rest still spans C_K.
 """
 
 from __future__ import annotations
@@ -114,16 +110,14 @@ class SolveStats:
 def build_partition(matroid, parts):
     """Assemble a Partition, computing its chain certificate via the oracle."""
     parts = tuple(parts)
-    coloops = matroid.known_coloops
     subsets = []
     for part in parts:
         indep = []
-        elems = []
+        elems = set()
         for entry in part:
-            e = entry[1]
-            if e not in elems and (e in coloops or not matroid.in_closure(e, elems)):
+            if not matroid.covers(entry[1], elems):
                 indep.append(entry)
-                elems.append(e)
+                elems.add(entry[1])
         subsets.append(tuple(indep))
     witness = None
     if parts:
@@ -180,12 +174,11 @@ def verify_partition(matroid, seq, coloring, r, parts):
             i, e = parts[0].entries[0]
             detail = f"every entry of part 1, the first ({i}, {e}), is a loop"
         return VerificationReport(False, "strictness", detail)
-    coloops = matroid.known_coloops
     for i in range(r - 1):
         basis = matroid.max_independent(parts[i].set_image)
         target = parts[i + 1].set_image
         for e in basis:
-            if e not in target and (e in coloops or not matroid.in_closure(e, target)):
+            if not matroid.covers(e, target):
                 index = next(j for j, el in parts[i] if el == e)
                 detail = f"entry ({index}, {e}) of part {i + 1} is outside cl(part {i + 2})"
                 return VerificationReport(False, "chain", detail)
@@ -212,20 +205,14 @@ def _extend_rainbow(matroid, seq, coloring, seed):
     """``max_rainbow_independent`` for a seed already known to be valid."""
     chosen = list(seed.entries)
     used_colors = {coloring.of(entry) for entry in seed}
-    elems = list(seed.set_image)
-    elem_set = set(elems)
-    coloops = matroid.known_coloops
+    elems = set(seed.set_image)
     for entry in seq:
         color = coloring.of(entry)
-        if color in used_colors:
-            continue
-        e = entry[1]
-        if e in elem_set or (e not in coloops and matroid.in_closure(e, elems)):
+        if color in used_colors or matroid.covers(entry[1], elems):
             continue
         chosen.append(entry)
         used_colors.add(color)
-        elems.append(entry[1])
-        elem_set.add(entry[1])
+        elems.add(entry[1])
     return seq.with_indices(i for i, _ in chosen)
 
 
@@ -466,7 +453,6 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
     # in cl(empty)) and may simply replace the empty I by itself.
     aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
     outside_i = list(c_k)
-    coloops = view.known_coloops
 
     iterations = 0
     while True:
@@ -483,12 +469,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
             return "parts", _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check)
 
         ri_elems = ri.set_image
-        escape = None
-        for entry in outside_i:
-            e = entry[1]
-            if e not in ri_elems and (e in coloops or not view.in_closure(e, ri_elems)):
-                escape = entry
-                break
+        escape = next((p for p in outside_i if not view.covers(p[1], ri_elems)), None)
         if escape is not None:
             stats.note(depth, "case_b", p=escape[0])
             return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape, check)
@@ -546,16 +527,9 @@ def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
         # Growth is genuine: cl(grown) equals cl(RI + p).
         order = distinct_elements(ri.entries + (p_entry,))
         target, grown_elems = frozenset(order), grown.set_image
-        coloops = view.known_coloops
-        if not all(
-            e in target or (e not in coloops and view.in_closure(e, target))
-            for e in distinct_elements(grown)
-        ):
+        if not all(view.covers(e, target) for e in distinct_elements(grown)):
             raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
-        if not all(
-            e in grown_elems or (e not in coloops and view.in_closure(e, grown_elems))
-            for e in order
-        ):
+        if not all(view.covers(e, grown_elems) for e in order):
             raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
@@ -576,9 +550,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
 
     def spans(entries):
         elems = frozenset([e for _, e in entries])
-        return all(
-            x in elems or (x not in coloops and view.in_closure(x, elems)) for x in ck_elems
-        )
+        return all(view.covers(x, elems) for x in ck_elems)
 
     current = list(ri.entries)
     if check and not spans(current):
@@ -609,12 +581,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
     for rr in new_entries:
         reduced = i_next.with_indices(i_next.indices - {rr[0]})
         reduced_elems = reduced.set_image
-        witness = None
-        for entry in c_k:
-            e = entry[1]
-            if e not in reduced_elems and (e in coloops or not view.in_closure(e, reduced_elems)):
-                witness = entry
-                break
+        witness = next((q for q in c_k if not view.covers(q[1], reduced_elems)), None)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
         if witness not in aug:
@@ -623,8 +590,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         base = reduced.difference(i_seq).union(exchange_q)
         same_color = color_class(seq, coloring, {coloring.of(rr)})
         for p in same_color:
-            e = p[1]
-            if e in i_next_elems or (e not in coloops and view.in_closure(e, i_next_elems)):
+            if view.covers(p[1], i_next_elems):
                 continue
             aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
     return k_next, i_next, aug_next, sorted(aug_next)
@@ -645,13 +611,7 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     """
     stats.invariant_checks += 1
     i_elems = i_seq.set_image
-    coloops = view.known_coloops
-    scanned = [
-        entry
-        for entry in c_k
-        if entry[1] not in i_elems
-        and (entry[1] in coloops or not view.in_closure(entry[1], i_elems))
-    ]
+    scanned = [entry for entry in c_k if not view.covers(entry[1], i_elems)]
     i_colors = coloring.colors_of(i_seq)
     ri_colors = coloring.colors_of(ri)
     if not (i_colors < k_set):
@@ -680,13 +640,7 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         if rest_elems in checked:
             continue
         checked.add(rest_elems)
-        if not all(
-            e in i_elems or (e not in coloops and view.in_closure(e, i_elems))
-            for e in distinct_elements(rest)
-        ):
+        if not all(view.covers(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
-        if not all(
-            e in rest_elems or (e not in coloops and view.in_closure(e, rest_elems))
-            for e in i_order
-        ):
+        if not all(view.covers(e, rest_elems) for e in i_order):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")
