@@ -381,7 +381,7 @@ def solve_noncolor(matroid, seq, r, *, stats=None, check=True):
 
 
 # ---------------------------------------------------------------------------
-# The recursive engine.
+# The engine.
 
 
 def _solve(parent, seq, coloring, r, depth, stats, check):
@@ -389,9 +389,12 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
 
     Trusts that (seq, coloring, r) satisfies the special profile after
     normalization; that is asserted (never raised on legal public input).
-    A spanning RI becomes the top part and the rest is solved with r-1 one
-    depth further down, in a loop rather than a recursive call, so the
-    stack does not grow with r.
+    Both ways down are steps of one loop, not recursive calls, so the stack
+    does not grow with r or with the rank: a spanning RI becomes the top
+    part and the rest is solved with r-1 one depth further down, and a
+    cycle that finds a smaller flat (case a) hands over the instance inside
+    it, solved with the same r one depth further down.  ``tops`` collects
+    the top parts of every depth, outermost first.
     """
     tops = []
     while True:
@@ -417,29 +420,33 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
         ri = _extend_rainbow(view, seq, coloring, seq.with_indices(()))
         restarts = 0
         while len(ri) < m:
-            outcome = _run_cycle(view, seq, coloring, r, ri, depth, stats, check)
-            if outcome[0] == "parts":
-                return outcome[1] + tops[::-1]
+            kind, found = _run_cycle(view, seq, coloring, ri, depth, stats, check)
+            if kind == "flat":
+                break
             restarts += 1
             stats.restarts += 1
             stats.max_restarts_per_level = max(stats.max_restarts_per_level, restarts)
             if restarts > m:
                 raise InternalInvariantBroken("more cycle restarts than the rank allows")
-            grown = outcome[1]
-            if len(grown) != len(ri) + 1:
+            if len(found) != len(ri) + 1:
                 raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-            ri = _extend_rainbow(view, seq, coloring, grown)
-        stats.note(depth, "spanning", ri=len(ri), r=r)
-        tops.append(ri)
-        parent, seq, r, depth = view, seq.difference(ri), r - 1, depth + 1
+            ri = _extend_rainbow(view, seq, coloring, found)
+        else:
+            # RI spans: it is the top part, and r-1 parts remain below it.
+            stats.note(depth, "spanning", ri=len(ri), r=r)
+            tops.append(ri)
+            parent, seq, r, depth = view, seq.difference(ri), r - 1, depth + 1
+            continue
+        # Case a: the parts lie inside a smaller flat, with the same r.
+        parent, (seq, coloring), depth = view, found, depth + 1
 
 
-def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
+def _run_cycle(view, seq, coloring, ri, depth, stats, check):
     """One run of the replacement cycle for a non-spanning RI.
 
-    Returns ("parts", parts) when the answer was found inside a smaller
-    flat, or ("grow", enlarged_seed) when RI can be extended and the caller
-    should restart.
+    Returns ("flat", (sub_seq, sub_coloring)) when the answer lies inside a
+    smaller flat and the caller should solve that instance, or ("grow",
+    enlarged_seed) when RI can be extended and the caller should restart.
     """
     m = view.rank_bound
     all_colors = coloring.colors_of(seq)
@@ -466,7 +473,7 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
 
         if not outside_i:
             stats.note(depth, "case_a", k=len(k_set), i=len(i_seq))
-            return "parts", _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check)
+            return "flat", _case_smaller_flat(seq, coloring, i_seq, c_k)
 
         ri_elems = ri.set_image
         escape = next((p for p in outside_i if not view.covers(p[1], ri_elems)), None)
@@ -479,13 +486,15 @@ def _run_cycle(view, seq, coloring, r, ri, depth, stats, check):
         c_k = color_class(seq, coloring, k_set)
 
 
-def _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check):
-    """Every K-colored entry lies in cl(I): recurse inside that flat.
+def _case_smaller_flat(seq, coloring, i_seq, c_k):
+    """Every K-colored entry lies in cl(I): the instance inside that flat.
 
     The I-colored entries plus one K-colored entry of a fresh color live in
     a matroid of strictly smaller rank; merging that fresh color with the
     most frequent color of I keeps the profile intact, and parts rainbow
-    under the merged coloring stay rainbow under the original one.
+    under the merged coloring stay rainbow under the original one.  Returns
+    the sequence and its merged coloring, for ``_solve`` to solve with the
+    same r.
     """
     if len(i_seq) == 0:
         raise InternalInvariantBroken("the flat case fired with an empty I")
@@ -500,8 +509,7 @@ def _case_smaller_flat(view, seq, coloring, r, i_seq, c_k, depth, stats, check):
     z = coloring.fresh_color()
     recolored = {idx: z for idx, _ in color_class(sub_seq, coloring, {k1})}
     recolored[p[0]] = z
-    sub_coloring = coloring.overridden(recolored, extra_palette=(z,))
-    return _solve(view, sub_seq, sub_coloring, r, depth + 1, stats, check)
+    return sub_seq, coloring.overridden(recolored, extra_palette=(z,))
 
 
 def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):

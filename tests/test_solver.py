@@ -1,5 +1,6 @@
 """The constructive solvers and the independent partition verifier."""
 
+import ast
 import inspect
 import sys
 from itertools import product
@@ -553,6 +554,38 @@ def test_many_spanning_levels_do_not_grow_the_stack():
     assert len(part.parts) == r
     assert stats.recursion_depth == r
     assert [(d, label) for d, label, _ in stats.events] == [(d, "spanning") for d in range(1, r)]
+
+
+def test_no_function_of_the_solver_calls_itself():
+    # Neither way down (a spanning RI, case a's smaller flat) may be a
+    # recursive call, so the stack does not grow with r or the rank.  A
+    # call of a module function from anywhere inside another, nested
+    # functions included, is an edge; no edge path may lead back.
+    tree = ast.parse(inspect.getsource(solver))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callees = {
+        name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in functions
+        }
+        for name, node in functions.items()
+    }
+    assert "_solve" in callees["_special_parts"]
+    acyclic = set()
+
+    def visit(name, stack):
+        if name in stack:
+            pytest.fail("call cycle: " + " -> ".join(stack[stack.index(name):] + [name]))
+        if name not in acyclic:
+            for callee in sorted(callees[name]):
+                visit(callee, stack + [name])
+            acyclic.add(name)
+
+    for name in functions:
+        visit(name, [])
 
 
 @pytest.mark.parametrize("fault", ["drop", "add"])
