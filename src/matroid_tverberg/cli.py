@@ -27,6 +27,7 @@ from .instances import (
     UniformSpec,
     VectorGFpSpec,
     VectorRationalSpec,
+    check_generator_limits,
     emit_instance,
     emit_partition,
     gen_random_instance,
@@ -252,6 +253,8 @@ def _cmd_gen_tight(args):
     if args.r < 2:
         print("gen-tight needs r >= 2 (r = 1 would yield an empty sequence)", file=sys.stderr)
         return EXIT_ERROR
+    m, r = args.rank, args.r
+    check_generator_limits(args.family, m, r, m * (r - 1), m + 2)
     spec, basis = _tight_spec(args.family, args.rank)
     refs = []
     for eid in basis:

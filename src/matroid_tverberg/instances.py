@@ -722,8 +722,7 @@ def _gen_affine_rational(m, length, rng):
     return AffineSpec("rational", dim, points), refs
 
 
-def _gen_uniform(m, length, rng):
-    n = max(m + 1, min(8, length))
+def _gen_uniform(m, n, length, rng):
     refs = [f"e{rng.randrange(n)}" for _ in range(length)]
     return UniformSpec(m, n), refs
 
@@ -746,6 +745,28 @@ def _gen_graphic(m, length, rng):
     return GraphicSpec(vertices, edges), refs
 
 
+def check_generator_limits(family, m, r, length, uniform_n):
+    """Raise InfeasibleRequest unless a generated file of these sizes would parse.
+
+    A file of ``family`` (one of ``GENERATOR_FAMILIES``) and rank m declares
+    n = ``uniform_n`` when uniform, m + 1 vertices when graphic, dimension
+    m - 1 when affine and m otherwise; with r and the sequence ``length``
+    these must stay within the ``MAX_*`` caps that ``parse_instance``
+    enforces.  The generators check this before they build any element or
+    sequence, so a request too large to parse fails here, not with
+    MemoryError.
+    """
+    if family == "uniform":
+        declared = ("n", uniform_n, MAX_N)
+    elif family == "graphic":
+        declared = ("vertices", m + 1, MAX_VERTICES)
+    else:
+        declared = ("dim", m - 1 if family == "affine_rational" else m, MAX_DIM)
+    for what, value, cap in (declared, ("r", r, MAX_R), ("sequence length", length, MAX_SEQUENCE)):
+        if value > cap:
+            raise InfeasibleRequest(f"{family}: {what} {value} exceeds the file limit of {cap}")
+
+
 def gen_random_instance(family, m, r, length, seed, profile):
     """A seeded instance of the requested family satisfying the profile.
 
@@ -763,6 +784,8 @@ def gen_random_instance(family, m, r, length, seed, profile):
         raise InfeasibleRequest("r must be at least 1")
     if length < 1:
         raise InfeasibleRequest("length must be at least 1")
+    uniform_n = max(m + 1, min(8, length))
+    check_generator_limits(family, m, r, length, uniform_n)
     rng = random.Random(seed)
     colors = _color_plan(profile, m, r, length, rng)
     if family == "vector_gf2":
@@ -774,7 +797,7 @@ def gen_random_instance(family, m, r, length, seed, profile):
     elif family == "affine_rational":
         spec, refs = _gen_affine_rational(m, length, rng)
     elif family == "uniform":
-        spec, refs = _gen_uniform(m, length, rng)
+        spec, refs = _gen_uniform(m, uniform_n, length, rng)
     else:
         spec, refs = _gen_graphic(m, length, rng)
     inst = InstanceFile(

@@ -98,6 +98,29 @@ def test_gen_random_solve_brute_agree(tmp_path, capsys):
     assert main(["brute", out_file]) == 0
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["gen-tight", "--family", "uniform", "--rank", "100001", "--r", "2"], "n 100003 exceeds"),
+        (
+            [
+                "gen-random", "--family", "vector_gf2", "--rank", "1001", "--r", "2",
+                "--length", "1002", "--seed", "1", "--profile", "general",
+            ],
+            "dim 1001 exceeds",
+        ),
+        (["gen-tight", "--family", "uniform", "--rank", "1", "--r", "100002"], "r 100002 exceeds"),
+    ],
+)
+def test_generators_refuse_sizes_the_parser_rejects(tmp_path, capsys, command, message):
+    # Each of these once wrote a file that solve and brute reject with a
+    # ParseError; the caps are now checked before anything is built.
+    out_file = tmp_path / "big.txt"
+    assert main(command + ["--out", str(out_file)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_gen_random_deterministic(tmp_path):
     args = [
         "gen-random", "--family", "uniform", "--rank", "2", "--r", "2",
