@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_tverberg import (
     AffineMatroid,
@@ -244,6 +246,34 @@ def test_closure_axioms_sampled(m):
             # monotonicity against a superset
             bigger = y | _random_subset(rng, ground, 3)
             assert cl_y <= matroid.closure(bigger), name
+
+
+@st.composite
+def covers_cases(draw):
+    """A matroid of any family, as it is, padded with coloops or restricted."""
+    m = draw(st.integers(1, 3))
+    zoo = {name: matroid for name, (matroid, _) in family_zoo(m).items()}
+    zoo["affine_gf3"] = AffineMatroid(3, 1, {"p0": (0,), "p1": (1,), "p2": (2,)})
+    zoo["free"] = UniformMatroid(m, m)
+    matroid = zoo[draw(st.sampled_from(sorted(zoo)))]
+    shape = draw(st.sampled_from(["plain", "padded", "view"]))
+    if shape != "plain":
+        matroid = add_coloops(matroid, draw(st.integers(1, 2)))
+    if shape == "view":
+        matroid = matroid.restrict(draw(st.sets(st.sampled_from(matroid.ground), min_size=1)))
+    x = draw(st.sampled_from(matroid.ground))
+    return matroid, x, draw(st.frozensets(st.sampled_from(matroid.ground)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(covers_cases())
+def test_covers_is_in_closure_and_asks_nothing_the_axioms_settle(case):
+    matroid, x, ys = case
+    before = matroid.oracle_calls
+    answer = matroid.covers(x, ys)
+    settled = x in ys or x in matroid.known_coloops
+    assert matroid.oracle_calls == before + (0 if settled else 1)
+    assert answer == matroid.in_closure(x, ys)
 
 
 @pytest.mark.parametrize("m", [2, 3])
