@@ -748,13 +748,11 @@ def _gen_graphic(m, length, rng):
 def check_generator_limits(family, m, r, length, uniform_n):
     """Raise InfeasibleRequest unless a generated file of these sizes would parse.
 
-    A file of ``family`` (one of ``GENERATOR_FAMILIES``) and rank m declares
-    n = ``uniform_n`` when uniform, m + 1 vertices when graphic, dimension
-    m - 1 when affine and m otherwise; with r and the sequence ``length``
-    these must stay within the ``MAX_*`` caps that ``parse_instance``
-    enforces.  The generators check this before they build any element or
-    sequence, so a request too large to parse fails here, not with
-    MemoryError.
+    The generators call it before they build anything, so a request beyond
+    the ``MAX_*`` caps of ``parse_instance`` fails here, not with
+    MemoryError.  A file of rank m declares n = ``uniform_n`` when uniform,
+    m + 1 vertices when graphic, dimension m - 1 when affine_rational and
+    dimension m otherwise.
     """
     if family == "uniform":
         declared = ("n", uniform_n, MAX_N)

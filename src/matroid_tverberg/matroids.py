@@ -56,8 +56,6 @@ class MatroidOracle:
     Subclasses implement ``_members(x, ys)`` with ``ys`` a frozenset already
     validated against the ground set.  ``in_closure`` adds validation, call
     counting and memoization (sound because oracles are immutable).
-    ``covers`` puts the member and coloop axioms first and asks
-    ``in_closure`` only what they leave open.
 
     ``known_coloops`` is a set of elements the oracle knows to be coloops,
     empty unless the family declares some.  A coloop c lies in cl(Y) only
