@@ -15,6 +15,7 @@ rainbow-bases repartition question (feasible for rank at most 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .errors import (
     BudgetExceeded,
@@ -61,14 +62,14 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
 
     At a leaf every part holds a non-loop (the prune guarantees it), so the
     leaf is valid iff each part's elements lie in the closure of the next
-    part's elements.  The leaf walks the adjacent pairs in order and stops
-    at the first element outside.  Each part mask's elements are read off
-    once per search, in order of first occurrence in ``seq`` (so
-    ``oracle_calls`` does not depend on the hash seed), and kept both as a
-    list to ask about and as the frozenset to ask against; later leaves
-    with the same mask reuse them.  The labels visited, the nodes charged
-    to the budget and every leaf's verdict are those of the plain search
-    over entry lists, so the witness is too.
+    part's; the pairs are checked in order, up to the first element outside.
+    A table keeps, for each upper part's mask (at most 2**(distinct
+    elements)), its elements as a frozenset and bitmasks of the elements
+    known in and outside their closure (the mask itself is in).  The oracle
+    is asked only what the table does not know, never twice, in order of
+    first occurrence in ``seq`` (so ``oracle_calls`` does not depend on the
+    hash seed).  Labels visited, nodes charged to the budget, leaf verdicts
+    and so the witness are those of the plain search over entry lists.
     """
     budget = budget or DEFAULT_BUDGET
     if not isinstance(r, int) or r < 1:
@@ -103,27 +104,26 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     empty = r  # parts without a non-loop
     nodes = 0
 
-    # Part mask -> (its elements in order of first occurrence, the same as a
-    # frozenset); at most 2**len(elements) entries, built once each.
-    mask_elements = {}
-
-    def elements_of(mask):
-        got = mask_elements.get(mask)
-        if got is None:
-            listed = [e for e, b in element_bit.items() if b & mask]
-            got = mask_elements[mask] = (listed, frozenset(listed))
-        return got
+    # Part mask -> [its elements, bits known in their closure, bits known outside].
+    closure_masks = {}
 
     def leaf_valid():
         """Does every element of each part lie in cl(elements of the next part)?"""
-        in_closure = matroid.in_closure
-        lower = elements_of(part_mask[0])[0]
-        for i in range(1, r):
-            listed, target = elements_of(part_mask[i])
-            for e in lower:
-                if not in_closure(e, target):
+        for lower, upper in pairwise(part_mask):
+            known = closure_masks.get(upper)
+            if known is None:
+                target = frozenset(e for e, b in element_bit.items() if b & upper)
+                known = closure_masks[upper] = [target, upper, 0]
+            open_bits = lower & ~known[1]
+            if open_bits & known[2]:
+                return False
+            while open_bits:
+                bit = open_bits & -open_bits  # lowest first: order of first occurrence
+                open_bits ^= bit
+                if not matroid.in_closure(elements[bit.bit_length() - 1], known[0]):
+                    known[2] |= bit
                     return False
-            lower = listed
+                known[1] |= bit
         return True
 
     def dfs(j):
@@ -164,8 +164,8 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
 
     found = dfs(0)
     # dfs refers to itself through its closure; unlinking it frees the
-    # search state (the per-mask element sets, and the oracle with its memo)
-    # on return, not at the next cyclic garbage collection.
+    # search state (the closure masks, at most 2**len(elements), and the
+    # oracle with its memo) on return, not at the next cyclic collection.
     del dfs
     if not found:
         return None

@@ -24,123 +24,123 @@ from conftest import family_zoo
 GOLDEN = [
     ("vector_gf2", "general", 2, 2, 3, 5, "1 | 2"),
     ("vector_gf2", "general", 2, 2, 10, 5, "8 | 9"),
-    ("vector_gf2", "general", 2, 3, 5, 33, "1 | 3 | 2 4"),
-    ("vector_gf2", "general", 2, 3, 10, 17, "6 | 8 | 9"),
-    ("vector_gf2", "general", 3, 2, 4, 42, "1 | 0 2 3"),
+    ("vector_gf2", "general", 2, 3, 5, 20, "1 | 3 | 2 4"),
+    ("vector_gf2", "general", 2, 3, 10, 14, "6 | 8 | 9"),
+    ("vector_gf2", "general", 3, 2, 4, 27, "1 | 0 2 3"),
     ("vector_gf2", "general", 3, 2, 10, 7, "7 | 9"),
-    ("vector_gf2", "general", 4, 2, 5, 90, "0 | 1 2"),
-    ("vector_gf2", "general", 4, 2, 10, 135, "6 | 5 7 8 9"),
+    ("vector_gf2", "general", 4, 2, 5, 38, "0 | 1 2"),
+    ("vector_gf2", "general", 4, 2, 10, 62, "6 | 5 7 8 9"),
     ("vector_gf2", "special", 2, 2, 3, 5, "1 | 2"),
-    ("vector_gf2", "special", 2, 2, 10, 11, "7 | 8 9"),
-    ("vector_gf2", "special", 2, 3, 5, 33, "1 | 3 | 2 4"),
-    ("vector_gf2", "special", 2, 3, 10, 161, "6 | 8 | 5 9"),
-    ("vector_gf2", "special", 3, 2, 4, 42, "1 | 0 2 3"),
+    ("vector_gf2", "special", 2, 2, 10, 10, "7 | 8 9"),
+    ("vector_gf2", "special", 2, 3, 5, 20, "1 | 3 | 2 4"),
+    ("vector_gf2", "special", 2, 3, 10, 40, "6 | 8 | 5 9"),
+    ("vector_gf2", "special", 3, 2, 4, 27, "1 | 0 2 3"),
     ("vector_gf2", "special", 3, 2, 10, 5, "8 | 9"),
-    ("vector_gf2", "special", 4, 2, 5, 90, "0 | 1 2"),
-    ("vector_gf2", "special", 4, 2, 10, 96, "6 | 5 8"),
-    ("vector_gf3", "general", 2, 2, 3, 11, "0 | 1 2"),
-    ("vector_gf3", "general", 2, 2, 10, 12, "7 | 8 9"),
-    ("vector_gf3", "general", 2, 3, 5, 122, "0 | 1 3 | 2 4"),
-    ("vector_gf3", "general", 2, 3, 10, 117, "5 | 6 | 7"),
-    ("vector_gf3", "general", 3, 2, 4, 15, "0 | 3"),
-    ("vector_gf3", "general", 3, 2, 10, 9, "7 | 8"),
-    ("vector_gf3", "general", 4, 2, 5, 111, "3 | 0 2 4"),
+    ("vector_gf2", "special", 4, 2, 5, 38, "0 | 1 2"),
+    ("vector_gf2", "special", 4, 2, 10, 47, "6 | 5 8"),
+    ("vector_gf3", "general", 2, 2, 3, 10, "0 | 1 2"),
+    ("vector_gf3", "general", 2, 2, 10, 10, "7 | 8 9"),
+    ("vector_gf3", "general", 2, 3, 5, 39, "0 | 1 3 | 2 4"),
+    ("vector_gf3", "general", 2, 3, 10, 32, "5 | 6 | 7"),
+    ("vector_gf3", "general", 3, 2, 4, 13, "0 | 3"),
+    ("vector_gf3", "general", 3, 2, 10, 8, "7 | 8"),
+    ("vector_gf3", "general", 4, 2, 5, 51, "3 | 0 2 4"),
     ("vector_gf3", "general", 4, 2, 10, 7, "7 | 9"),
-    ("vector_gf3", "special", 2, 2, 3, 11, "0 | 1 2"),
+    ("vector_gf3", "special", 2, 2, 3, 10, "0 | 1 2"),
     ("vector_gf3", "special", 2, 2, 10, 5, "8 | 9"),
-    ("vector_gf3", "special", 2, 3, 5, 122, "0 | 1 3 | 2 4"),
-    ("vector_gf3", "special", 2, 3, 10, 229, "4 | 5 | 8"),
-    ("vector_gf3", "special", 3, 2, 4, 15, "0 | 3"),
-    ("vector_gf3", "special", 3, 2, 10, 15, "6 | 9"),
-    ("vector_gf3", "special", 4, 2, 5, 111, "3 | 0 2 4"),
-    ("vector_gf3", "special", 4, 2, 10, 235, "6 | 4 7 8"),
-    ("vector_rational", "general", 2, 2, 3, 11, "0 | 1 2"),
-    ("vector_rational", "general", 2, 2, 10, 12, "7 | 8 9"),
-    ("vector_rational", "general", 2, 3, 5, 118, "0 | 1 3 | 2 4"),
-    ("vector_rational", "general", 2, 3, 10, 172, "6 | 5 8 | 7 9"),
-    ("vector_rational", "general", 3, 2, 4, 20, "0 | 2 3"),
-    ("vector_rational", "general", 3, 2, 10, 32, "6 | 7 8 9"),
-    ("vector_rational", "general", 4, 2, 5, 148, "3 | 0 1 2 4"),
-    ("vector_rational", "general", 4, 2, 10, 135, "6 | 5 7 8 9"),
-    ("vector_rational", "special", 2, 2, 3, 11, "0 | 1 2"),
-    ("vector_rational", "special", 2, 2, 10, 11, "7 | 8 9"),
-    ("vector_rational", "special", 2, 3, 5, 118, "0 | 1 3 | 2 4"),
-    ("vector_rational", "special", 2, 3, 10, 565, "7 | 4 9 | 5 8"),
-    ("vector_rational", "special", 3, 2, 4, 20, "0 | 2 3"),
-    ("vector_rational", "special", 3, 2, 10, 89, "7 | 5 8 9"),
-    ("vector_rational", "special", 4, 2, 5, 148, "3 | 0 1 2 4"),
-    ("vector_rational", "special", 4, 2, 10, 810, "2 | 4 7 8"),
+    ("vector_gf3", "special", 2, 3, 5, 39, "0 | 1 3 | 2 4"),
+    ("vector_gf3", "special", 2, 3, 10, 45, "4 | 5 | 8"),
+    ("vector_gf3", "special", 3, 2, 4, 13, "0 | 3"),
+    ("vector_gf3", "special", 3, 2, 10, 13, "6 | 9"),
+    ("vector_gf3", "special", 4, 2, 5, 51, "3 | 0 2 4"),
+    ("vector_gf3", "special", 4, 2, 10, 92, "6 | 4 7 8"),
+    ("vector_rational", "general", 2, 2, 3, 10, "0 | 1 2"),
+    ("vector_rational", "general", 2, 2, 10, 10, "7 | 8 9"),
+    ("vector_rational", "general", 2, 3, 5, 39, "0 | 1 3 | 2 4"),
+    ("vector_rational", "general", 2, 3, 10, 46, "6 | 5 8 | 7 9"),
+    ("vector_rational", "general", 3, 2, 4, 16, "0 | 2 3"),
+    ("vector_rational", "general", 3, 2, 10, 22, "6 | 7 8 9"),
+    ("vector_rational", "general", 4, 2, 5, 69, "3 | 0 1 2 4"),
+    ("vector_rational", "general", 4, 2, 10, 62, "6 | 5 7 8 9"),
+    ("vector_rational", "special", 2, 2, 3, 10, "0 | 1 2"),
+    ("vector_rational", "special", 2, 2, 10, 10, "7 | 8 9"),
+    ("vector_rational", "special", 2, 3, 5, 39, "0 | 1 3 | 2 4"),
+    ("vector_rational", "special", 2, 3, 10, 73, "7 | 4 9 | 5 8"),
+    ("vector_rational", "special", 3, 2, 4, 16, "0 | 2 3"),
+    ("vector_rational", "special", 3, 2, 10, 42, "7 | 5 8 9"),
+    ("vector_rational", "special", 4, 2, 5, 69, "3 | 0 1 2 4"),
+    ("vector_rational", "special", 4, 2, 10, 199, "2 | 4 7 8"),
     ("affine_rational", "general", 2, 2, 3, 5, "1 | 2"),
-    ("affine_rational", "general", 2, 2, 10, 12, "7 | 8 9"),
-    ("affine_rational", "general", 2, 3, 5, 135, "0 | 1 | 2"),
-    ("affine_rational", "general", 2, 3, 10, 75, "5 | 8 | 7 9"),
-    ("affine_rational", "general", 3, 2, 4, 20, "0 | 2 3"),
-    ("affine_rational", "general", 3, 2, 10, 32, "6 | 7 8 9"),
-    ("affine_rational", "general", 4, 2, 5, 148, "3 | 0 1 2 4"),
-    ("affine_rational", "general", 4, 2, 10, 135, "6 | 5 7 8 9"),
+    ("affine_rational", "general", 2, 2, 10, 10, "7 | 8 9"),
+    ("affine_rational", "general", 2, 3, 5, 35, "0 | 1 | 2"),
+    ("affine_rational", "general", 2, 3, 10, 31, "5 | 8 | 7 9"),
+    ("affine_rational", "general", 3, 2, 4, 16, "0 | 2 3"),
+    ("affine_rational", "general", 3, 2, 10, 22, "6 | 7 8 9"),
+    ("affine_rational", "general", 4, 2, 5, 69, "3 | 0 1 2 4"),
+    ("affine_rational", "general", 4, 2, 10, 62, "6 | 5 7 8 9"),
     ("affine_rational", "special", 2, 2, 3, 5, "1 | 2"),
-    ("affine_rational", "special", 2, 2, 10, 11, "7 | 8 9"),
-    ("affine_rational", "special", 2, 3, 5, 135, "0 | 1 | 2"),
-    ("affine_rational", "special", 2, 3, 10, 556, "7 | 4 8 | 5 9"),
-    ("affine_rational", "special", 3, 2, 4, 20, "0 | 2 3"),
-    ("affine_rational", "special", 3, 2, 10, 25, "6 | 7 8"),
-    ("affine_rational", "special", 4, 2, 5, 148, "3 | 0 1 2 4"),
-    ("affine_rational", "special", 4, 2, 10, 1274, "7 | 2 5 8 9"),
-    ("uniform", "general", 2, 2, 3, 6, "0 | 2"),
-    ("uniform", "general", 2, 2, 10, 12, "7 | 8 9"),
-    ("uniform", "general", 2, 3, 5, 24, "1 | 2 | 3"),
-    ("uniform", "general", 2, 3, 10, 172, "6 | 5 8 | 7 9"),
-    ("uniform", "general", 3, 2, 4, 4, "2 | 3"),
-    ("uniform", "general", 3, 2, 10, 32, "6 | 7 8 9"),
-    ("uniform", "general", 4, 2, 5, 8, "2 | 3"),
-    ("uniform", "general", 4, 2, 10, 135, "6 | 5 7 8 9"),
-    ("uniform", "special", 2, 2, 3, 6, "0 | 2"),
-    ("uniform", "special", 2, 2, 10, 7, "7 | 8"),
-    ("uniform", "special", 2, 3, 5, 24, "1 | 2 | 3"),
-    ("uniform", "special", 2, 3, 10, 7, "7 | 8 | 9"),
-    ("uniform", "special", 3, 2, 4, 4, "2 | 3"),
-    ("uniform", "special", 3, 2, 10, 4, "8 | 9"),
-    ("uniform", "special", 4, 2, 5, 8, "2 | 3"),
-    ("uniform", "special", 4, 2, 10, 4, "8 | 9"),
-    ("graphic", "general", 2, 2, 3, 9, "0 | 1"),
-    ("graphic", "general", 2, 2, 10, 12, "7 | 8 9"),
-    ("graphic", "general", 2, 3, 5, 8, "2 | 3 | 4"),
-    ("graphic", "general", 2, 3, 10, 31, "6 | 9 | 7 8"),
-    ("graphic", "general", 3, 2, 4, 4, "2 | 3"),
-    ("graphic", "general", 3, 2, 10, 9, "7 | 8"),
-    ("graphic", "general", 4, 2, 5, 9, "2 | 3"),
-    ("graphic", "general", 4, 2, 10, 6, "7 | 9"),
-    ("graphic", "special", 2, 2, 3, 9, "0 | 1"),
-    ("graphic", "special", 2, 2, 10, 11, "7 | 8 9"),
-    ("graphic", "special", 2, 3, 5, 8, "2 | 3 | 4"),
-    ("graphic", "special", 2, 3, 10, 17, "6 | 8 | 9"),
-    ("graphic", "special", 3, 2, 4, 4, "2 | 3"),
-    ("graphic", "special", 3, 2, 10, 4, "8 | 9"),
-    ("graphic", "special", 4, 2, 5, 9, "2 | 3"),
-    ("graphic", "special", 4, 2, 10, 25, "6 | 7 8"),
-    ("vector_gf2", "tight", 2, 4, 6, 5882, "none"),
-    ("vector_gf2", "tight", 3, 3, 6, 2971, "none"),
-    ("vector_gf2", "tight", 4, 3, 8, 65300, "none"),
-    ("vector_gf3", "tight", 2, 4, 6, 5882, "none"),
-    ("vector_gf3", "tight", 3, 3, 6, 2971, "none"),
-    ("vector_gf3", "tight", 4, 3, 8, 65300, "none"),
-    ("vector_rational", "tight", 2, 4, 6, 5882, "none"),
-    ("vector_rational", "tight", 3, 3, 6, 2971, "none"),
-    ("vector_rational", "tight", 4, 3, 8, 65300, "none"),
-    ("affine_rational", "tight", 2, 4, 6, 5882, "none"),
-    ("affine_rational", "tight", 3, 3, 6, 2971, "none"),
-    ("affine_rational", "tight", 4, 3, 8, 65300, "none"),
-    ("uniform", "tight", 2, 4, 6, 5882, "none"),
-    ("uniform", "tight", 3, 3, 6, 2971, "none"),
-    ("uniform", "tight", 4, 3, 8, 65300, "none"),
-    ("graphic", "tight", 2, 4, 6, 5882, "none"),
-    ("graphic", "tight", 3, 3, 6, 2971, "none"),
-    ("graphic", "tight", 4, 3, 8, 65300, "none"),
+    ("affine_rational", "special", 2, 2, 10, 10, "7 | 8 9"),
+    ("affine_rational", "special", 2, 3, 5, 35, "0 | 1 | 2"),
+    ("affine_rational", "special", 2, 3, 10, 73, "7 | 4 8 | 5 9"),
+    ("affine_rational", "special", 3, 2, 4, 16, "0 | 2 3"),
+    ("affine_rational", "special", 3, 2, 10, 18, "6 | 7 8"),
+    ("affine_rational", "special", 4, 2, 5, 69, "3 | 0 1 2 4"),
+    ("affine_rational", "special", 4, 2, 10, 253, "7 | 2 5 8 9"),
+    ("uniform", "general", 2, 2, 3, 5, "0 | 2"),
+    ("uniform", "general", 2, 2, 10, 10, "7 | 8 9"),
+    ("uniform", "general", 2, 3, 5, 7, "1 | 2 | 3"),
+    ("uniform", "general", 2, 3, 10, 46, "6 | 5 8 | 7 9"),
+    ("uniform", "general", 3, 2, 4, 3, "2 | 3"),
+    ("uniform", "general", 3, 2, 10, 22, "6 | 7 8 9"),
+    ("uniform", "general", 4, 2, 5, 5, "2 | 3"),
+    ("uniform", "general", 4, 2, 10, 62, "6 | 5 7 8 9"),
+    ("uniform", "special", 2, 2, 3, 5, "0 | 2"),
+    ("uniform", "special", 2, 2, 10, 5, "7 | 8"),
+    ("uniform", "special", 2, 3, 5, 7, "1 | 2 | 3"),
+    ("uniform", "special", 2, 3, 10, 5, "7 | 8 | 9"),
+    ("uniform", "special", 3, 2, 4, 3, "2 | 3"),
+    ("uniform", "special", 3, 2, 10, 3, "8 | 9"),
+    ("uniform", "special", 4, 2, 5, 5, "2 | 3"),
+    ("uniform", "special", 4, 2, 10, 3, "8 | 9"),
+    ("graphic", "general", 2, 2, 3, 8, "0 | 1"),
+    ("graphic", "general", 2, 2, 10, 10, "7 | 8 9"),
+    ("graphic", "general", 2, 3, 5, 7, "2 | 3 | 4"),
+    ("graphic", "general", 2, 3, 10, 20, "6 | 9 | 7 8"),
+    ("graphic", "general", 3, 2, 4, 3, "2 | 3"),
+    ("graphic", "general", 3, 2, 10, 8, "7 | 8"),
+    ("graphic", "general", 4, 2, 5, 8, "2 | 3"),
+    ("graphic", "general", 4, 2, 10, 5, "7 | 9"),
+    ("graphic", "special", 2, 2, 3, 8, "0 | 1"),
+    ("graphic", "special", 2, 2, 10, 10, "7 | 8 9"),
+    ("graphic", "special", 2, 3, 5, 7, "2 | 3 | 4"),
+    ("graphic", "special", 2, 3, 10, 13, "6 | 8 | 9"),
+    ("graphic", "special", 3, 2, 4, 3, "2 | 3"),
+    ("graphic", "special", 3, 2, 10, 3, "8 | 9"),
+    ("graphic", "special", 4, 2, 5, 8, "2 | 3"),
+    ("graphic", "special", 4, 2, 10, 18, "6 | 7 8"),
+    ("vector_gf2", "tight", 2, 4, 6, 4, "none"),
+    ("vector_gf2", "tight", 3, 3, 6, 12, "none"),
+    ("vector_gf2", "tight", 4, 3, 8, 32, "none"),
+    ("vector_gf3", "tight", 2, 4, 6, 4, "none"),
+    ("vector_gf3", "tight", 3, 3, 6, 12, "none"),
+    ("vector_gf3", "tight", 4, 3, 8, 32, "none"),
+    ("vector_rational", "tight", 2, 4, 6, 4, "none"),
+    ("vector_rational", "tight", 3, 3, 6, 12, "none"),
+    ("vector_rational", "tight", 4, 3, 8, 32, "none"),
+    ("affine_rational", "tight", 2, 4, 6, 4, "none"),
+    ("affine_rational", "tight", 3, 3, 6, 12, "none"),
+    ("affine_rational", "tight", 4, 3, 8, 32, "none"),
+    ("uniform", "tight", 2, 4, 6, 4, "none"),
+    ("uniform", "tight", 3, 3, 6, 12, "none"),
+    ("uniform", "tight", 4, 3, 8, 32, "none"),
+    ("graphic", "tight", 2, 4, 6, 4, "none"),
+    ("graphic", "tight", 3, 3, 6, 12, "none"),
+    ("graphic", "tight", 4, 3, 8, 32, "none"),
 ]
 
 
-def observe(family, profile, m, r, length):
-    """(oracle_calls, witness) of ``brute_force_solve`` on one row's instance."""
+def golden_instance(family, profile, m, r, length):
+    """(matroid, sequence, coloring) of one row, built fresh."""
     if profile == "tight":
         matroid, basis = family_zoo(m)[family]
         seq, coloring = tight_instance(matroid, basis, r), None
@@ -148,6 +148,12 @@ def observe(family, profile, m, r, length):
         inst = gen_random_instance(family, m, r, length, 1, profile)
         matroid, seq, coloring = inst.build_matroid(), inst.build_sequence(), inst.build_coloring()
     assert len(seq) == length
+    return matroid, seq, coloring
+
+
+def observe(family, profile, m, r, length):
+    """(oracle_calls, witness) of ``brute_force_solve`` on one row's instance."""
+    matroid, seq, coloring = golden_instance(family, profile, m, r, length)
     found = brute_force_solve(matroid, seq, coloring, r)
     if found is None:
         return matroid.oracle_calls, "none"

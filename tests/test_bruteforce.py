@@ -27,7 +27,10 @@ from matroid_tverberg import (
     verify_partition,
 )
 
+from matroid_tverberg import bruteforce
+
 from conftest import affine_line_rational, family_zoo, gfp_matroid
+from test_brute_golden import GOLDEN, golden_instance
 
 
 def seq_of(elements):
@@ -111,6 +114,38 @@ def test_brute_agrees_with_solver_on_random_instances():
         direct = brute_force_solve(matroid, s, coloring, r)
         assert direct is not None
         assert verify_partition(matroid, s, coloring, r, direct.parts).ok
+
+
+def test_brute_asks_each_question_once(monkeypatch):
+    # On every golden and tight row, the search (everything before the closing
+    # build_partition) asks no (x, Y) twice and never asks about an x in Y.
+    closing = []
+    real_build = bruteforce.build_partition
+
+    def build_partition(matroid, parts):
+        closing.append(True)
+        return real_build(matroid, parts)
+
+    monkeypatch.setattr(bruteforce, "build_partition", build_partition)
+    total = 0
+    for family, profile, m, r, length, _, _ in GOLDEN:
+        matroid, seq, coloring = golden_instance(family, profile, m, r, length)
+        asked = []
+        real = matroid.in_closure
+
+        def recording(x, ys, real=real, asked=asked):
+            if not closing:
+                asked.append((x, frozenset(ys)))
+            return real(x, ys)
+
+        matroid.in_closure = recording
+        closing.clear()
+        brute_force_solve(matroid, seq, coloring, r)
+        row = f"{family}-{profile}-m{m}-r{r}-len{length}"
+        assert not [q for q in asked if q[0] in q[1]], row
+        assert len(set(asked)) == len(asked), row
+        total += len(asked)
+    assert total > 0
 
 
 # ---------------------------------------------------------------------------
