@@ -17,6 +17,7 @@ from matroid_tverberg import (
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
+    bruteforce,
     check_intersection_lemma,
     check_tightness,
     closure_intersection_agrees,
@@ -26,8 +27,6 @@ from matroid_tverberg import (
     tight_instance,
     verify_partition,
 )
-
-from matroid_tverberg import bruteforce
 
 from conftest import affine_line_rational, family_zoo, gfp_matroid
 from test_brute_golden import GOLDEN, golden_instance
