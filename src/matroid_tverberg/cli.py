@@ -127,25 +127,17 @@ def _emit_report(report, as_json):
 def _cmd_solve(args):
     inst, oracle, seq, coloring = _load(args.instance)
     stats = SolveStats()
-    check = not args.no_check
     try:
         if inst.mode == "general":
-            partition = solve_general(oracle, seq, coloring, inst.r, stats=stats, check=check)
+            partition = solve_general(oracle, seq, coloring, inst.r, stats=stats)
         elif inst.mode == "special":
-            partition = solve_special(oracle, seq, coloring, inst.r, stats=stats, check=check)
+            partition = solve_special(oracle, seq, coloring, inst.r, stats=stats)
         else:
-            partition = solve_noncolor(oracle, seq, inst.r, stats=stats, check=check)
+            partition = solve_noncolor(oracle, seq, inst.r, stats=stats)
     except PreconditionViolated as exc:
         report = RunReport(outcome="precondition-violated", message=str(exc))
         _emit_report(report, args.json)
         return EXIT_PRECONDITION
-    # With checks on the solver has verified the parts; otherwise verify them here.
-    if not check:
-        verdict = verify_partition(oracle, seq, coloring, inst.r, partition.parts)
-        if not verdict:
-            report = RunReport(outcome="error", message=f"verification failed: {verdict.failure}")
-            _emit_report(report, args.json)
-            return EXIT_ERROR
     report = RunReport(
         outcome="partition",
         parts=[list(p) for p in partition.part_indices()],
@@ -154,7 +146,7 @@ def _cmd_solve(args):
         restarts=stats.restarts,
         recursion_depth=stats.recursion_depth,
         wall_ms=stats.wall_time * 1000.0,
-        extra={"verified_by": "solver" if check else "cli", **_certificate_extra(partition)},
+        extra=_certificate_extra(partition),
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -300,11 +292,6 @@ def _build_parser():
     p.add_argument("instance")
     p.add_argument("--out", help="write the partition to this file")
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--no-check",
-        action="store_true",
-        help="skip the solver's runtime checks; the CLI verifies the output instead",
-    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="verify a partition file against an instance")

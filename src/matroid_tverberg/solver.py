@@ -18,7 +18,9 @@ cycle runs at most rank-many passes.
 
 ``verify_partition`` checks any candidate output using nothing beyond the
 matroid (its closure oracle and its declared loops), independently of how
-it was produced.
+it was produced.  There is one configuration: every public solve verifies
+the answer it returns, once, and the engine asserts the replacement rules
+on every cycle pass.
 
 Every closure question here goes through the matroid's ``covers``, which
 answers by the member and coloop axioms where they settle it and asks
@@ -59,9 +61,10 @@ from .sequences import (
 class ChainCertificate:
     """Oracle-checkable witnesses for the nested-closure chain.
 
-    ``spanning_subsets[i]`` is a maximal independent subset of part i; every
-    element of subsets 0..r-2 was verified to lie in the closure of the next
-    part.  ``witness_nonloop`` is an entry of the first part outside cl(empty).
+    ``spanning_subsets[i]`` is a maximal independent subset of part i, so
+    cl(part i) = cl(subset i).  ``build_partition`` does not check the chain;
+    ``verify_partition`` does.  ``witness_nonloop`` is an entry of the first
+    part outside cl(empty).
     """
 
     spanning_subsets: tuple
@@ -273,39 +276,38 @@ def general_precondition(matroid, seq, coloring, r):
     return check_general_profile(seq, coloring, r, matroid.rank_bound)
 
 
-def solve_special(matroid, seq, coloring, r, *, stats=None, check=True):
+def solve_special(matroid, seq, coloring, r, *, stats=None):
     """Partition under the exact-profile hypothesis (m colors, counts >= r / r-1)."""
     stats = SolveStats() if stats is None else stats
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
     _validate_input(matroid, seq, coloring, r)
-    parts = _special_parts(matroid, seq, coloring, r, stats, check)
-    partition = _certified(matroid, seq, coloring, r, parts, check)
+    parts = _special_parts(matroid, seq, coloring, r, stats)
+    partition = _certified(matroid, seq, coloring, r, parts)
     stats.oracle_calls = matroid.oracle_calls - calls0
     stats.wall_time = time.perf_counter() - start
     return partition
 
 
-def _special_parts(matroid, seq, coloring, r, stats, check):
+def _special_parts(matroid, seq, coloring, r, stats):
     """The parts ``solve_special`` returns, for input it has already validated."""
     view, nseq, ncol = _normalize(matroid, seq, coloring)
     profile_ok = check_special_profile(nseq, ncol, r, view.rank_bound)
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    return [seq.with_indices(p.indices) for p in _solve(view, nseq, ncol, r, 1, stats, check)]
+    return [seq.with_indices(p.indices) for p in _solve(view, nseq, ncol, r, 1, stats)]
 
 
-def _certified(matroid, seq, coloring, r, parts, check):
-    """The Partition of ``parts`` with its certificate, verified when ``check`` is on."""
+def _certified(matroid, seq, coloring, r, parts):
+    """The Partition of ``parts`` with its certificate, verified."""
     partition = build_partition(matroid, parts)
-    if check:
-        report = verify_partition(matroid, seq, coloring, r, partition.parts)
-        if not report:
-            raise InternalInvariantBroken(f"output failed verification: {report.failure}")
+    report = verify_partition(matroid, seq, coloring, r, partition.parts)
+    if not report:
+        raise InternalInvariantBroken(f"output failed verification: {report.failure}")
     return partition
 
 
-def solve_general(matroid, seq, coloring, r, *, stats=None, check=True):
+def solve_general(matroid, seq, coloring, r, *, stats=None):
     """Partition under the loose-profile hypothesis (counts <= r / r-1, |S| > m(r-1)).
 
     Trims S to exactly m(r-1)+1 entries, adjoins one fresh coloop per color
@@ -322,9 +324,10 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=True):
     if not profile_ok:
         raise PreconditionViolated(f"general profile violated: {profile_ok.reason}")
     if r == 1:
-        # One entry of a loopless sequence is a valid answer by construction;
-        # build_partition's witness search is the one predicate left to check.
-        partition = build_partition(matroid, [seq.take_first(1)])
+        # One entry of a loopless sequence.  Its verification asks no
+        # question: there is no pair of parts to chain, and strictness reads
+        # the declared loops.
+        partition = _certified(matroid, seq, coloring, r, [seq.take_first(1)])
         stats.oracle_calls = matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
         return partition
@@ -362,29 +365,29 @@ def solve_general(matroid, seq, coloring, r, *, stats=None, check=True):
 
     # Only the parts projected onto the original instance are certified:
     # they are what this function returns.
-    inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats, check)
+    inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats)
     kept_indices = trimmed.indices
     parts = [seq.with_indices(p.indices & kept_indices) for p in inner]
-    partition = _certified(matroid, seq, coloring, r, parts, check)
+    partition = _certified(matroid, seq, coloring, r, parts)
     stats.oracle_calls = padded_matroid.oracle_calls - calls0
     stats.wall_time = time.perf_counter() - start
     return partition
 
 
-def solve_noncolor(matroid, seq, r, *, stats=None, check=True):
+def solve_noncolor(matroid, seq, r, *, stats=None):
     """Partition without color constraints: |S| > m(r-1) suffices.
 
     Every entry receives its own color, which satisfies the loose profile.
     """
     coloring = Coloring({i: f"c{i}" for i, _ in seq})
-    return solve_general(matroid, seq, coloring, r, stats=stats, check=check)
+    return solve_general(matroid, seq, coloring, r, stats=stats)
 
 
 # ---------------------------------------------------------------------------
 # The engine.
 
 
-def _solve(parent, seq, coloring, r, depth, stats, check):
+def _solve(parent, seq, coloring, r, depth, stats):
     """Returns r disjoint rainbow parts of ``seq`` with chained closures.
 
     Trusts that (seq, coloring, r) satisfies the special profile after
@@ -406,10 +409,9 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
             return [seq.take_first(1)] + tops[::-1]
         view, seq, coloring = _normalize(parent, seq, coloring)
         m = view.rank_bound
-        if check:
-            ok = check_special_profile(seq, coloring, r, m)
-            if not ok:
-                raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
+        ok = check_special_profile(seq, coloring, r, m)
+        if not ok:
+            raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
         if m == 1:
             # Every entry spans the rank-1 working matroid; the profile
             # guarantees at least r entries.
@@ -420,7 +422,7 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
         ri = _extend_rainbow(view, seq, coloring, seq.with_indices(()))
         restarts = 0
         while len(ri) < m:
-            kind, found = _run_cycle(view, seq, coloring, ri, depth, stats, check)
+            kind, found = _run_cycle(view, seq, coloring, ri, depth, stats)
             if kind == "flat":
                 break
             restarts += 1
@@ -441,7 +443,7 @@ def _solve(parent, seq, coloring, r, depth, stats, check):
         parent, (seq, coloring), depth = view, found, depth + 1
 
 
-def _run_cycle(view, seq, coloring, ri, depth, stats, check):
+def _run_cycle(view, seq, coloring, ri, depth, stats):
     """One run of the replacement cycle for a non-spanning RI.
 
     Returns ("flat", (sub_seq, sub_coloring)) when the answer lies inside a
@@ -459,12 +461,12 @@ def _run_cycle(view, seq, coloring, ri, depth, stats, check):
     # Initially every entry colored from K is eligible (non-loops are never
     # in cl(empty)) and may simply replace the empty I by itself.
     aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
-    outside_i = list(c_k)
 
     iterations = 0
     while True:
-        if check:
-            _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
+        i_elems = i_seq.set_image
+        outside_i = [entry for entry in c_k if not view.covers(entry[1], i_elems)]
+        _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
@@ -479,10 +481,10 @@ def _run_cycle(view, seq, coloring, ri, depth, stats, check):
         escape = next((p for p in outside_i if not view.covers(p[1], ri_elems)), None)
         if escape is not None:
             stats.note(depth, "case_b", p=escape[0])
-            return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape, check)
+            return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape)
 
         stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
-        k_set, i_seq, aug, outside_i = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
+        k_set, i_seq, aug = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k)
         c_k = color_class(seq, coloring, k_set)
 
 
@@ -512,12 +514,11 @@ def _case_smaller_flat(seq, coloring, i_seq, c_k):
     return sub_seq, coloring.overridden(recolored, extra_palette=(z,))
 
 
-def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
+def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry):
     """Some eligible entry escapes cl(RI): swap I for I^p, growing RI by one.
 
     The grown sequence seeds the restart, so what a seed must satisfy is
-    asserted here in both check modes: it is a rainbow, independent
-    subsequence of S.
+    asserted here: it is a rainbow, independent subsequence of S.
     """
     if p_entry not in aug:
         raise InternalInvariantBroken("escaping entry has no exchange sequence")
@@ -529,28 +530,25 @@ def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry, check):
         raise InternalInvariantBroken("exchange broke rainbowness of RI")
     if view.rank(grown.set_image) != len(grown):
         raise InternalInvariantBroken("exchange broke independence of RI")
-    if check:
-        if len(grown) != len(ri) + 1:
-            raise InternalInvariantBroken("exchange did not enlarge RI by one")
-        # Growth is genuine: cl(grown) equals cl(RI + p).
-        order = distinct_elements(ri.entries + (p_entry,))
-        target, grown_elems = frozenset(order), grown.set_image
-        if not all(view.covers(e, target) for e in distinct_elements(grown)):
-            raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
-        if not all(view.covers(e, grown_elems) for e in order):
-            raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
+    if len(grown) != len(ri) + 1:
+        raise InternalInvariantBroken("exchange did not enlarge RI by one")
+    # Growth is genuine: cl(grown) equals cl(RI + p).
+    order = distinct_elements(ri.entries + (p_entry,))
+    target, grown_elems = frozenset(order), grown.set_image
+    if not all(view.covers(e, target) for e in distinct_elements(grown)):
+        raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
+    if not all(view.covers(e, grown_elems) for e in order):
+        raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
 
-def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
+def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
     """All of C_K sits inside cl(RI) but not inside cl(I): enlarge (K, I).
 
     The new I is an inclusion-minimal subsequence of RI spanning C_K,
     computed by greedy deletion in ascending index order.  For every entry p
     of a color new to K that escapes cl(new I), an exchange sequence is
-    assembled from the old rules.  Also returns the entries of the new color
-    classes outside cl(new I), in C_K order: the old C_K lies inside cl(new I)
-    by construction, so they are the next pass's entries of C_K outside cl(I).
+    assembled from the old rules.
     """
     ck_elems = distinct_elements(c_k)
     ck_set = frozenset(ck_elems)
@@ -561,7 +559,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
         return all(view.covers(x, elems) for x in ck_elems)
 
     current = list(ri.entries)
-    if check and not spans(current):
+    if not spans(current):
         raise InternalInvariantBroken("RI does not span C_K in the advance case")
     for entry in ri.entries:
         # RI is independent, so the trial without this entry cannot span
@@ -575,11 +573,10 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
             current = trial
     i_next = seq.with_indices(i for i, _ in current)
 
-    if check:
-        if not (set(i_seq.entries) < set(i_next.entries)):
-            raise InternalInvariantBroken("I did not strictly grow")
-        if view.rank(i_next.set_image) <= view.rank(i_seq.set_image):
-            raise InternalInvariantBroken("cl(I) did not strictly grow")
+    if not (set(i_seq.entries) < set(i_next.entries)):
+        raise InternalInvariantBroken("I did not strictly grow")
+    if view.rank(i_next.set_image) <= view.rank(i_seq.set_image):
+        raise InternalInvariantBroken("cl(I) did not strictly grow")
 
     k_next = k_set | coloring.colors_of(i_next)
     old_indices = i_seq.indices
@@ -601,7 +598,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
             if view.covers(p[1], i_next_elems):
                 continue
             aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
-    return k_next, i_next, aug_next, sorted(aug_next)
+    return k_next, i_next, aug_next
 
 
 def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
@@ -612,14 +609,13 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     entry longer than I; (4) each exchange contains its entry p and spans
     exactly cl(I) without it; (5) RI meets the K-colored entries exactly in
     I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
-    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I) as
-    the cycle was handed them; both it and the domain of ``aug`` must equal
-    the scan made here.  Exchanges that share their part without p share
-    its check, which runs once.
+    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I), as
+    the cycle's scan at the top of this pass found them; the domain of
+    ``aug`` must be exactly those entries.  Exchanges that share their part
+    without p share its check, which runs once.
     """
     stats.invariant_checks += 1
     i_elems = i_seq.set_image
-    scanned = [entry for entry in c_k if not view.covers(entry[1], i_elems)]
     i_colors = coloring.colors_of(i_seq)
     ri_colors = coloring.colors_of(ri)
     if not (i_colors < k_set):
@@ -628,10 +624,8 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
     if ri.intersection(c_k) != i_seq:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
-    if set(aug) != set(scanned):
+    if set(aug) != set(outside_i):
         raise InternalInvariantBroken("rules: exchange map domain mismatch")
-    if outside_i != scanned:
-        raise InternalInvariantBroken("rules: the cycle's entries outside cl(I) mismatch")
     i_order = distinct_elements(i_seq)
     checked = set()
     for p, (exchange, new_color) in aug.items():

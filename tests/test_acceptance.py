@@ -77,7 +77,7 @@ def corpus():
                             coloring = inst.build_coloring()
                             stats = SolveStats()
                             solver = solve_general if profile == "general" else solve_special
-                            partition = solver(oracle, seq, coloring, r, stats=stats, check=True)
+                            partition = solver(oracle, seq, coloring, r, stats=stats)
                             report = verify_partition(oracle, seq, coloring, r, partition.parts)
                             assert report.ok, (family, profile, m, r, length, seed, report)
                             runs.append(
@@ -248,7 +248,7 @@ def test_criterion_5_complexity(corpus):
 
 def test_criterion_6_runtime_invariants(corpus):
     runs, _ = corpus
-    # check=True was forced for every corpus run; any violated rule raises
+    # Every solve checks the replacement rules; any violated rule raises
     # InternalInvariantBroken and would have failed the fixture.
     total_checks = sum(run.stats.invariant_checks for run in runs)
     cycles_run = sum(1 for run in runs if run.stats.cycle_iterations > 0)

@@ -6,7 +6,6 @@ import pytest
 
 from matroid_tverberg import VectorMatroidGFp, cli, instances, solver
 from matroid_tverberg.cli import main
-from matroid_tverberg.solver import Partition
 
 
 def write(tmp_path, name, text):
@@ -31,7 +30,6 @@ def test_solve_writes_partition_and_verifies(tmp_path, special_instance, capsys)
     assert code == 0
     out = capsys.readouterr().out
     assert "outcome partition" in out
-    assert "verified_by solver" in out
     code = main(["verify", special_instance, part_file])
     assert code == 0
     assert "outcome verified" in capsys.readouterr().out
@@ -173,8 +171,7 @@ def test_solve_direct_sum_instance(tmp_path, capsys):
     assert "outcome partition" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags, verifier", [([], "solver"), (["--no-check"], "cli")])
-def test_each_solve_is_verified_once(monkeypatch, special_instance, capsys, flags, verifier):
+def test_each_solve_is_verified_once(monkeypatch, special_instance, capsys):
     calls = []
     verify = solver.verify_partition
 
@@ -184,23 +181,24 @@ def test_each_solve_is_verified_once(monkeypatch, special_instance, capsys, flag
 
     monkeypatch.setattr(solver, "verify_partition", counted)
     monkeypatch.setattr(cli, "verify_partition", counted)
-    assert main(["solve", special_instance, "--json"] + flags) == 0
-    assert json.loads(capsys.readouterr().out)["verified_by"] == verifier
+    assert main(["solve", special_instance, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "partition"
     assert len(calls) == 1
 
 
-def test_no_check_still_rejects_a_broken_partition(monkeypatch, special_instance, capsys):
-    solve = cli.solve_special
+def test_a_broken_partition_from_the_solver_exits_1(monkeypatch, special_instance, capsys):
+    # Reversed, the parts still pass every predicate but the chain: the
+    # solver's own verification rejects them, and nothing is printed.
+    special_parts = solver._special_parts
 
-    def reversed_parts(*args, **kwargs):
-        partition = solve(*args, **kwargs)
-        return Partition(partition.parts[::-1], partition.certificate)
+    def reversed_parts(*args):
+        return special_parts(*args)[::-1]
 
-    monkeypatch.setattr(cli, "solve_special", reversed_parts)
-    assert main(["solve", special_instance, "--json", "--no-check"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["outcome"] == "error"
-    assert "chain" in payload["message"]
+    monkeypatch.setattr(solver, "_special_parts", reversed_parts)
+    assert main(["solve", special_instance, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output failed verification: chain" in captured.err
 
 
 def test_missing_file_errors(capsys):

@@ -124,7 +124,7 @@ def test_pinned_rational_solve(family, profile, m, length, calls, parts):
     solver = solve_general if profile == "general" else solve_special
     stats = SolveStats()
     partition = solver(
-        inst.build_matroid(), inst.build_sequence(), inst.build_coloring(), m, stats=stats, check=True
+        inst.build_matroid(), inst.build_sequence(), inst.build_coloring(), m, stats=stats
     )
     expected = tuple(tuple(int(i) for i in part.split()) for part in parts.split("|"))
     assert partition.part_indices() == expected

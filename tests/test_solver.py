@@ -140,7 +140,7 @@ def test_special_chained_advances_compose_exchanges():
     s = seq_of(["g0", "g1", "g2", "g3", "g4"])
     c = coloring_of(["c1", "c2", "c1", "c3", "c2"])
     stats = SolveStats()
-    part = solve_special(m, s, c, 2, stats=stats, check=True)
+    part = solve_special(m, s, c, 2, stats=stats)
     assert part.part_indices() == ((0,), (2, 3, 4))
     assert verify_partition(m, s, c, 2, part.parts).ok
     labels = [label for _, label, _ in stats.events]
@@ -444,11 +444,11 @@ def _seeded(family, mode, m, r, length, seed):
     return inst.build_matroid(), inst.build_sequence(), inst.build_coloring()
 
 
-def _run(mode, matroid, seq, coloring, r, stats=None, check=True):
+def _run(mode, matroid, seq, coloring, r, stats=None):
     if mode == "noncolor":
-        return solve_noncolor(matroid, seq, r, stats=stats, check=check)
+        return solve_noncolor(matroid, seq, r, stats=stats)
     solve = solve_general if mode == "general" else solve_special
-    return solve(matroid, seq, coloring, r, stats=stats, check=check)
+    return solve(matroid, seq, coloring, r, stats=stats)
 
 
 @pytest.mark.parametrize("mode", ["general", "noncolor"])
@@ -456,8 +456,8 @@ def test_broken_parts_fail_certification(monkeypatch, mode):
     # The general solve certifies only the parts it returns, on the original
     # instance.  Moving an entry of the top part into the bottom part
     # breaks the chain: in a uniform matroid of rank 4, cl(part 2) is part
-    # 2 itself.  The bottom part keeps its non-loop, so only the
-    # verification can catch it.
+    # 2 itself.  The bottom part keeps its non-loop, so only the chain
+    # check can catch it.
     matroid, seq, coloring = _seeded("uniform", "general", 4, 4, 13, 1)
     solve_parts = solver._special_parts
 
@@ -469,11 +469,8 @@ def test_broken_parts_fail_certification(monkeypatch, mode):
         return parts
 
     monkeypatch.setattr(solver, "_special_parts", broken)
-    with pytest.raises(InternalInvariantBroken, match="output failed verification"):
+    with pytest.raises(InternalInvariantBroken, match="output failed verification: chain"):
         _run(mode, matroid, seq, coloring, 4)
-    partition = _run(mode, matroid, seq, coloring, 4, check=False)
-    report = verify_partition(matroid, seq, coloring if mode == "general" else None, 4, partition)
-    assert report.failure == "chain"
 
 
 def test_non_rainbow_parts_fail_certification(monkeypatch):
@@ -493,7 +490,7 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
 
     monkeypatch.setattr(solver, "_special_parts", broken)
     with pytest.raises(InternalInvariantBroken, match="output failed verification: rainbow"):
-        solve_general(matroid, seq, coloring, 3, check=True)
+        solve_general(matroid, seq, coloring, 3)
 
 
 @pytest.mark.parametrize(
@@ -502,6 +499,9 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
         ("special", "vector_gf2", 4, 4, 13),
         ("general", "uniform", 3, 4, 14),
         ("noncolor", "graphic", 2, 5, 9),
+        ("special", "uniform", 3, 1, 3),
+        ("general", "vector_gf2", 3, 1, 4),
+        ("noncolor", "graphic", 3, 1, 4),
     ],
 )
 def test_each_public_solve_certifies_once(monkeypatch, mode, family, m, r, length):
@@ -515,26 +515,8 @@ def test_each_public_solve_certifies_once(monkeypatch, mode, family, m, r, lengt
 
         monkeypatch.setattr(solver, name, counted)
     matroid, seq, coloring = _seeded(family, mode, m, r, length, 1)
-    _run(mode, matroid, seq, coloring, r, check=True)
+    _run(mode, matroid, seq, coloring, r)
     assert counts == {"build_partition": 1, "verify_partition": 1}
-    _run(mode, matroid, seq, coloring, r, check=False)
-    assert counts == {"build_partition": 2, "verify_partition": 1}
-
-
-@pytest.mark.parametrize("mode", ["special", "general", "noncolor"])
-def test_checks_do_not_change_partitions_or_events(mode):
-    for family in ("uniform", "graphic", "vector_gf2", "vector_rational"):
-        for m, r, extra in ((3, 3, 0), (4, 4, 8), (2, 5, 3)):
-            for seed in range(3):
-                length = m * (r - 1) + 1 + (r if mode == "special" else 0) + extra
-                runs = []
-                for check in (True, False):
-                    matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
-                    stats = SolveStats()
-                    partition = _run(mode, matroid, seq, coloring, r, stats, check)
-                    events = [(depth, label) for depth, label, _ in stats.events]
-                    runs.append((partition.part_indices(), events, stats.recursion_depth))
-                assert runs[0] == runs[1], (family, m, r, seed)
 
 
 def test_many_spanning_levels_do_not_grow_the_stack():
@@ -548,7 +530,7 @@ def test_many_spanning_levels_do_not_grow_the_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        part = solve_special(m, s, c, r, stats=stats, check=True)
+        part = solve_special(m, s, c, r, stats=stats)
     finally:
         sys.setrecursionlimit(limit)
     assert len(part.parts) == r
@@ -590,19 +572,19 @@ def test_no_function_of_the_solver_calls_itself():
 
 @pytest.mark.parametrize("fault", ["drop", "add"])
 def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
-    # The chained-advance instance hands a non-empty list to the second
-    # pass.  Dropping an entry of it, or adding an old C_K entry (inside
-    # cl(I) by construction), must trip the rule check although the
-    # exchange map itself is intact.
+    # The chained-advance instance hands a non-empty exchange map to the
+    # second pass.  Dropping an entry of it, or adding an old C_K entry
+    # (inside cl(I) by construction), must trip the rule check, which
+    # compares the map's domain with the pass's own scan of C_K.
     advance = solver._case_advance
 
-    def faulty(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check):
-        k_next, i_next, aug_next, outside = advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k, check)
+    def faulty(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
+        k_next, i_next, aug_next = advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k)
         if fault == "drop":
-            outside = outside[1:]
+            del aug_next[min(aug_next)]
         else:
-            outside = sorted(outside + [c_k.entries[0]])
-        return k_next, i_next, aug_next, outside
+            aug_next[c_k.entries[0]] = next(iter(aug_next.values()))
+        return k_next, i_next, aug_next
 
     monkeypatch.setattr(solver, "_case_advance", faulty)
     m = VectorMatroidGFp(2, 3, {
@@ -611,8 +593,8 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     })
     s = seq_of(["g0", "g1", "g2", "g3", "g4"])
     c = coloring_of(["c1", "c2", "c1", "c3", "c2"])
-    with pytest.raises(InternalInvariantBroken, match="outside cl\\(I\\) mismatch"):
-        solve_special(m, s, c, 2, check=True)
+    with pytest.raises(InternalInvariantBroken, match="exchange map domain mismatch"):
+        solve_special(m, s, c, 2)
 
 
 @pytest.mark.parametrize("mode", ["special", "general", "noncolor"])
@@ -634,14 +616,13 @@ def test_no_member_question_reaches_the_oracle(monkeypatch, mode):
     for family in GENERATOR_FAMILIES:
         for (m, r, extra), seed in product(((3, 3, 0), (4, 4, 8), (2, 5, 3), (5, 5, 0)), (1, 2, 3)):
             length = m * (r - 1) + 1 + (r if mode == "special" else 0) + extra
-            for check in (True, False):
-                matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
-                stats = SolveStats()
-                partition = _run(mode, matroid, seq, coloring, r, stats, check)
-                labels.update(label for _, label, _ in stats.events)
-                coloring = None if mode == "noncolor" else coloring
-                assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
-                build_partition(matroid, partition.parts)
+            matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
+            stats = SolveStats()
+            partition = _run(mode, matroid, seq, coloring, r, stats)
+            labels.update(label for _, label, _ in stats.events)
+            coloring = None if mode == "noncolor" else coloring
+            assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
+            build_partition(matroid, partition.parts)
     assert labels >= {"case_a", "case_b", "case_c"}
     assert asked == []
 
@@ -669,13 +650,12 @@ def test_no_question_about_a_known_coloop_reaches_the_oracle(monkeypatch, mode):
     labels = set()
     for family in GENERATOR_FAMILIES:
         for (m, r, extra), seed in product(((3, 3, 4), (2, 5, 3), (3, 4, 0)), (1, 2)):
-            for check in (True, False):
-                matroid, seq, coloring = _seeded(family, mode, m, r, m * (r - 1) + 1 + extra, seed)
-                stats = SolveStats()
-                partition = _run(mode, matroid, seq, coloring, r, stats, check)
-                labels.update(label for _, label, _ in stats.events)
-                coloring = None if mode == "noncolor" else coloring
-                assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
+            matroid, seq, coloring = _seeded(family, mode, m, r, m * (r - 1) + 1 + extra, seed)
+            stats = SolveStats()
+            partition = _run(mode, matroid, seq, coloring, r, stats)
+            labels.update(label for _, label, _ in stats.events)
+            coloring = None if mode == "noncolor" else coloring
+            assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
     assert labels >= {"case_a", "case_b", "case_c"}
     assert any(padded) and (mode == "general" or all(padded))
     assert asked and not any(asked)
