@@ -139,9 +139,11 @@ def verify_partition(matroid, seq, coloring, r, parts):
     Predicates, in order: part count, subsequence containment, pairwise
     disjointness, rainbowness (skipped without a coloring), strictness at the
     bottom (some entry of the first part is a non-loop), and the closure
-    chain itself, checked through oracle membership of a maximal independent
-    subset of each part in the closure of the next.  A failure's ``detail``
-    names the part and the entry, or the color, at fault.
+    chain itself.  By the closure axioms cl(S_i) ⊆ cl(S_{i+1}) holds exactly
+    when every element of S_i lies in cl(S_{i+1}), so the chain check asks
+    that of each distinct element of each part but the last, in entry order.
+    A failure's ``detail`` names the part and the entry, or the color, at
+    fault.
     """
     if isinstance(parts, Partition):
         parts = parts.parts
@@ -178,9 +180,8 @@ def verify_partition(matroid, seq, coloring, r, parts):
             detail = f"every entry of part 1, the first ({i}, {e}), is a loop"
         return VerificationReport(False, "strictness", detail)
     for i in range(r - 1):
-        basis = matroid.max_independent(parts[i].set_image)
         target = parts[i + 1].set_image
-        for e in basis:
+        for e in distinct_elements(parts[i]):
             if not matroid.covers(e, target):
                 index = next(j for j, el in parts[i] if el == e)
                 detail = f"entry ({index}, {e}) of part {i + 1} is outside cl(part {i + 2})"

@@ -369,12 +369,31 @@ def test_verify_strictness_detail_names_the_first_part():
 
 
 def test_verify_success_asks_only_the_chain_questions():
-    # One rank scan of part 1 ({b1}) and one membership of b1 in cl(part 2);
-    # strictness reads the matroid's declared loops.
+    # One membership of b1 in cl(part 2); strictness reads the matroid's
+    # declared loops.
     m, s, c, parts = _valid_setup()
     before = m.oracle_calls
     assert verify_partition(m, s, c, 2, parts).ok
-    assert m.oracle_calls - before == 2
+    assert m.oracle_calls - before == 1
+
+
+def test_verify_asks_each_element_of_a_part_once_against_the_next(monkeypatch):
+    # Part 1 repeats s and shares b1 with part 2; part 2 shares b2 with
+    # part 3.  The chain check asks about each distinct element of a part
+    # once, in entry order, and never about an element of the next part.
+    asked = []
+    in_closure = MatroidOracle.in_closure
+
+    def recorded(self, x, ys):
+        asked.append((x, frozenset(ys)))
+        return in_closure(self, x, ys)
+
+    monkeypatch.setattr(MatroidOracle, "in_closure", recorded)
+    m = gfp_matroid(2, 3, {"s": (1, 1, 0), "t": (1, 1, 1)})
+    s = seq_of(["s", "b1", "s", "b1", "b2", "t", "b3", "b2"])
+    parts = [s.with_indices({0, 1, 2}), s.with_indices({3, 4}), s.with_indices({5, 6, 7})]
+    assert verify_partition(m, s, None, 3, parts).ok
+    assert asked == [("s", frozenset({"b1", "b2"})), ("b1", frozenset({"t", "b3", "b2"}))]
 
 
 def test_verify_foreign_entries_fail():
