@@ -18,7 +18,9 @@ The instance format is a single canonical line-oriented text document::
 Tokens are whitespace-separated; a line ending in ``{`` opens a block and a
 bare ``}`` closes it.  ``sequence`` and ``colors`` lines may repeat and
 concatenate.  Integers are arbitrary precision; rationals are written
-``numerator/denominator`` and are normalized on emission.
+``[+-]digits`` or ``[+-]digits/digits`` and are normalized on emission.
+Only a ``matroid`` line, and ``left``/``right`` inside a direct sum, may
+open a block.
 
 Matroid blocks:
 
@@ -42,6 +44,7 @@ A partition file lists one ``part`` line of entry indices per part::
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,6 +206,9 @@ def _tokenize(text):
             yield lineno, tokens
 
 
+_BLOCK_KEYWORDS = ("matroid", "left", "right")
+
+
 def _parse_tree(text):
     root = []
     stack = [root]
@@ -216,6 +222,8 @@ def _parse_tree(text):
         elif tokens[-1] == "{":
             if len(tokens) == 1:
                 raise ParseError("'{' needs a preceding keyword", lineno)
+            if tokens[0] not in _BLOCK_KEYWORDS:
+                raise ParseError(f"field {tokens[0]!r} must not open a block", lineno)
             node = _Node(tokens[:-1], lineno, children=[])
             stack[-1].append(node)
             stack.append(node.children)
@@ -242,11 +250,21 @@ def _prime(token, line, what):
         raise ParseError(f"{what}: {exc}", line) from None
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction(token, line):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational like 3 or -5/7, got {token!r}", line) from None
+    """A rational written ``[+-]digits`` or ``[+-]digits/digits``.
+
+    ``Fraction`` alone also reads exponent and decimal forms, and expanding
+    an exponent such as ``1e10000000`` takes seconds.
+    """
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"expected a rational like 3 or -5/7, got {token!r}", line)
 
 
 def _check_token(token, line, what):
@@ -285,8 +303,6 @@ def _scalar_fields(children, wanted, family):
     for node in children:
         key = node.tokens[0]
         if key in wanted:
-            if node.children is not None:
-                raise ParseError(f"field {key!r} must not open a block", node.line)
             if key in values:
                 raise ParseError(f"duplicate field {key!r}", node.line)
             if len(node.tokens) != 2:
@@ -521,12 +537,8 @@ def parse_instance(text):
             matroid = _read_matroid(node)
             matroid_line = node.line
         elif key == "sequence":
-            if node.children is not None:
-                raise ParseError("sequence is not a block", node.line)
             sequence.extend(_check_token(t, node.line, "element reference") for t in node.tokens[1:])
         elif key == "colors":
-            if node.children is not None:
-                raise ParseError("colors is not a block", node.line)
             seen_colors = True
             colors.extend(_check_token(t, node.line, "color") for t in node.tokens[1:])
         else:

@@ -177,6 +177,43 @@ def test_negative_size_is_a_parse_error(text):
     assert err.value.line == 3
 
 
+RATIONAL_COORD = "mode noncolor\nr 1\nmatroid vector_rational {\n dim 1\n element a 1\n}\nsequence a\n"
+AFFINE_COORD = "mode noncolor\nr 1\nmatroid affine {\n field rational\n dim 1\n point a 1\n}\nsequence a\n"
+
+
+@pytest.mark.parametrize("token", ["1e3", "0.5"])
+@pytest.mark.parametrize("text, line", [(RATIONAL_COORD, 5), (AFFINE_COORD, 6)], ids=["vector", "affine"])
+def test_a_rational_is_an_integer_or_a_fraction(text, line, token):
+    # Fraction() alone also reads exponent and decimal forms, and expanding
+    # an exponent as short as 1e10000000 takes seconds.
+    assert parse_instance(text.replace(" 1\n}", " -5/7\n}")).oracle is not None
+    with pytest.raises(ParseError, match="expected a rational") as err:
+        parse_instance(text.replace(" 1\n}", f" {token}\n}}"))
+    assert err.value.line == line
+
+
+GRAPHIC = "mode noncolor\nr 1\nmatroid graphic {\n vertices 2\n edge g1 0 1\n}\nsequence g1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SAMPLE.replace("mode special", "mode special {\n mode general\n}"),
+        SAMPLE.replace("r 2", "r 2 {\n r 3\n}"),
+        AFFINE_GFP.replace("field gfp 3", "field gfp 3 {\n dim 4\n}"),
+        SAMPLE.replace("element a 1 0", "element a 1 0 {\n element z 1 1\n}"),
+        AFFINE_GFP.replace("point a 1", "point a 1 {\n point z 2\n}"),
+        GRAPHIC.replace("edge g1 0 1", "edge g1 0 1 {\n edge g2 0 1\n}"),
+    ],
+    ids=["mode", "r", "field", "element", "point", "edge"],
+)
+def test_a_block_on_a_field_line_is_a_parse_error(text):
+    # The block's contents used to be dropped without a word.
+    with pytest.raises(ParseError, match="must not open a block") as err:
+        parse_instance(text)
+    assert err.value.line is not None
+
+
 GFP_SUM = """mode noncolor
 r 2
 matroid direct_sum {
