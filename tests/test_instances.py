@@ -208,7 +208,8 @@ GRAPHIC = "mode noncolor\nr 1\nmatroid graphic {\n vertices 2\n edge g1 0 1\n}\n
     ids=["mode", "r", "field", "element", "point", "edge"],
 )
 def test_a_block_on_a_field_line_is_a_parse_error(text):
-    # The block's contents used to be dropped without a word.
+    # Only matroid, left and right lines open a block; a block on a field
+    # line would otherwise be read as the line alone, its contents dropped.
     with pytest.raises(ParseError, match="must not open a block") as err:
         parse_instance(text)
     assert err.value.line is not None

@@ -2,7 +2,7 @@
 
 Each row is ``gen_random_instance(family, m, m, length, 1, profile)`` with m
 from 3 to 8, at the shortest length the profile allows and at 2m entries
-more, solved with runtime checks on.  The longer general instances run the
+more, solved and verified.  The longer general instances run the
 replacement cycle (cases b and c).  A kernel change must leave every part
 and every ``oracle_calls`` count exactly as recorded here: the solver is
 deterministic given the oracle's answers, and the count does not depend on
