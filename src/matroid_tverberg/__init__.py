@@ -44,7 +44,6 @@ from .matroids import (
     DirectSumMatroid,
     GraphicMatroid,
     MatroidOracle,
-    RestrictionView,
     UniformMatroid,
     VectorMatroidGFp,
     VectorMatroidRational,
@@ -98,7 +97,6 @@ __all__ = [
     "ParseError",
     "Partition",
     "PreconditionViolated",
-    "RestrictionView",
     "SeedInvalid",
     "SolveStats",
     "UniformMatroid",

@@ -59,13 +59,10 @@ class MatroidOracle:
 
     ``known_coloops`` is a set of elements the oracle knows to be coloops,
     empty unless the family declares some.  A coloop c lies in cl(Y) only
-    when c is in Y, so ``covers`` answers questions about them itself.  A
-    restriction view passes on its parent's set as it is, so the set may
-    name elements outside the ground set; every one in it is a coloop.
+    when c is in Y, so ``covers`` answers questions about them itself.
 
     ``loops`` is the exact set of loops, cl(∅).  Every family of this module
-    declares it at construction from its own data; a view shares its
-    parent's set, so it too may name elements outside the ground set.
+    declares it at construction from its own data.
     """
 
     known_coloops = frozenset()
@@ -77,13 +74,18 @@ class MatroidOracle:
 
     def __init__(self, ground):
         ground = tuple(ground)
-        if len(set(ground)) != len(ground):
-            raise ValueError("ground element ids must be distinct")
         self._ground = ground
         self._ground_set = frozenset(ground)
+        if len(self._ground_set) != len(ground):
+            raise ValueError("ground element ids must be distinct")
         self._calls = 0
         self._memo = {}
         self._rank_bound = None
+
+    @cached_property
+    def _position(self):
+        """Each element's index in the stored ground order, built on first use."""
+        return dict(zip(self._ground, range(len(self._ground))))
 
     @property
     def ground(self):
@@ -146,21 +148,21 @@ class MatroidOracle:
 
     def rank(self, ys):
         """Size of a maximal independent subset of ``ys``."""
-        fs = frozenset(ys)
-        if not fs <= self._ground_set:
-            bad = next(iter(fs - self._ground_set))
-            raise UnknownElement(f"unknown element {bad!r}")
-        return len(self.max_independent(fs))
+        return len(self.max_independent(ys))
 
     def max_independent(self, ys):
         """A maximal independent subset of ``ys``.
 
-        Greedy scan in stored ground order, so results are reproducible.
+        Greedy scan of ``ys`` in stored ground order, so results are
+        reproducible and the cost grows with |ys|, not with the ground.
         """
         fs = frozenset(ys)
+        if not fs <= self._ground_set:
+            bad = next(iter(fs - self._ground_set))
+            raise UnknownElement(f"unknown element {bad!r}")
         indep = []
-        for e in self._ground:
-            if e in fs and not self.covers(e, indep):
+        for e in sorted(fs, key=self._position.__getitem__):
+            if not self.covers(e, indep):
                 indep.append(e)
         return tuple(indep)
 
@@ -177,10 +179,6 @@ class MatroidOracle:
         if x not in self._ground_set:
             raise UnknownElement(f"unknown element {x!r}")
         return not self.in_closure(x, self._ground_set - {x})
-
-    def restrict(self, keep):
-        """Restriction of the matroid to the subset ``keep`` of its ground."""
-        return RestrictionView(self, keep)
 
     def __repr__(self):
         return f"{type(self).__name__}(|ground|={len(self._ground)}, rank={self.rank_bound})"
@@ -210,20 +208,19 @@ class VectorMatroidGFp(MatroidOracle):
 
         self._kernels = kernels
         self._matrix = kernels.gfp_matrix(rows, dim)
-        self._row = {eid: i for i, eid in enumerate(ids)}
         super().__init__(ids)
         self.loops = frozenset(eid for eid, row in zip(ids, rows) if not any(row))
 
     def coords(self, eid):
-        if eid not in self._row:
+        if eid not in self._position:
             raise UnknownElement(f"unknown element {eid!r}")
-        return tuple(int(c) for c in self._matrix[self._row[eid]])
+        return tuple(int(c) for c in self._matrix[self._position[eid]])
 
     def _members(self, x, ys):
         if x in ys:
             return True
-        rows = sorted(self._row[y] for y in ys)
-        return self._kernels.gfp_in_span(self._matrix, rows, self._row[x], self.p)
+        rows = sorted(self._position[y] for y in ys)
+        return self._kernels.gfp_in_span(self._matrix, rows, self._position[x], self.p)
 
     def _compute_rank_bound(self):
         return self._kernels.gfp_rank(self._matrix, self.p)
@@ -301,7 +298,6 @@ class VectorMatroidRational(MatroidOracle):
             table[eid] = coords
         self._vectors = table
         self._rows = {eid: integer_row(coords) for eid, coords in table.items()}
-        self._order = {eid: i for i, eid in enumerate(ids)}
         super().__init__(ids)
         self.loops = frozenset(eid for eid, row in self._rows.items() if not any(row))
 
@@ -314,7 +310,7 @@ class VectorMatroidRational(MatroidOracle):
         if x in ys:
             return True
         basis = []
-        for y in sorted(ys, key=self._order.__getitem__):
+        for y in sorted(ys, key=self._position.__getitem__):
             if _insert(basis, self._rows[y]) and len(basis) == self.dim:
                 return True
         return not any(_reduce(self._rows[x], basis))
@@ -463,8 +459,8 @@ class DirectSumMatroid(MatroidOracle):
     the ground check live in the summands and ``oracle_calls`` sums them.
     An element of neither summand stays in the forwarded query, which the
     summand's memo cannot hold, so the summand rejects it.  A coloop of
-    either summand is a coloop of the sum, so the sum declares the coloops
-    its summands know of; its loops are the union of theirs.
+    either summand is a coloop of the sum and a loop of either is a loop of
+    the sum, so the sum declares the unions of its summands' sets.
     """
 
     def __init__(self, left, right):
@@ -473,12 +469,8 @@ class DirectSumMatroid(MatroidOracle):
         self.left = left
         self.right = right
         super().__init__(left.ground + right.ground)
-        # A view's sets may name elements outside its ground, even ones of
-        # the other summand, so each side keeps only its own.
-        self.known_coloops = (left.known_coloops & left.ground_set) | (
-            right.known_coloops & right.ground_set
-        )
-        self.loops = (left.loops & left.ground_set) | (right.loops & right.ground_set)
+        self.known_coloops = left.known_coloops | right.known_coloops
+        self.loops = left.loops | right.loops
 
     @property
     def oracle_calls(self):
@@ -494,46 +486,6 @@ class DirectSumMatroid(MatroidOracle):
 
     def _compute_rank_bound(self):
         return self.left.rank_bound + self.right.rank_bound
-
-
-class RestrictionView(MatroidOracle):
-    """The matroid restricted to a subset of its ground set.
-
-    A thin forwarding view: closure questions among kept elements have the
-    same answers as in the parent, so after checking a query against the
-    kept elements the view hands it straight to the parent, where it is
-    counted and memoized.  Chains of views flatten onto the original oracle.
-    A coloop of the parent is a coloop of every restriction that keeps it,
-    and a loop stays a loop, so the view shares its parent's
-    ``known_coloops`` and ``loops`` instead of building smaller sets.
-    """
-
-    def __init__(self, parent, keep):
-        keep = frozenset(keep)
-        if not keep <= parent.ground_set:
-            bad = next(iter(keep - parent.ground_set))
-            raise UnknownElement(f"unknown element {bad!r}")
-        if isinstance(parent, RestrictionView):
-            parent = parent._parent
-        self._parent = parent
-        self.known_coloops = parent.known_coloops
-        self.loops = parent.loops
-        super().__init__(e for e in parent.ground if e in keep)
-        self._rank_bound = parent.rank(self._ground)
-
-    @property
-    def parent(self):
-        return self._parent
-
-    @property
-    def oracle_calls(self):
-        return self._parent.oracle_calls
-
-    def in_closure(self, x, ys):
-        fs = ys if isinstance(ys, frozenset) else frozenset(ys)
-        if x not in self._ground_set or not fs <= self._ground_set:
-            self._check_query(x, fs)
-        return self._parent.in_closure(x, fs)
 
 
 def add_coloops(matroid, count):

@@ -8,13 +8,17 @@ matroid with fresh coloops, and ``solve_noncolor`` colors every entry
 distinctly and delegates.
 
 The engine behind ``solve_special`` grows an inclusion-maximal rainbow
-independent subsequence RI.  If RI spans the working matroid it becomes the
-top part and the rest is solved with r-1.  Otherwise a replacement cycle
-maintains a color set K, a subsequence I of RI, and for each eligible entry
-p an exchange sequence I^p that could replace I while gaining a color new to
-RI.  Each cycle pass either finds the answer inside a smaller flat, grows RI
-by one (and restarts), or advances (K, I) to a strictly larger flat, so a
-cycle runs at most rank-many passes.
+independent subsequence RI.  The working matroid is the restriction of the
+given matroid to the sequence's elements; closure in a restriction is
+closure in the matroid intersected with the kept elements, so the engine
+asks every question of the matroid it was given and carries only the
+restriction's rank m.  If RI spans the working matroid (has m elements) it
+becomes the top part and the rest is solved with r-1.  Otherwise a
+replacement cycle maintains a color set K, a subsequence I of RI, and for
+each eligible entry p an exchange sequence I^p that could replace I while
+gaining a color new to RI.  Each cycle pass either finds the answer inside
+a smaller flat, grows RI by one (and restarts), or advances (K, I) to a
+strictly larger flat, so a cycle runs at most rank-many passes.
 
 ``verify_partition`` checks any candidate output using nothing beyond the
 matroid (its closure oracle and its declared loops), independently of how
@@ -43,7 +47,7 @@ from .errors import (
     SeedInvalid,
     UnknownElement,
 )
-from .matroids import RestrictionView, add_coloops
+from .matroids import add_coloops
 from .sequences import (
     ColorCountProfile,
     Coloring,
@@ -237,25 +241,27 @@ def _validate_input(matroid, seq, coloring, r):
             raise LoopInInput(f"entry ({i}, {e!r}) is a loop")
 
 
-def _normalize(matroid, seq, coloring):
+def _normalize(matroid, seq, coloring, restriction=None):
     """Drop whole color classes until #colors == rank of the sequence.
 
-    Afterwards the working matroid is the restriction to the elements of the
-    surviving sequence, whose rank equals the number of colors whenever the
-    instance satisfies the special profile.  Dropping keeps the most
-    frequent colors, so the r / r-1 count thresholds survive each round.
-    A ``matroid`` that is already the restriction to the sequence's
-    elements is used as it is.
+    Returns the surviving sequence, its coloring, and ``(elements, m)``: the
+    elements of the sequence and their rank m, which equals the number of
+    colors whenever the instance satisfies the special profile.  The working
+    matroid is the restriction M|elements; since cl_{M|X}(Y) = cl_M(Y) ∩ X,
+    every closure question about it is asked of ``matroid`` itself, and m is
+    all the restriction adds.  Dropping keeps the most frequent colors, so
+    the r / r-1 count thresholds survive each round.  ``restriction`` is an
+    earlier ``(elements, m)``; its rank is reused while the elements stay.
     """
-    view = matroid
     while True:
-        if not (isinstance(view, RestrictionView) and view.ground_set == seq.set_image):
-            view = RestrictionView(view, seq.set_image)
+        if restriction is None or restriction[0] != seq.set_image:
+            restriction = (seq.set_image, matroid.rank(seq.set_image))
+        m = restriction[1]
         used = coloring.colors_of(seq)
-        if len(used) <= view.rank_bound:
-            return view, seq, coloring.narrowed_to(seq)
+        if len(used) <= m:
+            return seq, coloring.narrowed_to(seq), restriction
         profile = ColorCountProfile.of(seq, coloring, palette=used)
-        seq = color_class(seq, coloring, profile.top(view.rank_bound))
+        seq = color_class(seq, coloring, profile.top(m))
 
 
 def special_precondition(matroid, seq, coloring, r):
@@ -264,8 +270,8 @@ def special_precondition(matroid, seq, coloring, r):
         _validate_input(matroid, seq, coloring, r)
     except (PreconditionViolated, LoopInInput) as exc:
         return ProfileCheck(False, str(exc))
-    view, nseq, ncol = _normalize(matroid, seq, coloring)
-    return check_special_profile(nseq, ncol, r, view.rank_bound)
+    nseq, ncol, (_, m) = _normalize(matroid, seq, coloring)
+    return check_special_profile(nseq, ncol, r, m)
 
 
 def general_precondition(matroid, seq, coloring, r):
@@ -292,11 +298,12 @@ def solve_special(matroid, seq, coloring, r, *, stats=None):
 
 def _special_parts(matroid, seq, coloring, r, stats):
     """The parts ``solve_special`` returns, for input it has already validated."""
-    view, nseq, ncol = _normalize(matroid, seq, coloring)
-    profile_ok = check_special_profile(nseq, ncol, r, view.rank_bound)
+    nseq, ncol, restriction = _normalize(matroid, seq, coloring)
+    profile_ok = check_special_profile(nseq, ncol, r, restriction[1])
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    return [seq.with_indices(p.indices) for p in _solve(view, nseq, ncol, r, 1, stats)]
+    parts = _solve(matroid, nseq, ncol, r, restriction, stats)
+    return [seq.with_indices(p.indices) for p in parts]
 
 
 def _certified(matroid, seq, coloring, r, parts):
@@ -388,11 +395,14 @@ def solve_noncolor(matroid, seq, r, *, stats=None):
 # The engine.
 
 
-def _solve(parent, seq, coloring, r, depth, stats):
+def _solve(matroid, seq, coloring, r, restriction, stats):
     """Returns r disjoint rainbow parts of ``seq`` with chained closures.
 
-    Trusts that (seq, coloring, r) satisfies the special profile after
-    normalization; that is asserted (never raised on legal public input).
+    ``seq`` and ``coloring`` come normalized, and ``restriction`` is the
+    ``(elements, m)`` that ``_normalize`` returned with them.  Trusts that
+    (seq, coloring, r) satisfies the special profile after normalization;
+    that is asserted (never raised on legal public input).
+
     Both ways down are steps of one loop, not recursive calls, so the stack
     does not grow with r or with the rank: a spanning RI becomes the top
     part and the rest is solved with r-1 one depth further down, and a
@@ -401,6 +411,7 @@ def _solve(parent, seq, coloring, r, depth, stats):
     the top parts of every depth, outermost first.
     """
     tops = []
+    depth = 1
     while True:
         stats.recursion_depth = max(stats.recursion_depth, depth)
         if r == 1:
@@ -408,8 +419,8 @@ def _solve(parent, seq, coloring, r, depth, stats):
             # after carving out a spanning RI with r' = 1 a color may
             # legitimately have run out.
             return [seq.take_first(1)] + tops[::-1]
-        view, seq, coloring = _normalize(parent, seq, coloring)
-        m = view.rank_bound
+        seq, coloring, restriction = _normalize(matroid, seq, coloring, restriction)
+        m = restriction[1]
         ok = check_special_profile(seq, coloring, r, m)
         if not ok:
             raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
@@ -420,10 +431,10 @@ def _solve(parent, seq, coloring, r, depth, stats):
                 raise InternalInvariantBroken("rank-1 base case is short of entries")
             return [seq.with_indices({seq.entries[i][0]}) for i in range(r)] + tops[::-1]
 
-        ri = _extend_rainbow(view, seq, coloring, seq.with_indices(()))
+        ri = _extend_rainbow(matroid, seq, coloring, seq.with_indices(()))
         restarts = 0
         while len(ri) < m:
-            kind, found = _run_cycle(view, seq, coloring, ri, depth, stats)
+            kind, found = _run_cycle(matroid, m, seq, coloring, ri, depth, stats)
             if kind == "flat":
                 break
             restarts += 1
@@ -433,25 +444,24 @@ def _solve(parent, seq, coloring, r, depth, stats):
                 raise InternalInvariantBroken("more cycle restarts than the rank allows")
             if len(found) != len(ri) + 1:
                 raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-            ri = _extend_rainbow(view, seq, coloring, found)
+            ri = _extend_rainbow(matroid, seq, coloring, found)
         else:
             # RI spans: it is the top part, and r-1 parts remain below it.
             stats.note(depth, "spanning", ri=len(ri), r=r)
             tops.append(ri)
-            parent, seq, r, depth = view, seq.difference(ri), r - 1, depth + 1
+            seq, r, depth = seq.difference(ri), r - 1, depth + 1
             continue
         # Case a: the parts lie inside a smaller flat, with the same r.
-        parent, (seq, coloring), depth = view, found, depth + 1
+        (seq, coloring), depth = found, depth + 1
 
 
-def _run_cycle(view, seq, coloring, ri, depth, stats):
-    """One run of the replacement cycle for a non-spanning RI.
+def _run_cycle(matroid, m, seq, coloring, ri, depth, stats):
+    """One run of the replacement cycle for a non-spanning RI of rank-m elements.
 
     Returns ("flat", (sub_seq, sub_coloring)) when the answer lies inside a
     smaller flat and the caller should solve that instance, or ("grow",
     enlarged_seed) when RI can be extended and the caller should restart.
     """
-    m = view.rank_bound
     all_colors = coloring.colors_of(seq)
     ri_colors = coloring.colors_of(ri)
     k_set = all_colors - ri_colors
@@ -466,8 +476,8 @@ def _run_cycle(view, seq, coloring, ri, depth, stats):
     iterations = 0
     while True:
         i_elems = i_seq.set_image
-        outside_i = [entry for entry in c_k if not view.covers(entry[1], i_elems)]
-        _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
+        outside_i = [entry for entry in c_k if not matroid.covers(entry[1], i_elems)]
+        _check_rules(matroid, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
@@ -479,13 +489,13 @@ def _run_cycle(view, seq, coloring, ri, depth, stats):
             return "flat", _case_smaller_flat(seq, coloring, i_seq, c_k)
 
         ri_elems = ri.set_image
-        escape = next((p for p in outside_i if not view.covers(p[1], ri_elems)), None)
+        escape = next((p for p in outside_i if not matroid.covers(p[1], ri_elems)), None)
         if escape is not None:
             stats.note(depth, "case_b", p=escape[0])
-            return "grow", _case_grow(view, seq, coloring, ri, i_seq, aug, escape)
+            return "grow", _case_grow(matroid, seq, coloring, ri, i_seq, aug, escape)
 
         stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
-        k_set, i_seq, aug = _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k)
+        k_set, i_seq, aug = _case_advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k)
         c_k = color_class(seq, coloring, k_set)
 
 
@@ -515,7 +525,7 @@ def _case_smaller_flat(seq, coloring, i_seq, c_k):
     return sub_seq, coloring.overridden(recolored, extra_palette=(z,))
 
 
-def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry):
+def _case_grow(matroid, seq, coloring, ri, i_seq, aug, p_entry):
     """Some eligible entry escapes cl(RI): swap I for I^p, growing RI by one.
 
     The grown sequence seeds the restart, so what a seed must satisfy is
@@ -529,21 +539,21 @@ def _case_grow(view, seq, coloring, ri, i_seq, aug, p_entry):
         raise InternalInvariantBroken("exchange left the sequence")
     if not is_rainbow(grown, coloring):
         raise InternalInvariantBroken("exchange broke rainbowness of RI")
-    if view.rank(grown.set_image) != len(grown):
+    if matroid.rank(grown.set_image) != len(grown):
         raise InternalInvariantBroken("exchange broke independence of RI")
     if len(grown) != len(ri) + 1:
         raise InternalInvariantBroken("exchange did not enlarge RI by one")
     # Growth is genuine: cl(grown) equals cl(RI + p).
     order = distinct_elements(ri.entries + (p_entry,))
     target, grown_elems = frozenset(order), grown.set_image
-    if not all(view.covers(e, target) for e in distinct_elements(grown)):
+    if not all(matroid.covers(e, target) for e in distinct_elements(grown)):
         raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
-    if not all(view.covers(e, grown_elems) for e in order):
+    if not all(matroid.covers(e, grown_elems) for e in order):
         raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
 
-def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
+def _case_advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k):
     """All of C_K sits inside cl(RI) but not inside cl(I): enlarge (K, I).
 
     The new I is an inclusion-minimal subsequence of RI spanning C_K,
@@ -553,11 +563,11 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
     """
     ck_elems = distinct_elements(c_k)
     ck_set = frozenset(ck_elems)
-    coloops = view.known_coloops
+    coloops = matroid.known_coloops
 
     def spans(entries):
         elems = frozenset([e for _, e in entries])
-        return all(view.covers(x, elems) for x in ck_elems)
+        return all(matroid.covers(x, elems) for x in ck_elems)
 
     current = list(ri.entries)
     if not spans(current):
@@ -576,7 +586,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
 
     if not (set(i_seq.entries) < set(i_next.entries)):
         raise InternalInvariantBroken("I did not strictly grow")
-    if view.rank(i_next.set_image) <= view.rank(i_seq.set_image):
+    if matroid.rank(i_next.set_image) <= matroid.rank(i_seq.set_image):
         raise InternalInvariantBroken("cl(I) did not strictly grow")
 
     k_next = k_set | coloring.colors_of(i_next)
@@ -587,7 +597,7 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
     for rr in new_entries:
         reduced = i_next.with_indices(i_next.indices - {rr[0]})
         reduced_elems = reduced.set_image
-        witness = next((q for q in c_k if not view.covers(q[1], reduced_elems)), None)
+        witness = next((q for q in c_k if not matroid.covers(q[1], reduced_elems)), None)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
         if witness not in aug:
@@ -596,13 +606,13 @@ def _case_advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
         base = reduced.difference(i_seq).union(exchange_q)
         same_color = color_class(seq, coloring, {coloring.of(rr)})
         for p in same_color:
-            if view.covers(p[1], i_next_elems):
+            if matroid.covers(p[1], i_next_elems):
                 continue
             aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
     return k_next, i_next, aug_next
 
 
-def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
+def _check_rules(matroid, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
     """Assert the five invariants of the replacement rules, plus domain.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
@@ -643,7 +653,7 @@ def _check_rules(view, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
         if rest_elems in checked:
             continue
         checked.add(rest_elems)
-        if not all(view.covers(e, i_elems) for e in distinct_elements(rest)):
+        if not all(matroid.covers(e, i_elems) for e in distinct_elements(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
-        if not all(view.covers(e, rest_elems) for e in i_order):
+        if not all(matroid.covers(e, rest_elems) for e in i_order):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")

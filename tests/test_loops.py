@@ -20,7 +20,6 @@ from matroid_tverberg import (
     LoopInInput,
     MatroidOracle,
     UniformMatroid,
-    UnknownElement,
     VectorMatroidGFp,
     VectorMatroidRational,
     add_coloops,
@@ -66,19 +65,10 @@ def family_builders(draw, prefix):
 
 @st.composite
 def matroid_builders(draw):
-    """A family, maybe padded with coloops, maybe restricted (views of views too)."""
+    """A family, maybe padded with coloops."""
     base = draw(family_builders("g"))
     count = draw(st.integers(0, 2))
-    ground = add_coloops(base(), count).ground
-    keeps = draw(st.lists(st.lists(st.sampled_from(ground), unique=True), max_size=2)) if ground else []
-
-    def build():
-        matroid = add_coloops(base(), count)
-        for keep in keeps:
-            matroid = matroid.restrict([e for e in keep if e in matroid.ground_set])
-        return matroid
-
-    return build
+    return lambda: add_coloops(base(), count)
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,15 +99,10 @@ def test_a_loop_in_the_input_raises_without_asking(matroid, elements, named):
     assert matroid.oracle_calls == 0
 
 
-def test_a_view_and_a_sum_pass_the_loops_on():
+def test_a_sum_passes_the_loops_on():
     gfp = VectorMatroidGFp(2, 1, {"a": (1,), "o": (0,)})
-    view = gfp.restrict(["a"])
-    assert view.loops is gfp.loops
-    assert not view.is_loop("a")
-    with pytest.raises(UnknownElement):
-        view.is_loop("o")
-    total = DirectSumMatroid(view, GraphicMatroid(1, {"o2": (0, 0)}))
-    assert total.loops == {"o2"}
+    total = DirectSumMatroid(gfp, GraphicMatroid(1, {"o2": (0, 0)}))
+    assert total.loops == {"o", "o2"}
 
 
 def test_a_subclass_without_a_declaration_asks_once():

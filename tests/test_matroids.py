@@ -12,7 +12,6 @@ from matroid_tverberg import (
     AffineMatroid,
     DirectSumMatroid,
     GraphicMatroid,
-    RestrictionView,
     UniformMatroid,
     UnknownElement,
     VectorMatroidGFp,
@@ -112,22 +111,6 @@ def test_add_coloops_avoids_id_collisions():
     assert len(set(extended.ground)) == 4
 
 
-def test_restrict_rank():
-    m = gfp_matroid(3, 2, {"d": (2, 0)})
-    view = RestrictionView(m, {"b1", "d"})
-    assert view.rank_bound == 1  # both on the same line through the origin
-    assert set(view.ground) == {"b1", "d"}
-    assert RestrictionView(m, m.ground).rank_bound == m.rank_bound
-    assert RestrictionView(m, ()).rank_bound == 0
-
-
-def test_restriction_flattens():
-    m = gfp_matroid(2, 3)
-    v1 = m.restrict({"b1", "b2"})
-    v2 = v1.restrict({"b1"})
-    assert v2.parent is m
-
-
 def test_unknown_element_errors(gf2_plane):
     with pytest.raises(UnknownElement):
         gf2_plane.in_closure("nope", {"x"})
@@ -137,6 +120,14 @@ def test_unknown_element_errors(gf2_plane):
         gf2_plane.rank({"nope"})
     with pytest.raises(UnknownElement):
         gf2_plane.is_coloop("nope")
+
+
+def test_max_independent_rejects_an_unknown_element(u24):
+    # The greedy walks ys itself, so an element outside the ground is named,
+    # not skipped, before any question is asked.
+    with pytest.raises(UnknownElement, match="'zz'"):
+        u24.max_independent(["zz", "e1"])
+    assert u24.oracle_calls == 0
 
 
 def test_direct_sum_requires_disjoint_ids():
@@ -159,14 +150,6 @@ def test_call_counting(gf2_plane):
     gf2_plane.in_closure("x", {"y"})
     gf2_plane.in_closure("x", {"y"})  # memo hit still counts as a query
     assert gf2_plane.oracle_calls == before + 2
-
-
-def test_restriction_counts_in_parent(gf2_plane):
-    view = gf2_plane.restrict({"x", "y"})
-    before = gf2_plane.oracle_calls
-    view.in_closure("x", {"y"})
-    assert gf2_plane.oracle_calls == before + 1
-    assert view.oracle_calls == gf2_plane.oracle_calls
 
 
 @pytest.mark.parametrize("family", sorted(family_zoo(3)))
@@ -198,29 +181,6 @@ def test_direct_sum_unknown_elements_raise_with_a_warm_memo():
     assert ds.oracle_calls == before
 
 
-def test_restriction_rejects_elements_its_parent_has_memoized(gf2_plane):
-    assert gf2_plane.in_closure("z", {"x", "y"})
-    assert gf2_plane.in_closure("x", {"y", "z"})
-    view = gf2_plane.restrict({"x", "y"}).restrict({"x", "y"})
-    before = gf2_plane.oracle_calls
-    with pytest.raises(UnknownElement):
-        view.in_closure("z", {"x", "y"})
-    with pytest.raises(UnknownElement):
-        view.in_closure("x", {"y", "z"})
-    assert gf2_plane.oracle_calls == before
-    assert not view.in_closure("x", {"y"})
-    assert gf2_plane.oracle_calls == before + 1
-
-
-def test_restriction_of_a_direct_sum_rejects_memoized_outside_elements():
-    padded = add_coloops(UniformMatroid(1, 2, ids=("a", "b")), 2)
-    assert not padded.in_closure("x1", {"a", "x2"})
-    view = padded.restrict({"a", "b", "x2"})
-    with pytest.raises(UnknownElement):
-        view.in_closure("x1", {"a", "x2"})
-    assert not view.in_closure("x2", {"a", "b"})
-
-
 # ---------------------------------------------------------------------------
 # Sampled axioms, across every family.
 
@@ -250,17 +210,14 @@ def test_closure_axioms_sampled(m):
 
 @st.composite
 def covers_cases(draw):
-    """A matroid of any family, as it is, padded with coloops or restricted."""
+    """A matroid of any family, as it is or padded with coloops."""
     m = draw(st.integers(1, 3))
     zoo = {name: matroid for name, (matroid, _) in family_zoo(m).items()}
     zoo["affine_gf3"] = AffineMatroid(3, 1, {"p0": (0,), "p1": (1,), "p2": (2,)})
     zoo["free"] = UniformMatroid(m, m)
     matroid = zoo[draw(st.sampled_from(sorted(zoo)))]
-    shape = draw(st.sampled_from(["plain", "padded", "view"]))
-    if shape != "plain":
+    if draw(st.booleans()):
         matroid = add_coloops(matroid, draw(st.integers(1, 2)))
-    if shape == "view":
-        matroid = matroid.restrict(draw(st.sets(st.sampled_from(matroid.ground), min_size=1)))
     x = draw(st.sampled_from(matroid.ground))
     return matroid, x, draw(st.frozensets(st.sampled_from(matroid.ground)))
 

@@ -597,8 +597,8 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     # compares the map's domain with the pass's own scan of C_K.
     advance = solver._case_advance
 
-    def faulty(view, seq, coloring, ri, k_set, i_seq, aug, c_k):
-        k_next, i_next, aug_next = advance(view, seq, coloring, ri, k_set, i_seq, aug, c_k)
+    def faulty(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k):
+        k_next, i_next, aug_next = advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k)
         if fault == "drop":
             del aug_next[min(aug_next)]
         else:
