@@ -235,11 +235,21 @@ def _parse_tree(text):
     return root
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def _int(token, line, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what}: expected an integer, got {token!r}", line) from None
+    """An integer written ``[+-]digits`` in ASCII digits.
+
+    ``int`` alone also reads underscores and other scripts' digits; it
+    still refuses a token longer than the interpreter's digit limit.
+    """
+    if _INT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(f"{what}: expected an integer, got {token!r}", line)
 
 
 def _prime(token, line, what):

@@ -215,6 +215,26 @@ def test_a_block_on_a_field_line_is_a_parse_error(text):
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize("token", ["0_1", "\u0661"], ids=["underscore", "arabic_indic_one"])
+@pytest.mark.parametrize(
+    "parse, text, what, line",
+    [
+        (parse_instance, SAMPLE.replace("r 2", "r @"), "r", 4),
+        (parse_instance, SAMPLE.replace("element a 1 0", "element a @ 0"), "coordinate", 8),
+        (parse_instance, GRAPHIC.replace("edge g1 0 1", "edge g1 0 @"), "vertex", 5),
+        (parse_partition, "parts 1\npart @\n", "index", 2),
+    ],
+    ids=["r", "coordinate", "vertex", "index"],
+)
+def test_an_integer_is_ascii_digits(parse, text, what, line, token):
+    # int() alone also reads underscores and other scripts' digits; each
+    # token here would read as 1, which the plain digit shows is valid.
+    parse(text.replace("@", "1"))
+    with pytest.raises(ParseError, match=f"{what}: expected an integer") as err:
+        parse(text.replace("@", token))
+    assert err.value.line == line
+
+
 GFP_SUM = """mode noncolor
 r 2
 matroid direct_sum {
