@@ -154,7 +154,8 @@ class MatroidOracle:
         """A maximal independent subset of ``ys``.
 
         Greedy scan of ``ys`` in stored ground order, so results are
-        reproducible and the cost grows with |ys|, not with the ground.
+        reproducible and, once ``_position`` is built, the cost grows with
+        |ys|, not with the ground.
         """
         fs = frozenset(ys)
         if not fs <= self._ground_set:
