@@ -27,6 +27,12 @@ from .sequences import Coloring, IndexedSequence, distinct_elements
 from .solver import Partition, build_partition, verify_partition
 
 
+# Exhaustive search takes at most MAX_ENTRIES entries and MAX_R parts, so
+# its per-search closure table holds at most 2**MAX_ENTRIES = 4,096 masks.
+MAX_ENTRIES = 12
+MAX_R = 4
+
+
 @dataclass(frozen=True)
 class BruteForceBudget:
     """Caps that keep exhaustive enumeration from running unbounded.
@@ -35,8 +41,6 @@ class BruteForceBudget:
     bounds the number of labelings examined.
     """
 
-    max_entries: int = 12
-    max_r: int = 4
     max_assignments: int = 20_000_000
 
 
@@ -75,10 +79,10 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     if not isinstance(r, int) or r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
     n = len(seq)
-    if n > budget.max_entries:
-        raise BudgetExceeded(f"|S| = {n} exceeds the budget of {budget.max_entries}")
-    if r > budget.max_r:
-        raise BudgetExceeded(f"r = {r} exceeds the budget of {budget.max_r}")
+    if n > MAX_ENTRIES:
+        raise BudgetExceeded(f"|S| = {n} exceeds the budget of {MAX_ENTRIES}")
+    if r > MAX_R:
+        raise BudgetExceeded(f"r = {r} exceeds the budget of {MAX_R}")
 
     entries = seq.entries
     nonloop = [not matroid.is_loop(e) for _, e in entries]
@@ -225,8 +229,8 @@ def check_tightness(matroid, basis, r, budget=None):
     if r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
     m = len(basis)
-    if m * (r - 1) > budget.max_entries:
-        raise BudgetExceeded(f"m(r-1) = {m * (r - 1)} exceeds the budget of {budget.max_entries}")
+    if m * (r - 1) > MAX_ENTRIES:
+        raise BudgetExceeded(f"m(r-1) = {m * (r - 1)} exceeds the budget of {MAX_ENTRIES}")
     profile_count = (2**r - 1) ** m
     if profile_count > budget.max_assignments:
         raise BudgetExceeded(f"{profile_count} divisions exceed the assignment budget")

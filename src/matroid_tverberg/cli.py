@@ -15,26 +15,18 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bruteforce import BruteForceBudget, brute_force_solve
 from .errors import MatroidTverbergError, ParseError, PreconditionViolated
 from .instances import (
-    AffineSpec,
     GENERATOR_FAMILIES,
-    GraphicSpec,
-    InstanceFile,
-    UniformSpec,
-    VectorGFpSpec,
-    VectorRationalSpec,
-    check_generator_limits,
     emit_instance,
     emit_partition,
     gen_random_instance,
+    gen_tight_instance,
     parse_instance,
     parse_partition,
 )
-from .errors import InfeasibleRequest
 from .solver import (
     SolveStats,
     solve_general,
@@ -178,11 +170,7 @@ def _cmd_verify(args):
 
 def _cmd_brute(args):
     inst, oracle, seq, coloring = _load(args.instance)
-    budget = BruteForceBudget(
-        max_entries=args.max_entries,
-        max_r=args.max_r,
-        max_assignments=args.budget,
-    )
+    budget = BruteForceBudget(max_assignments=args.budget)
     partition = brute_force_solve(oracle, seq, coloring, inst.r, budget)
     if partition is None:
         _emit_report(
@@ -207,71 +195,28 @@ def _cmd_brute(args):
     return EXIT_OK
 
 
-def _tight_spec(family, m):
-    if m < 1:
-        raise InfeasibleRequest("rank must be at least 1")
-    if family == "uniform":
-        return UniformSpec(m, m + 2), [f"e{i}" for i in range(m)]
-    if family in ("vector_gf2", "vector_gf3"):
-        p = 2 if family == "vector_gf2" else 3
-        elements = {
-            f"b{i + 1}": tuple(1 if j == i else 0 for j in range(m)) for i in range(m)
-        }
-        elements["s"] = tuple(1 for _ in range(m))
-        return VectorGFpSpec(p, m, elements), [f"b{i + 1}" for i in range(m)]
-    if family == "vector_rational":
-        elements = {
-            f"b{i + 1}": tuple(Fraction(1 if j == i else 0) for j in range(m))
-            for i in range(m)
-        }
-        elements["s"] = tuple(Fraction(1) for _ in range(m))
-        return VectorRationalSpec(m, elements), [f"b{i + 1}" for i in range(m)]
-    if family == "affine_rational":
-        dim = m - 1
-        points = {
-            f"a{i + 1}": tuple(Fraction(1 if j == i - 1 else 0) for j in range(dim))
-            for i in range(m)
-        }
-        points["s"] = tuple(Fraction(1, m) for _ in range(dim))
-        return AffineSpec("rational", dim, points), [f"a{i + 1}" for i in range(m)]
-    if family == "graphic":
-        edges = {f"t{i + 1}": (i, i + 1) for i in range(m)}
-        edges["g0"] = (0, 1) if m == 1 else (0, 2)
-        return GraphicSpec(m + 1, edges), [f"t{i + 1}" for i in range(m)]
-    raise InfeasibleRequest(f"unknown family {family!r}")
+def _write_generated(inst, out):
+    text = emit_instance(inst)
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        print(text, end="")
+    return EXIT_OK
 
 
 def _cmd_gen_tight(args):
     if args.r < 2:
         print("gen-tight needs r >= 2 (r = 1 would yield an empty sequence)", file=sys.stderr)
         return EXIT_ERROR
-    m, r = args.rank, args.r
-    check_generator_limits(args.family, m, r, m * (r - 1), m + 2)
-    spec, basis = _tight_spec(args.family, args.rank)
-    refs = []
-    for eid in basis:
-        refs.extend([eid] * (args.r - 1))
-    inst = InstanceFile(matroid=spec, sequence=tuple(refs), colors=None, r=args.r, mode="noncolor")
-    text = emit_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _write_generated(gen_tight_instance(args.family, args.rank, args.r), args.out)
 
 
 def _cmd_gen_random(args):
     inst = gen_random_instance(
         args.family, args.rank, args.r, args.length, args.seed, args.profile
     )
-    text = emit_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _write_generated(inst, args.out)
 
 
 @functools.cache
@@ -303,8 +248,6 @@ def _build_parser():
     p = sub.add_parser("brute", help="exhaustive partition search")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=BruteForceBudget.max_assignments)
-    p.add_argument("--max-entries", type=int, default=BruteForceBudget.max_entries)
-    p.add_argument("--max-r", type=int, default=BruteForceBudget.max_r)
     p.add_argument("--out", help="write a found partition to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_brute)

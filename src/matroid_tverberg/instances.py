@@ -34,6 +34,12 @@ Matroid blocks:
 The sizes a file may declare are capped by the ``MAX_*`` constants, checked
 before the matroid is built.
 
+Each family is declared in one place, its spec class (``VectorGFpSpec`` ..
+``DirectSumSpec``): how its block reads and writes, which sizes it declares
+against the caps, and how its matroid is built.  ``FAMILIES`` maps the
+family names of the format to those classes.  The generator families are
+anchored in one place too, ``_anchor``, which both generators extend.
+
 A partition file lists one ``part`` line of entry indices per part::
 
     parts 2
@@ -47,6 +53,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import InfeasibleRequest, InternalInvariantBroken, ParseError
 from .matroids import (
@@ -62,15 +69,6 @@ from .sequences import Coloring, IndexedSequence
 
 MODES = ("general", "special", "noncolor")
 
-FAMILY_NAMES = (
-    "vector_gfp",
-    "vector_rational",
-    "affine",
-    "uniform",
-    "graphic",
-    "direct_sum",
-)
-
 
 # Caps on the sizes an instance file may declare.  ``parse_instance`` checks
 # them before it builds the matroid, so a short file cannot ask for more
@@ -85,78 +83,6 @@ MAX_DIM = 1_000
 MAX_R = 100_000
 MAX_SEQUENCE = 1_000_000
 MAX_P = 2**31 - 1
-
-
-# ---------------------------------------------------------------------------
-# Family specs.
-
-
-@dataclass
-class VectorGFpSpec:
-    p: int
-    dim: int
-    elements: dict
-
-    family = "vector_gfp"
-
-    def build(self):
-        return VectorMatroidGFp(self.p, self.dim, self.elements)
-
-
-@dataclass
-class VectorRationalSpec:
-    dim: int
-    elements: dict
-
-    family = "vector_rational"
-
-    def build(self):
-        return VectorMatroidRational(self.dim, self.elements)
-
-
-@dataclass
-class AffineSpec:
-    field: object  # "rational" or a prime
-    dim: int
-    points: dict
-
-    family = "affine"
-
-    def build(self):
-        return AffineMatroid(self.field, self.dim, self.points)
-
-
-@dataclass
-class UniformSpec:
-    k: int
-    n: int
-
-    family = "uniform"
-
-    def build(self):
-        return UniformMatroid(self.k, self.n)
-
-
-@dataclass
-class GraphicSpec:
-    vertices: int
-    edges: dict
-
-    family = "graphic"
-
-    def build(self):
-        return GraphicMatroid(self.vertices, self.edges)
-
-
-@dataclass
-class DirectSumSpec:
-    left: object
-    right: object
-
-    family = "direct_sum"
-
-    def build(self):
-        return DirectSumMatroid(self.left.build(), self.right.build())
 
 
 @dataclass
@@ -284,27 +210,7 @@ def _check_token(token, line, what):
 
 
 # ---------------------------------------------------------------------------
-# Matroid block readers / writers.
-
-
-def _read_matroid(node):
-    if len(node.tokens) != 2 or node.tokens[0] != "matroid":
-        raise ParseError("expected 'matroid <family> {'", node.line)
-    return _read_family(node.tokens[1], node.children, node.line)
-
-
-def _read_family(family, children, line):
-    if family not in FAMILY_NAMES:
-        raise ParseError(f"unknown matroid family {family!r}", line)
-    reader = {
-        "vector_gfp": _read_vector_gfp,
-        "vector_rational": _read_vector_rational,
-        "affine": _read_affine,
-        "uniform": _read_uniform,
-        "graphic": _read_graphic,
-        "direct_sum": _read_direct_sum,
-    }[family]
-    return reader(children, line)
+# Block fields and coordinate rows.
 
 
 def _scalar_fields(children, wanted, family):
@@ -326,7 +232,21 @@ def _scalar_fields(children, wanted, family):
     return values, rest
 
 
-def _read_vectors(children, dim, keyword):
+def _dim(values, line):
+    """The block's ``dim`` field, checked before any row is read."""
+    dim = _int(*values["dim"], "dim")
+    if dim < 0:
+        raise ParseError("dim must be nonnegative", line)
+    return dim
+
+
+def _read_rows(children, dim, keyword, field):
+    """The ``keyword ID c1 .. cD`` rows of a block, coordinates in ``field``.
+
+    ``field`` is ``"rational"`` or a prime, and coordinates over a prime are
+    reduced modulo it.  Every row's id and length is checked before any
+    coordinate is read.
+    """
     table = {}
     for node in children:
         if node.tokens[0] != keyword:
@@ -339,172 +259,241 @@ def _read_vectors(children, dim, keyword):
         if eid in table:
             raise ParseError(f"duplicate element id {eid!r}", node.line)
         table[eid] = (node.tokens[2:], node.line)
-    return table
-
-
-def _dim(values, line):
-    """The block's ``dim`` field, checked before any row is read."""
-    dim = _int(*values["dim"], "dim")
-    if dim < 0:
-        raise ParseError("dim must be nonnegative", line)
-    return dim
-
-
-def _read_vector_gfp(children, line):
-    values, rest = _scalar_fields(children, ("p", "dim"), "vector_gfp")
-    p = _prime(*values["p"], "p")
-    dim = _dim(values, line)
-    raw = _read_vectors(rest, dim, "element")
-    elements = {
-        eid: tuple(_int(tok, ln, "coordinate") % p for tok in toks)
-        for eid, (toks, ln) in raw.items()
-    }
-    return VectorGFpSpec(p, dim, elements)
-
-
-def _read_vector_rational(children, line):
-    values, rest = _scalar_fields(children, ("dim",), "vector_rational")
-    dim = _dim(values, line)
-    raw = _read_vectors(rest, dim, "element")
-    elements = {
-        eid: tuple(_fraction(tok, ln) for tok in toks) for eid, (toks, ln) in raw.items()
-    }
-    return VectorRationalSpec(dim, elements)
-
-
-def _read_affine(children, line):
-    field_nodes = [n for n in children if n.tokens[0] == "field"]
-    if len(field_nodes) != 1:
-        raise ParseError("affine needs exactly one 'field' line", line)
-    fnode = field_nodes[0]
-    if fnode.tokens[1:] == ["rational"]:
-        field = "rational"
-    elif len(fnode.tokens) == 3 and fnode.tokens[1] == "gfp":
-        field = _prime(fnode.tokens[2], fnode.line, "field prime")
-    else:
-        raise ParseError("field must be 'rational' or 'gfp <prime>'", fnode.line)
-    rest = [n for n in children if n.tokens[0] != "field"]
-    values, rest = _scalar_fields(rest, ("dim",), "affine")
-    dim = _dim(values, line)
-    raw = _read_vectors(rest, dim, "point")
     if field == "rational":
-        points = {
-            eid: tuple(_fraction(tok, ln) for tok in toks)
-            for eid, (toks, ln) in raw.items()
-        }
-    else:
-        points = {
-            eid: tuple(_int(tok, ln, "coordinate") % field for tok in toks)
-            for eid, (toks, ln) in raw.items()
-        }
-    return AffineSpec(field, dim, points)
+        return {eid: tuple(_fraction(tok, ln) for tok in toks) for eid, (toks, ln) in table.items()}
+    return {
+        eid: tuple(_int(tok, ln, "coordinate") % field for tok in toks)
+        for eid, (toks, ln) in table.items()
+    }
 
 
-def _read_uniform(children, line):
-    values, rest = _scalar_fields(children, ("k", "n"), "uniform")
-    if rest:
-        raise ParseError(f"unexpected field {rest[0].tokens[0]!r}", rest[0].line)
-    k = _int(*values["k"], "k")
-    n = _int(*values["n"], "n")
-    if k < 0 or n < 0:
-        raise ParseError("k and n must be nonnegative", line)
-    return UniformSpec(k, n)
+def _write_rows(indent, keyword, field, rows):
+    """One ``keyword ID c1 .. cD`` line per row; rational coordinates are normalized."""
+    text = (lambda c: str(Fraction(c))) if field == "rational" else str
+    return [" ".join([indent + keyword, eid, *map(text, coords)]) for eid, coords in rows.items()]
 
 
-def _read_graphic(children, line):
-    values, rest = _scalar_fields(children, ("vertices",), "graphic")
-    vertices = _int(*values["vertices"], "vertices")
-    if vertices < 0:
-        raise ParseError("vertices must be nonnegative", line)
-    edges = {}
-    for node in rest:
-        if node.tokens[0] != "edge":
-            raise ParseError(f"unexpected field {node.tokens[0]!r}", node.line)
-        if len(node.tokens) != 4:
-            raise ParseError("edge needs an id and two vertex numbers", node.line)
-        eid = _check_token(node.tokens[1], node.line, "edge id")
-        if eid in edges:
-            raise ParseError(f"duplicate edge id {eid!r}", node.line)
-        u = _int(node.tokens[2], node.line, "vertex")
-        v = _int(node.tokens[3], node.line, "vertex")
-        if not (0 <= u < vertices and 0 <= v < vertices):
-            raise ParseError(f"edge {eid!r} references a vertex outside 0..{vertices - 1}", node.line)
-        edges[eid] = (u, v)
-    return GraphicSpec(vertices, edges)
+# ---------------------------------------------------------------------------
+# Family specs.  Each class is one family of the instance format: ``read``
+# parses its block's fields, ``emit`` writes them at ``indent``,
+# ``declared`` yields ``(family, field, value, cap)`` for each size the
+# ``MAX_*`` caps bound, and ``build`` makes the matroid.
 
 
-def _read_direct_sum(children, line):
-    sides = {}
-    for node in children:
-        key = node.tokens[0]
-        if key not in ("left", "right"):
-            raise ParseError(f"unexpected field {key!r} in direct_sum", node.line)
-        if node.children is None or len(node.tokens) != 2:
-            raise ParseError(f"expected '{key} <family> {{'", node.line)
-        if key in sides:
-            raise ParseError(f"duplicate {key!r} block", node.line)
-        sides[key] = _read_family(node.tokens[1], node.children, node.line)
-    if set(sides) != {"left", "right"}:
-        raise ParseError("direct_sum needs one left and one right block", line)
-    return DirectSumSpec(sides["left"], sides["right"])
+@dataclass
+class VectorGFpSpec:
+    p: int
+    dim: int
+    elements: dict
+
+    family = "vector_gfp"
+
+    @classmethod
+    def read(cls, children, line):
+        values, rest = _scalar_fields(children, ("p", "dim"), cls.family)
+        p = _prime(*values["p"], "p")
+        dim = _dim(values, line)
+        return cls(p, dim, _read_rows(rest, dim, "element", p))
+
+    def emit(self, indent):
+        rows = _write_rows(indent, "element", self.p, self.elements)
+        return [f"{indent}p {self.p}", f"{indent}dim {self.dim}", *rows]
+
+    def declared(self):
+        yield self.family, "dim", self.dim, MAX_DIM
+
+    def build(self):
+        return VectorMatroidGFp(self.p, self.dim, self.elements)
+
+
+@dataclass
+class VectorRationalSpec:
+    dim: int
+    elements: dict
+
+    family = "vector_rational"
+
+    @classmethod
+    def read(cls, children, line):
+        values, rest = _scalar_fields(children, ("dim",), cls.family)
+        dim = _dim(values, line)
+        return cls(dim, _read_rows(rest, dim, "element", "rational"))
+
+    def emit(self, indent):
+        rows = _write_rows(indent, "element", "rational", self.elements)
+        return [f"{indent}dim {self.dim}", *rows]
+
+    def declared(self):
+        yield self.family, "dim", self.dim, MAX_DIM
+
+    def build(self):
+        return VectorMatroidRational(self.dim, self.elements)
+
+
+@dataclass
+class AffineSpec:
+    field: object  # "rational" or a prime
+    dim: int
+    points: dict
+
+    family = "affine"
+
+    @classmethod
+    def read(cls, children, line):
+        field_nodes = [n for n in children if n.tokens[0] == "field"]
+        if len(field_nodes) != 1:
+            raise ParseError("affine needs exactly one 'field' line", line)
+        fnode = field_nodes[0]
+        if fnode.tokens[1:] == ["rational"]:
+            field = "rational"
+        elif len(fnode.tokens) == 3 and fnode.tokens[1] == "gfp":
+            field = _prime(fnode.tokens[2], fnode.line, "field prime")
+        else:
+            raise ParseError("field must be 'rational' or 'gfp <prime>'", fnode.line)
+        rest = [n for n in children if n.tokens[0] != "field"]
+        values, rest = _scalar_fields(rest, ("dim",), cls.family)
+        dim = _dim(values, line)
+        return cls(field, dim, _read_rows(rest, dim, "point", field))
+
+    def emit(self, indent):
+        field = "rational" if self.field == "rational" else f"gfp {self.field}"
+        rows = _write_rows(indent, "point", self.field, self.points)
+        return [f"{indent}field {field}", f"{indent}dim {self.dim}", *rows]
+
+    def declared(self):
+        yield self.family, "dim", self.dim, MAX_DIM
+
+    def build(self):
+        return AffineMatroid(self.field, self.dim, self.points)
+
+
+@dataclass
+class UniformSpec:
+    k: int
+    n: int
+
+    family = "uniform"
+
+    @classmethod
+    def read(cls, children, line):
+        values, rest = _scalar_fields(children, ("k", "n"), cls.family)
+        if rest:
+            raise ParseError(f"unexpected field {rest[0].tokens[0]!r}", rest[0].line)
+        k = _int(*values["k"], "k")
+        n = _int(*values["n"], "n")
+        if k < 0 or n < 0:
+            raise ParseError("k and n must be nonnegative", line)
+        return cls(k, n)
+
+    def emit(self, indent):
+        return [f"{indent}k {self.k}", f"{indent}n {self.n}"]
+
+    def declared(self):
+        yield self.family, "n", self.n, MAX_N
+
+    def build(self):
+        return UniformMatroid(self.k, self.n)
+
+
+@dataclass
+class GraphicSpec:
+    vertices: int
+    edges: dict
+
+    family = "graphic"
+
+    @classmethod
+    def read(cls, children, line):
+        values, rest = _scalar_fields(children, ("vertices",), cls.family)
+        vertices = _int(*values["vertices"], "vertices")
+        if vertices < 0:
+            raise ParseError("vertices must be nonnegative", line)
+        edges = {}
+        for node in rest:
+            if node.tokens[0] != "edge":
+                raise ParseError(f"unexpected field {node.tokens[0]!r}", node.line)
+            if len(node.tokens) != 4:
+                raise ParseError("edge needs an id and two vertex numbers", node.line)
+            eid = _check_token(node.tokens[1], node.line, "edge id")
+            if eid in edges:
+                raise ParseError(f"duplicate edge id {eid!r}", node.line)
+            u = _int(node.tokens[2], node.line, "vertex")
+            v = _int(node.tokens[3], node.line, "vertex")
+            if not (0 <= u < vertices and 0 <= v < vertices):
+                raise ParseError(
+                    f"edge {eid!r} references a vertex outside 0..{vertices - 1}", node.line
+                )
+            edges[eid] = (u, v)
+        return cls(vertices, edges)
+
+    def emit(self, indent):
+        return [f"{indent}vertices {self.vertices}"] + [
+            f"{indent}edge {eid} {u} {v}" for eid, (u, v) in self.edges.items()
+        ]
+
+    def declared(self):
+        yield self.family, "vertices", self.vertices, MAX_VERTICES
+
+    def build(self):
+        return GraphicMatroid(self.vertices, self.edges)
+
+
+@dataclass
+class DirectSumSpec:
+    left: object
+    right: object
+
+    family = "direct_sum"
+
+    @classmethod
+    def read(cls, children, line):
+        sides = {}
+        for node in children:
+            key = node.tokens[0]
+            if key not in ("left", "right"):
+                raise ParseError(f"unexpected field {key!r} in direct_sum", node.line)
+            if node.children is None or len(node.tokens) != 2:
+                raise ParseError(f"expected '{key} <family> {{'", node.line)
+            if key in sides:
+                raise ParseError(f"duplicate {key!r} block", node.line)
+            sides[key] = _read_family(node.tokens[1], node.children, node.line)
+        if set(sides) != {"left", "right"}:
+            raise ParseError("direct_sum needs one left and one right block", line)
+        return cls(sides["left"], sides["right"])
+
+    def emit(self, indent):
+        lines = []
+        for key, side in (("left", self.left), ("right", self.right)):
+            lines += [f"{indent}{key} {side.family} {{", *side.emit(indent + "    "), f"{indent}}}"]
+        return lines
+
+    def declared(self):
+        yield from self.left.declared()
+        yield from self.right.declared()
+
+    def build(self):
+        return DirectSumMatroid(self.left.build(), self.right.build())
+
+
+FAMILIES = {
+    spec.family: spec
+    for spec in (
+        VectorGFpSpec, VectorRationalSpec, AffineSpec, UniformSpec, GraphicSpec, DirectSumSpec
+    )
+}
+
+
+def _read_family(family, children, line):
+    if family not in FAMILIES:
+        raise ParseError(f"unknown matroid family {family!r}", line)
+    return FAMILIES[family].read(children, line)
 
 
 def _check_limits(spec, line):
     """Raise ParseError if the spec, or a summand of it, declares more than the caps allow."""
-    if spec.family == "direct_sum":
-        _check_limits(spec.left, line)
-        _check_limits(spec.right, line)
-        return
-    if spec.family == "uniform":
-        what, value, cap = "n", spec.n, MAX_N
-    elif spec.family == "graphic":
-        what, value, cap = "vertices", spec.vertices, MAX_VERTICES
-    else:
-        what, value, cap = "dim", spec.dim, MAX_DIM
-    if value > cap:
-        raise ParseError(f"{spec.family}: {what} {value} exceeds the limit of {cap}", line)
-
-
-def _emit_family(spec, indent):
-    pad = "    " * indent
-    inner = "    " * (indent + 1)
-    lines = []
-    if spec.family == "vector_gfp":
-        lines.append(f"{inner}p {spec.p}")
-        lines.append(f"{inner}dim {spec.dim}")
-        for eid, coords in spec.elements.items():
-            lines.append(f"{inner}element {eid} " + " ".join(str(c) for c in coords))
-    elif spec.family == "vector_rational":
-        lines.append(f"{inner}dim {spec.dim}")
-        for eid, coords in spec.elements.items():
-            lines.append(f"{inner}element {eid} " + " ".join(str(Fraction(c)) for c in coords))
-    elif spec.family == "affine":
-        field = "rational" if spec.field == "rational" else f"gfp {spec.field}"
-        lines.append(f"{inner}field {field}")
-        lines.append(f"{inner}dim {spec.dim}")
-        for eid, coords in spec.points.items():
-            if spec.field == "rational":
-                rendered = " ".join(str(Fraction(c)) for c in coords)
-            else:
-                rendered = " ".join(str(c) for c in coords)
-            lines.append(f"{inner}point {eid} {rendered}".rstrip())
-    elif spec.family == "uniform":
-        lines.append(f"{inner}k {spec.k}")
-        lines.append(f"{inner}n {spec.n}")
-    elif spec.family == "graphic":
-        lines.append(f"{inner}vertices {spec.vertices}")
-        for eid, (u, v) in spec.edges.items():
-            lines.append(f"{inner}edge {eid} {u} {v}")
-    elif spec.family == "direct_sum":
-        lines.append(f"{inner}left {spec.left.family} {{")
-        lines.extend(_emit_family(spec.left, indent + 1))
-        lines.append(f"{inner}}}")
-        lines.append(f"{inner}right {spec.right.family} {{")
-        lines.extend(_emit_family(spec.right, indent + 1))
-        lines.append(f"{inner}}}")
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
-    return lines
+    for family, what, value, cap in spec.declared():
+        if value > cap:
+            raise ParseError(f"{family}: {what} {value} exceeds the limit of {cap}", line)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +531,9 @@ def parse_instance(text):
         elif key == "matroid":
             if matroid is not None:
                 raise ParseError("duplicate matroid block", node.line)
-            if node.children is None:
+            if node.children is None or len(node.tokens) != 2:
                 raise ParseError("expected 'matroid <family> {'", node.line)
-            matroid = _read_matroid(node)
+            matroid = _read_family(node.tokens[1], node.children, node.line)
             matroid_line = node.line
         elif key == "sequence":
             sequence.extend(_check_token(t, node.line, "element reference") for t in node.tokens[1:])
@@ -602,10 +591,8 @@ def _wrap_tokens(keyword, tokens, per_line=12):
 
 def emit_instance(inst):
     """Render an InstanceFile canonically; parse(emit(x)) == x."""
-    lines = [f"mode {inst.mode}", f"r {inst.r}"]
-    lines.append(f"matroid {inst.matroid.family} {{")
-    lines.extend(_emit_family(inst.matroid, 0))
-    lines.append("}")
+    lines = [f"mode {inst.mode}", f"r {inst.r}", f"matroid {inst.matroid.family} {{"]
+    lines += [*inst.matroid.emit("    "), "}"]
     lines.extend(_wrap_tokens("sequence", inst.sequence))
     if inst.colors is not None:
         lines.extend(_wrap_tokens("colors", inst.colors))
@@ -693,80 +680,6 @@ def _color_plan(profile, m, r, length, rng):
     return tuple(multiset)
 
 
-def _gen_vector_gfp(p, m, length, rng):
-    elements = {}
-    for i in range(m):
-        elements[f"b{i + 1}"] = tuple(1 if j == i else 0 for j in range(m))
-    refs = []
-    for i in range(length):
-        while True:
-            coords = tuple(rng.randrange(p) for _ in range(m))
-            if any(coords):
-                break
-        eid = f"g{i}"
-        elements[eid] = coords
-        refs.append(eid)
-    return VectorGFpSpec(p, m, elements), refs
-
-
-def _random_fraction(rng):
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-
-def _gen_vector_rational(m, length, rng):
-    elements = {}
-    for i in range(m):
-        elements[f"b{i + 1}"] = tuple(Fraction(1 if j == i else 0) for j in range(m))
-    refs = []
-    for i in range(length):
-        while True:
-            coords = tuple(_random_fraction(rng) for _ in range(m))
-            if any(coords):
-                break
-        eid = f"g{i}"
-        elements[eid] = coords
-        refs.append(eid)
-    return VectorRationalSpec(m, elements), refs
-
-
-def _gen_affine_rational(m, length, rng):
-    dim = m - 1
-    points = {}
-    for i in range(m):
-        points[f"a{i + 1}"] = tuple(
-            Fraction(1 if j == i - 1 else 0) for j in range(dim)
-        )
-    refs = []
-    for i in range(length):
-        eid = f"g{i}"
-        points[eid] = tuple(_random_fraction(rng) for _ in range(dim))
-        refs.append(eid)
-    return AffineSpec("rational", dim, points), refs
-
-
-def _gen_uniform(m, n, length, rng):
-    refs = [f"e{rng.randrange(n)}" for _ in range(length)]
-    return UniformSpec(m, n), refs
-
-
-def _gen_graphic(m, length, rng):
-    vertices = m + 1
-    edges = {}
-    for i in range(m):
-        edges[f"t{i + 1}"] = (i, i + 1)
-    extra = max(2, length // 2)
-    for i in range(extra):
-        while True:
-            u = rng.randrange(vertices)
-            v = rng.randrange(vertices)
-            if u != v:
-                break
-        edges[f"g{i}"] = (u, v)
-    pool = list(edges)
-    refs = [pool[rng.randrange(len(pool))] for _ in range(length)]
-    return GraphicSpec(vertices, edges), refs
-
-
 def check_generator_limits(family, m, r, length, uniform_n):
     """Raise InfeasibleRequest unless a generated file of these sizes would parse.
 
@@ -785,6 +698,40 @@ def check_generator_limits(family, m, r, length, uniform_n):
     for what, value, cap in (declared, ("r", r, MAX_R), ("sequence length", length, MAX_SEQUENCE)):
         if value > cap:
             raise InfeasibleRequest(f"{family}: {what} {value} exceeds the file limit of {cap}")
+
+
+_PRIMES = {"vector_gf2": 2, "vector_gf3": 3}
+
+
+def _unit(i, dim):
+    return tuple(int(j == i) for j in range(dim))
+
+
+def _anchor(family, m, n):
+    """A generator family's rank-m spec before any other element, and its basis ids.
+
+    The vector families hold the unit vectors b1..bm, ``affine_rational``
+    the origin a1 and the unit points a2..am of dimension m - 1,
+    ``graphic`` the path t1..tm on m + 1 vertices, and ``uniform`` is
+    U(m, n) with basis e0..e{m-1}.  The caller runs
+    ``check_generator_limits`` first, so no anchor past the caps is built.
+    """
+    if family == "uniform":
+        return UniformSpec(m, n), [f"e{i}" for i in range(m)]
+    if family == "graphic":
+        spec = GraphicSpec(m + 1, {f"t{i + 1}": (i, i + 1) for i in range(m)})
+        return spec, list(spec.edges)
+    if family == "affine_rational":
+        spec = AffineSpec("rational", m - 1, {f"a{i + 1}": _unit(i - 1, m - 1) for i in range(m)})
+        return spec, list(spec.points)
+    rows = {f"b{i + 1}": _unit(i, m) for i in range(m)}
+    if family == "vector_rational":
+        return VectorRationalSpec(m, rows), list(rows)
+    return VectorGFpSpec(_PRIMES[family], m, rows), list(rows)
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def gen_random_instance(family, m, r, length, seed, profile):
@@ -808,18 +755,30 @@ def gen_random_instance(family, m, r, length, seed, profile):
     check_generator_limits(family, m, r, length, uniform_n)
     rng = random.Random(seed)
     colors = _color_plan(profile, m, r, length, rng)
-    if family == "vector_gf2":
-        spec, refs = _gen_vector_gfp(2, m, length, rng)
-    elif family == "vector_gf3":
-        spec, refs = _gen_vector_gfp(3, m, length, rng)
-    elif family == "vector_rational":
-        spec, refs = _gen_vector_rational(m, length, rng)
-    elif family == "affine_rational":
-        spec, refs = _gen_affine_rational(m, length, rng)
-    elif family == "uniform":
-        spec, refs = _gen_uniform(m, uniform_n, length, rng)
+    spec, _ = _anchor(family, m, uniform_n)
+    if family == "uniform":
+        refs = [f"e{rng.randrange(uniform_n)}" for _ in range(length)]
+    elif family == "graphic":
+        for i in range(max(2, length // 2)):
+            u = v = 0
+            while u == v:
+                u, v = rng.randrange(m + 1), rng.randrange(m + 1)
+            spec.edges[f"g{i}"] = (u, v)
+        pool = list(spec.edges)
+        refs = [pool[rng.randrange(len(pool))] for _ in range(length)]
     else:
-        spec, refs = _gen_graphic(m, length, rng)
+        # Every affine point is a nonloop; a vector is one when it is nonzero.
+        affine = family == "affine_rational"
+        rows = spec.points if affine else spec.elements
+        draw = (
+            partial(rng.randrange, spec.p) if family in _PRIMES else partial(_random_fraction, rng)
+        )
+        refs = [f"g{i}" for i in range(length)]
+        for eid in refs:
+            coords = tuple(draw() for _ in range(spec.dim))
+            while not (affine or any(coords)):
+                coords = tuple(draw() for _ in range(spec.dim))
+            rows[eid] = coords
     inst = InstanceFile(
         matroid=spec,
         sequence=tuple(refs),
@@ -829,6 +788,33 @@ def gen_random_instance(family, m, r, length, seed, profile):
     )
     _validate_generated(inst)
     return inst
+
+
+def gen_tight_instance(family, m, r):
+    """The noncolor instance of rank m whose m(r-1) entries admit no partition.
+
+    The sequence holds r - 1 copies of each basis element of the family's
+    anchor; the matroid holds one more element off the sequence: the sum
+    of the unit vectors, the barycentre of the affine simplex, an edge
+    parallel to t1 (m = 1) or closing the triangle t1 t2, or, for
+    ``uniform``, two more ground elements.
+    """
+    if family not in GENERATOR_FAMILIES:
+        raise InfeasibleRequest(f"unknown family {family!r}")
+    if r < 2:
+        raise InfeasibleRequest("r must be at least 2 (r = 1 would yield an empty sequence)")
+    check_generator_limits(family, m, r, m * (r - 1), m + 2)
+    if m < 1:
+        raise InfeasibleRequest("rank must be at least 1")
+    spec, basis = _anchor(family, m, m + 2)
+    if family == "graphic":
+        spec.edges["g0"] = (0, 1) if m == 1 else (0, 2)
+    elif family == "affine_rational":
+        spec.points["s"] = (Fraction(1, m),) * (m - 1)
+    elif family != "uniform":
+        spec.elements["s"] = (1,) * m
+    refs = [eid for eid in basis for _ in range(r - 1)]
+    return InstanceFile(matroid=spec, sequence=tuple(refs), colors=None, r=r, mode="noncolor")
 
 
 def _validate_generated(inst):

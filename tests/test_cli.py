@@ -68,6 +68,15 @@ def test_brute_no_partition_exits_3(tmp_path, capsys):
     assert "no-partition" in capsys.readouterr().out
 
 
+def test_brute_past_the_entry_cap_exits_1(tmp_path, capsys):
+    ids = " ".join(f"e{i}" for i in range(13))
+    inst = write(tmp_path, "long.txt", f"mode noncolor\nr 2\nmatroid uniform {{\n k 2\n n 13\n}}\nsequence {ids}\n")
+    assert main(["brute", inst]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |S| = 13 exceeds the budget of 12\n"
+
+
 def test_gen_tight_then_brute_exits_3(tmp_path, capsys):
     out_file = str(tmp_path / "tight.txt")
     assert main(["gen-tight", "--family", "uniform", "--rank", "2", "--r", "3", "--out", out_file]) == 0

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from matroid_tverberg import gen_random_instance, solve_general, solve_noncolor, solve_special
 from matroid_tverberg.cli import main
 from matroid_tverberg.instances import (
-    FAMILY_NAMES,
+    FAMILIES,
     GENERATOR_FAMILIES,
     MODES,
     emit_instance,
@@ -64,7 +64,7 @@ def _seed_files():
 
 SEEDS = _seed_files()
 WORDS = ("a", "b1", "e0", "e1", "g1", "t1", "x1", "{", "}", "#", "-", "1/0", "3/4", "-5/7")
-WORDS += ("parts", "part", "rational", "gfp") + FAMILY_NAMES + MODES
+WORDS += ("parts", "part", "rational", "gfp") + tuple(FAMILIES) + MODES
 fraction = st.fractions(-3, 3, max_denominator=4).map(str)
 token = st.integers(-3, 12).map(str) | st.sampled_from(WORDS) | fraction
 

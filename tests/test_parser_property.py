@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from matroid_tverberg import ParseError, instances, parse_instance
-from matroid_tverberg.instances import FAMILY_NAMES, MODES, InstanceFile
+from matroid_tverberg.instances import FAMILIES, MODES, InstanceFile
+
+FAMILY_NAMES = tuple(FAMILIES)  # direct_sum last
 
 IDS = ("a", "b", "c", "e0", "e1", "x1", "t1", "g0")
 JUNK = ("{", "}", "#", "-", "1/0", "3/4", "-5/7", "0x1f", "1e3", "rational", "gfp", "=")
