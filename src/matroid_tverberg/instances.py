@@ -275,9 +275,9 @@ def _write_rows(indent, keyword, field, rows):
 
 # ---------------------------------------------------------------------------
 # Family specs.  Each class is one family of the instance format: ``read``
-# parses its block's fields, ``emit`` writes them at ``indent``,
-# ``declared`` yields ``(family, field, value, cap)`` for each size the
-# ``MAX_*`` caps bound, and ``build`` makes the matroid.
+# parses its block's fields, ``emit`` writes them as lines that start with
+# the string ``indent``, ``declared`` yields ``(family, field, value, cap)``
+# for each size the ``MAX_*`` caps bound, and ``build`` makes the matroid.
 
 
 @dataclass

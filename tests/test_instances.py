@@ -16,7 +16,7 @@ from matroid_tverberg import (
     parse_partition,
     special_precondition,
 )
-from matroid_tverberg.instances import GENERATOR_FAMILIES
+from matroid_tverberg.instances import GENERATOR_FAMILIES, gen_tight_instance
 from matroid_tverberg.matroids import VectorMatroidGFp
 
 SAMPLE = """
@@ -344,3 +344,26 @@ def test_generator_infeasible_requests():
         gen_random_instance("uniform", 3, 2, 3, 1, "special")  # needs >= 4
     with pytest.raises(InfeasibleRequest):
         gen_random_instance("nosuch", 2, 2, 5, 1, "general")
+
+
+def test_tight_generator_round_trips_through_text():
+    for family in GENERATOR_FAMILIES:
+        inst = gen_tight_instance(family, 3, 2)
+        assert len(inst.sequence) == 3
+        assert parse_instance(emit_instance(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("nosuch", 2, 2), ("uniform", 2, 1), ("uniform", 0, 2), ("vector_gf2", 10**9, 2)],
+    ids=["family", "r", "rank", "dim"],
+)
+def test_tight_generator_refuses_before_building(args):
+    # A rank of 10**9 would need a 10**9 x 10**9 anchor; the caps refuse it first.
+    with pytest.raises(InfeasibleRequest):
+        gen_tight_instance(*args)
+
+
+def test_random_generator_refuses_a_rank_past_the_caps_before_building():
+    with pytest.raises(InfeasibleRequest, match="dim 1000000000 exceeds the file limit of 1000"):
+        gen_random_instance("vector_rational", 10**9, 2, 5, 1, "general")
