@@ -60,7 +60,6 @@ from .sequences import (
     is_rainbow,
 )
 from .solver import (
-    ChainCertificate,
     Partition,
     SolveStats,
     VerificationReport,
@@ -80,7 +79,6 @@ __all__ = [
     "AffineMatroid",
     "BruteForceBudget",
     "BudgetExceeded",
-    "ChainCertificate",
     "ColorCountProfile",
     "Coloring",
     "DirectSumMatroid",

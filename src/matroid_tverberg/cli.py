@@ -101,15 +101,7 @@ def _load(path):
 
 
 def _certificate_extra(partition):
-    cert = partition.certificate
-    subsets = ";".join(
-        " ".join(str(i) for i, _ in subset) if subset else "-"
-        for subset in cert.spanning_subsets
-    )
-    return {
-        "witness_nonloop": cert.witness_nonloop[0],
-        "chain_spanning_subsets": subsets,
-    }
+    return {"witness_nonloop": partition.witness_nonloop[0]}
 
 
 def _emit_report(report, as_json):

@@ -22,15 +22,18 @@ strictly larger flat, so a cycle runs at most rank-many passes.
 
 ``verify_partition`` checks any candidate output using nothing beyond the
 matroid (its closure oracle and its declared loops), independently of how
-it was produced.  There is one configuration: every public solve verifies
-the answer it returns, once, and the engine asserts the replacement rules
-on every cycle pass.
+it was produced; the chain cl(empty) ⊊ cl(S_1) ⊆ ... ⊆ cl(S_r) is
+certified by that check alone.  ``build_partition`` only assembles the
+parts and picks the non-loop witness, and asks no closure question.  There
+is one configuration: every public solve builds and verifies the answer it
+returns, once, and the engine asserts the replacement rules on every cycle
+pass.
 
 Every closure question here goes through the matroid's ``covers``, which
 answers by the member and coloop axioms where they settle it and asks
 ``in_closure``, counted, otherwise.  The loop axiom: x ∈ cl(∅) exactly when
 x is one of the ``loops`` every family declares, so the input check, the
-certificate's witness and the strictness check ask no question.  The coloop
+non-loop witness and the strictness check ask no question.  The coloop
 fact also lets ``_case_advance`` drop a coloop outside C_K from a set
 spanning C_K without a trial: the rest still spans C_K.
 """
@@ -62,25 +65,16 @@ from .sequences import (
 )
 
 @dataclass(frozen=True)
-class ChainCertificate:
-    """Oracle-checkable witnesses for the nested-closure chain.
+class Partition:
+    """An ordered list of pairwise disjoint rainbow subsequences.
 
-    ``spanning_subsets[i]`` is a maximal independent subset of part i, so
-    cl(part i) = cl(subset i).  ``build_partition`` does not check the chain;
-    ``verify_partition`` does.  ``witness_nonloop`` is an entry of the first
-    part outside cl(empty).
+    ``witness_nonloop`` is the first entry of the first part outside
+    cl(empty), read from the matroid's declared loops.  The chain of
+    closures is not stored; ``verify_partition`` checks it.
     """
 
-    spanning_subsets: tuple
-    witness_nonloop: tuple
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An ordered list of pairwise disjoint rainbow subsequences plus its certificate."""
-
     parts: tuple
-    certificate: ChainCertificate
+    witness_nonloop: tuple
 
     def part_indices(self):
         return tuple(tuple(sorted(p.indices)) for p in self.parts)
@@ -115,26 +109,13 @@ class SolveStats:
 
 
 def build_partition(matroid, parts):
-    """Assemble a Partition, computing its chain certificate via the oracle."""
+    """Assemble a Partition of ``parts``; asks the oracle no question."""
     parts = tuple(parts)
-    subsets = []
-    for part in parts:
-        indep = []
-        elems = set()
-        for entry in part:
-            if not matroid.covers(entry[1], elems):
-                indep.append(entry)
-                elems.add(entry[1])
-        subsets.append(tuple(indep))
-    witness = None
-    if parts:
-        for entry in parts[0]:
-            if not matroid.is_loop(entry[1]):
-                witness = entry
-                break
+    first = parts[0] if parts else ()
+    witness = next((entry for entry in first if not matroid.is_loop(entry[1])), None)
     if witness is None:
         raise InternalInvariantBroken("first part has no non-loop entry")
-    return Partition(parts=parts, certificate=ChainCertificate(tuple(subsets), witness))
+    return Partition(parts=parts, witness_nonloop=witness)
 
 
 def verify_partition(matroid, seq, coloring, r, parts):
@@ -307,7 +288,7 @@ def _special_parts(matroid, seq, coloring, r, stats):
 
 
 def _certified(matroid, seq, coloring, r, parts):
-    """The Partition of ``parts`` with its certificate, verified."""
+    """The Partition of ``parts``, verified."""
     partition = build_partition(matroid, parts)
     report = verify_partition(matroid, seq, coloring, r, partition.parts)
     if not report:

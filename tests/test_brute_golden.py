@@ -22,102 +22,102 @@ from conftest import family_zoo
 
 # (family, profile or "tight", m, r, length, oracle_calls, witness as "i j .. | k .. | .." or "none")
 GOLDEN = [
-    ("vector_gf2", "general", 2, 2, 3, 4, "1 | 2"),
-    ("vector_gf2", "general", 2, 2, 10, 4, "8 | 9"),
-    ("vector_gf2", "general", 2, 3, 5, 18, "1 | 3 | 2 4"),
-    ("vector_gf2", "general", 2, 3, 10, 12, "6 | 8 | 9"),
-    ("vector_gf2", "general", 3, 2, 4, 26, "1 | 0 2 3"),
-    ("vector_gf2", "general", 3, 2, 10, 6, "7 | 9"),
-    ("vector_gf2", "general", 4, 2, 5, 37, "0 | 1 2"),
-    ("vector_gf2", "general", 4, 2, 10, 61, "6 | 5 7 8 9"),
-    ("vector_gf2", "special", 2, 2, 3, 4, "1 | 2"),
-    ("vector_gf2", "special", 2, 2, 10, 9, "7 | 8 9"),
-    ("vector_gf2", "special", 2, 3, 5, 18, "1 | 3 | 2 4"),
-    ("vector_gf2", "special", 2, 3, 10, 38, "6 | 8 | 5 9"),
-    ("vector_gf2", "special", 3, 2, 4, 26, "1 | 0 2 3"),
-    ("vector_gf2", "special", 3, 2, 10, 4, "8 | 9"),
-    ("vector_gf2", "special", 4, 2, 5, 37, "0 | 1 2"),
-    ("vector_gf2", "special", 4, 2, 10, 46, "6 | 5 8"),
-    ("vector_gf3", "general", 2, 2, 3, 9, "0 | 1 2"),
-    ("vector_gf3", "general", 2, 2, 10, 9, "7 | 8 9"),
-    ("vector_gf3", "general", 2, 3, 5, 36, "0 | 1 3 | 2 4"),
-    ("vector_gf3", "general", 2, 3, 10, 30, "5 | 6 | 7"),
-    ("vector_gf3", "general", 3, 2, 4, 12, "0 | 3"),
-    ("vector_gf3", "general", 3, 2, 10, 7, "7 | 8"),
-    ("vector_gf3", "general", 4, 2, 5, 50, "3 | 0 2 4"),
-    ("vector_gf3", "general", 4, 2, 10, 6, "7 | 9"),
-    ("vector_gf3", "special", 2, 2, 3, 9, "0 | 1 2"),
-    ("vector_gf3", "special", 2, 2, 10, 4, "8 | 9"),
-    ("vector_gf3", "special", 2, 3, 5, 36, "0 | 1 3 | 2 4"),
-    ("vector_gf3", "special", 2, 3, 10, 43, "4 | 5 | 8"),
-    ("vector_gf3", "special", 3, 2, 4, 12, "0 | 3"),
-    ("vector_gf3", "special", 3, 2, 10, 12, "6 | 9"),
-    ("vector_gf3", "special", 4, 2, 5, 50, "3 | 0 2 4"),
-    ("vector_gf3", "special", 4, 2, 10, 91, "6 | 4 7 8"),
-    ("vector_rational", "general", 2, 2, 3, 9, "0 | 1 2"),
-    ("vector_rational", "general", 2, 2, 10, 9, "7 | 8 9"),
-    ("vector_rational", "general", 2, 3, 5, 36, "0 | 1 3 | 2 4"),
-    ("vector_rational", "general", 2, 3, 10, 43, "6 | 5 8 | 7 9"),
-    ("vector_rational", "general", 3, 2, 4, 15, "0 | 2 3"),
-    ("vector_rational", "general", 3, 2, 10, 21, "6 | 7 8 9"),
-    ("vector_rational", "general", 4, 2, 5, 68, "3 | 0 1 2 4"),
-    ("vector_rational", "general", 4, 2, 10, 61, "6 | 5 7 8 9"),
-    ("vector_rational", "special", 2, 2, 3, 9, "0 | 1 2"),
-    ("vector_rational", "special", 2, 2, 10, 9, "7 | 8 9"),
-    ("vector_rational", "special", 2, 3, 5, 36, "0 | 1 3 | 2 4"),
-    ("vector_rational", "special", 2, 3, 10, 70, "7 | 4 9 | 5 8"),
-    ("vector_rational", "special", 3, 2, 4, 15, "0 | 2 3"),
-    ("vector_rational", "special", 3, 2, 10, 41, "7 | 5 8 9"),
-    ("vector_rational", "special", 4, 2, 5, 68, "3 | 0 1 2 4"),
-    ("vector_rational", "special", 4, 2, 10, 198, "2 | 4 7 8"),
-    ("affine_rational", "general", 2, 2, 3, 4, "1 | 2"),
-    ("affine_rational", "general", 2, 2, 10, 9, "7 | 8 9"),
-    ("affine_rational", "general", 2, 3, 5, 33, "0 | 1 | 2"),
-    ("affine_rational", "general", 2, 3, 10, 29, "5 | 8 | 7 9"),
-    ("affine_rational", "general", 3, 2, 4, 15, "0 | 2 3"),
-    ("affine_rational", "general", 3, 2, 10, 21, "6 | 7 8 9"),
-    ("affine_rational", "general", 4, 2, 5, 68, "3 | 0 1 2 4"),
-    ("affine_rational", "general", 4, 2, 10, 61, "6 | 5 7 8 9"),
-    ("affine_rational", "special", 2, 2, 3, 4, "1 | 2"),
-    ("affine_rational", "special", 2, 2, 10, 9, "7 | 8 9"),
-    ("affine_rational", "special", 2, 3, 5, 33, "0 | 1 | 2"),
-    ("affine_rational", "special", 2, 3, 10, 70, "7 | 4 8 | 5 9"),
-    ("affine_rational", "special", 3, 2, 4, 15, "0 | 2 3"),
-    ("affine_rational", "special", 3, 2, 10, 17, "6 | 7 8"),
-    ("affine_rational", "special", 4, 2, 5, 68, "3 | 0 1 2 4"),
-    ("affine_rational", "special", 4, 2, 10, 252, "7 | 2 5 8 9"),
-    ("uniform", "general", 2, 2, 3, 4, "0 | 2"),
-    ("uniform", "general", 2, 2, 10, 9, "7 | 8 9"),
-    ("uniform", "general", 2, 3, 5, 5, "1 | 2 | 3"),
-    ("uniform", "general", 2, 3, 10, 43, "6 | 5 8 | 7 9"),
-    ("uniform", "general", 3, 2, 4, 2, "2 | 3"),
-    ("uniform", "general", 3, 2, 10, 21, "6 | 7 8 9"),
-    ("uniform", "general", 4, 2, 5, 4, "2 | 3"),
-    ("uniform", "general", 4, 2, 10, 61, "6 | 5 7 8 9"),
-    ("uniform", "special", 2, 2, 3, 4, "0 | 2"),
-    ("uniform", "special", 2, 2, 10, 4, "7 | 8"),
-    ("uniform", "special", 2, 3, 5, 5, "1 | 2 | 3"),
-    ("uniform", "special", 2, 3, 10, 3, "7 | 8 | 9"),
-    ("uniform", "special", 3, 2, 4, 2, "2 | 3"),
-    ("uniform", "special", 3, 2, 10, 2, "8 | 9"),
-    ("uniform", "special", 4, 2, 5, 4, "2 | 3"),
-    ("uniform", "special", 4, 2, 10, 2, "8 | 9"),
-    ("graphic", "general", 2, 2, 3, 7, "0 | 1"),
-    ("graphic", "general", 2, 2, 10, 9, "7 | 8 9"),
-    ("graphic", "general", 2, 3, 5, 5, "2 | 3 | 4"),
-    ("graphic", "general", 2, 3, 10, 18, "6 | 9 | 7 8"),
-    ("graphic", "general", 3, 2, 4, 2, "2 | 3"),
-    ("graphic", "general", 3, 2, 10, 7, "7 | 8"),
-    ("graphic", "general", 4, 2, 5, 7, "2 | 3"),
-    ("graphic", "general", 4, 2, 10, 4, "7 | 9"),
-    ("graphic", "special", 2, 2, 3, 7, "0 | 1"),
-    ("graphic", "special", 2, 2, 10, 9, "7 | 8 9"),
-    ("graphic", "special", 2, 3, 5, 5, "2 | 3 | 4"),
-    ("graphic", "special", 2, 3, 10, 11, "6 | 8 | 9"),
-    ("graphic", "special", 3, 2, 4, 2, "2 | 3"),
-    ("graphic", "special", 3, 2, 10, 2, "8 | 9"),
-    ("graphic", "special", 4, 2, 5, 7, "2 | 3"),
-    ("graphic", "special", 4, 2, 10, 17, "6 | 7 8"),
+    ("vector_gf2", "general", 2, 2, 3, 2, "1 | 2"),
+    ("vector_gf2", "general", 2, 2, 10, 2, "8 | 9"),
+    ("vector_gf2", "general", 2, 3, 5, 14, "1 | 3 | 2 4"),
+    ("vector_gf2", "general", 2, 3, 10, 9, "6 | 8 | 9"),
+    ("vector_gf2", "general", 3, 2, 4, 22, "1 | 0 2 3"),
+    ("vector_gf2", "general", 3, 2, 10, 4, "7 | 9"),
+    ("vector_gf2", "general", 4, 2, 5, 34, "0 | 1 2"),
+    ("vector_gf2", "general", 4, 2, 10, 56, "6 | 5 7 8 9"),
+    ("vector_gf2", "special", 2, 2, 3, 2, "1 | 2"),
+    ("vector_gf2", "special", 2, 2, 10, 6, "7 | 8 9"),
+    ("vector_gf2", "special", 2, 3, 5, 14, "1 | 3 | 2 4"),
+    ("vector_gf2", "special", 2, 3, 10, 34, "6 | 8 | 5 9"),
+    ("vector_gf2", "special", 3, 2, 4, 22, "1 | 0 2 3"),
+    ("vector_gf2", "special", 3, 2, 10, 2, "8 | 9"),
+    ("vector_gf2", "special", 4, 2, 5, 34, "0 | 1 2"),
+    ("vector_gf2", "special", 4, 2, 10, 43, "6 | 5 8"),
+    ("vector_gf3", "general", 2, 2, 3, 6, "0 | 1 2"),
+    ("vector_gf3", "general", 2, 2, 10, 6, "7 | 8 9"),
+    ("vector_gf3", "general", 2, 3, 5, 31, "0 | 1 3 | 2 4"),
+    ("vector_gf3", "general", 2, 3, 10, 27, "5 | 6 | 7"),
+    ("vector_gf3", "general", 3, 2, 4, 10, "0 | 3"),
+    ("vector_gf3", "general", 3, 2, 10, 5, "7 | 8"),
+    ("vector_gf3", "general", 4, 2, 5, 46, "3 | 0 2 4"),
+    ("vector_gf3", "general", 4, 2, 10, 4, "7 | 9"),
+    ("vector_gf3", "special", 2, 2, 3, 6, "0 | 1 2"),
+    ("vector_gf3", "special", 2, 2, 10, 2, "8 | 9"),
+    ("vector_gf3", "special", 2, 3, 5, 31, "0 | 1 3 | 2 4"),
+    ("vector_gf3", "special", 2, 3, 10, 40, "4 | 5 | 8"),
+    ("vector_gf3", "special", 3, 2, 4, 10, "0 | 3"),
+    ("vector_gf3", "special", 3, 2, 10, 10, "6 | 9"),
+    ("vector_gf3", "special", 4, 2, 5, 46, "3 | 0 2 4"),
+    ("vector_gf3", "special", 4, 2, 10, 87, "6 | 4 7 8"),
+    ("vector_rational", "general", 2, 2, 3, 6, "0 | 1 2"),
+    ("vector_rational", "general", 2, 2, 10, 6, "7 | 8 9"),
+    ("vector_rational", "general", 2, 3, 5, 31, "0 | 1 3 | 2 4"),
+    ("vector_rational", "general", 2, 3, 10, 38, "6 | 5 8 | 7 9"),
+    ("vector_rational", "general", 3, 2, 4, 12, "0 | 2 3"),
+    ("vector_rational", "general", 3, 2, 10, 17, "6 | 7 8 9"),
+    ("vector_rational", "general", 4, 2, 5, 63, "3 | 0 1 2 4"),
+    ("vector_rational", "general", 4, 2, 10, 56, "6 | 5 7 8 9"),
+    ("vector_rational", "special", 2, 2, 3, 6, "0 | 1 2"),
+    ("vector_rational", "special", 2, 2, 10, 6, "7 | 8 9"),
+    ("vector_rational", "special", 2, 3, 5, 31, "0 | 1 3 | 2 4"),
+    ("vector_rational", "special", 2, 3, 10, 65, "7 | 4 9 | 5 8"),
+    ("vector_rational", "special", 3, 2, 4, 12, "0 | 2 3"),
+    ("vector_rational", "special", 3, 2, 10, 37, "7 | 5 8 9"),
+    ("vector_rational", "special", 4, 2, 5, 63, "3 | 0 1 2 4"),
+    ("vector_rational", "special", 4, 2, 10, 194, "2 | 4 7 8"),
+    ("affine_rational", "general", 2, 2, 3, 2, "1 | 2"),
+    ("affine_rational", "general", 2, 2, 10, 6, "7 | 8 9"),
+    ("affine_rational", "general", 2, 3, 5, 30, "0 | 1 | 2"),
+    ("affine_rational", "general", 2, 3, 10, 25, "5 | 8 | 7 9"),
+    ("affine_rational", "general", 3, 2, 4, 12, "0 | 2 3"),
+    ("affine_rational", "general", 3, 2, 10, 17, "6 | 7 8 9"),
+    ("affine_rational", "general", 4, 2, 5, 63, "3 | 0 1 2 4"),
+    ("affine_rational", "general", 4, 2, 10, 56, "6 | 5 7 8 9"),
+    ("affine_rational", "special", 2, 2, 3, 2, "1 | 2"),
+    ("affine_rational", "special", 2, 2, 10, 6, "7 | 8 9"),
+    ("affine_rational", "special", 2, 3, 5, 30, "0 | 1 | 2"),
+    ("affine_rational", "special", 2, 3, 10, 65, "7 | 4 8 | 5 9"),
+    ("affine_rational", "special", 3, 2, 4, 12, "0 | 2 3"),
+    ("affine_rational", "special", 3, 2, 10, 14, "6 | 7 8"),
+    ("affine_rational", "special", 4, 2, 5, 63, "3 | 0 1 2 4"),
+    ("affine_rational", "special", 4, 2, 10, 247, "7 | 2 5 8 9"),
+    ("uniform", "general", 2, 2, 3, 2, "0 | 2"),
+    ("uniform", "general", 2, 2, 10, 6, "7 | 8 9"),
+    ("uniform", "general", 2, 3, 5, 2, "1 | 2 | 3"),
+    ("uniform", "general", 2, 3, 10, 38, "6 | 5 8 | 7 9"),
+    ("uniform", "general", 3, 2, 4, 0, "2 | 3"),
+    ("uniform", "general", 3, 2, 10, 17, "6 | 7 8 9"),
+    ("uniform", "general", 4, 2, 5, 2, "2 | 3"),
+    ("uniform", "general", 4, 2, 10, 56, "6 | 5 7 8 9"),
+    ("uniform", "special", 2, 2, 3, 2, "0 | 2"),
+    ("uniform", "special", 2, 2, 10, 2, "7 | 8"),
+    ("uniform", "special", 2, 3, 5, 2, "1 | 2 | 3"),
+    ("uniform", "special", 2, 3, 10, 0, "7 | 8 | 9"),
+    ("uniform", "special", 3, 2, 4, 0, "2 | 3"),
+    ("uniform", "special", 3, 2, 10, 0, "8 | 9"),
+    ("uniform", "special", 4, 2, 5, 2, "2 | 3"),
+    ("uniform", "special", 4, 2, 10, 0, "8 | 9"),
+    ("graphic", "general", 2, 2, 3, 5, "0 | 1"),
+    ("graphic", "general", 2, 2, 10, 6, "7 | 8 9"),
+    ("graphic", "general", 2, 3, 5, 2, "2 | 3 | 4"),
+    ("graphic", "general", 2, 3, 10, 14, "6 | 9 | 7 8"),
+    ("graphic", "general", 3, 2, 4, 0, "2 | 3"),
+    ("graphic", "general", 3, 2, 10, 5, "7 | 8"),
+    ("graphic", "general", 4, 2, 5, 5, "2 | 3"),
+    ("graphic", "general", 4, 2, 10, 2, "7 | 9"),
+    ("graphic", "special", 2, 2, 3, 5, "0 | 1"),
+    ("graphic", "special", 2, 2, 10, 6, "7 | 8 9"),
+    ("graphic", "special", 2, 3, 5, 2, "2 | 3 | 4"),
+    ("graphic", "special", 2, 3, 10, 8, "6 | 8 | 9"),
+    ("graphic", "special", 3, 2, 4, 0, "2 | 3"),
+    ("graphic", "special", 3, 2, 10, 0, "8 | 9"),
+    ("graphic", "special", 4, 2, 5, 5, "2 | 3"),
+    ("graphic", "special", 4, 2, 10, 14, "6 | 7 8"),
     ("vector_gf2", "tight", 2, 4, 6, 4, "none"),
     ("vector_gf2", "tight", 3, 3, 6, 12, "none"),
     ("vector_gf2", "tight", 4, 3, 8, 32, "none"),

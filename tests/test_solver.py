@@ -241,14 +241,14 @@ def test_noncolor_r1():
 
 def test_noncolor_r1_pinned():
     # Loops are read from the matroid's declared ``loops``, so neither the
-    # input check (5 entries) nor the certificate's witness asks the oracle;
-    # the one call left is the certificate's independent-subset scan.
+    # input check (5 entries) nor the non-loop witness asks the oracle, and
+    # one part leaves no chain to check.
     inst = gen_random_instance("vector_gf2", 3, 1, 5, 1, "general")
     stats = SolveStats()
     part = solve_noncolor(inst.build_matroid(), inst.build_sequence(), 1, stats=stats)
     assert part.part_indices() == ((0,),)
-    assert part.certificate.witness_nonloop == (0, "g0")
-    assert stats.oracle_calls == 1
+    assert part.witness_nonloop == (0, "g0")
+    assert stats.oracle_calls == 0
 
 
 def test_noncolor_uniform_threshold():
@@ -536,6 +536,25 @@ def test_each_public_solve_certifies_once(monkeypatch, mode, family, m, r, lengt
     matroid, seq, coloring = _seeded(family, mode, m, r, length, 1)
     _run(mode, matroid, seq, coloring, r)
     assert counts == {"build_partition": 1, "verify_partition": 1}
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_build_partition_asks_no_closure_question(monkeypatch, family):
+    # The chain is certified by verify_partition alone; assembling the
+    # parts and reading the non-loop witness from the declared loops needs
+    # no closure question.
+    solved = []
+    for mode in ("special", "general", "noncolor"):
+        length = 7 + (3 if mode == "special" else 0)
+        matroid, seq, coloring = _seeded(family, mode, 3, 3, length, 1)
+        solved.append((matroid, _run(mode, matroid, seq, coloring, 3)))
+
+    def refuse(self, x, ys):
+        raise AssertionError(f"build_partition asked about {x!r}")
+
+    monkeypatch.setattr(MatroidOracle, "in_closure", refuse)
+    for matroid, partition in solved:
+        assert build_partition(matroid, partition.parts) == partition
 
 
 def test_many_spanning_levels_do_not_grow_the_stack():
