@@ -198,9 +198,6 @@ def _write_generated(inst, out):
 
 
 def _cmd_gen_tight(args):
-    if args.r < 2:
-        print("gen-tight needs r >= 2 (r = 1 would yield an empty sequence)", file=sys.stderr)
-        return EXIT_ERROR
     return _write_generated(gen_tight_instance(args.family, args.rank, args.r), args.out)
 
 

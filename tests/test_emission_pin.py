@@ -18,7 +18,7 @@ from itertools import product
 from matroid_tverberg.cli import main
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 
-DIGEST = "cf66fb975b003125a0233b8150de462df5c3c37c08c3ca24035b76c1fde742c5"
+DIGEST = "0ca024407308ec1e7112892ee366221084df7949c0de24e79e83d60df2d12be8"
 
 
 def _calls():
