@@ -74,11 +74,6 @@ class IndexedSequence:
             self._set_image = frozenset([e for _, e in self._entries])
         return self._set_image
 
-    def _lookup(self):
-        if self._by_index is None:
-            self._by_index = dict(self._entries)
-        return self._by_index
-
     def __len__(self):
         return len(self._entries)
 
@@ -86,7 +81,9 @@ class IndexedSequence:
         return iter(self._entries)
 
     def __contains__(self, entry):
-        return self._lookup().get(entry[0], _NO_ELEMENT) == entry[1]
+        if self._by_index is None:
+            self._by_index = dict(self._entries)
+        return self._by_index.get(entry[0], _NO_ELEMENT) == entry[1]
 
     def __eq__(self, other):
         return isinstance(other, IndexedSequence) and self._entries == other._entries
@@ -97,12 +94,6 @@ class IndexedSequence:
     def __repr__(self):
         return f"IndexedSequence({list(self._entries)!r})"
 
-    def element_at(self, index):
-        try:
-            return self._lookup()[index]
-        except KeyError:
-            raise KeyError(index) from None
-
     def take_first(self, k):
         """Subsequence of the k lowest-index entries."""
         return self._derive(self._entries[:k])
@@ -111,9 +102,6 @@ class IndexedSequence:
         """Subsequence formed by the entries whose index is in ``indices``."""
         idx = indices if isinstance(indices, frozenset) else frozenset(indices)
         return self._derive(tuple([pair for pair in self._entries if pair[0] in idx]))
-
-    def filter(self, predicate):
-        return self._derive(tuple(filter(predicate, self._entries)))
 
     def _check_root(self, other):
         if self.root is not other.root:

@@ -21,6 +21,7 @@ from matroid_tverberg import (
     VectorMatroidGFp,
     brute_force_solve,
     build_partition,
+    color_class,
     gen_random_instance,
     max_rainbow_independent,
     solve_general,
@@ -502,7 +503,8 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
     def broken(matroid_, seq_, coloring_, *rest):
         parts = solve_parts(matroid_, seq_, coloring_, *rest)
         color = coloring_.of(parts[0].entries[0])
-        twin = parts[-1].filter(lambda e: coloring_.of(e) == color and e[0] in seq.indices)
+        twin = color_class(parts[-1], coloring_, {color})
+        twin = twin.with_indices(twin.indices & seq.indices)
         parts[0] = parts[0].union(twin)
         parts[-1] = parts[-1].difference(twin)
         return parts
