@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .sequences import Coloring, IndexedSequence, distinct_elements
-from .solver import Partition, build_partition, verify_partition
+from .solver import build_partition, verify_partition
 
 
 # Exhaustive search takes at most MAX_ENTRIES entries and MAX_R parts, so
