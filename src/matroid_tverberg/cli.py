@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .bruteforce import BruteForceBudget, brute_force_solve
@@ -150,26 +151,33 @@ def _cmd_verify(args):
             _emit_report(RunReport(outcome="error", message=message), args.json)
             return EXIT_ERROR
     parts = [seq.with_indices(indices) for indices in index_lists]
+    calls0, start = oracle.oracle_calls, time.perf_counter()
     report = verify_partition(oracle, seq, coloring, inst.r, parts)
+    cost = {
+        "oracle_calls": oracle.oracle_calls - calls0,
+        "wall_ms": (time.perf_counter() - start) * 1000.0,
+    }
     if report.ok:
-        _emit_report(RunReport(outcome="verified"), args.json)
+        _emit_report(RunReport(outcome="verified", **cost), args.json)
         return EXIT_OK
-    _emit_report(
-        RunReport(outcome="failed", message=f"{report.failure}: {report.detail}"), args.json
-    )
+    message = f"{report.failure}: {report.detail}"
+    _emit_report(RunReport(outcome="failed", message=message, **cost), args.json)
     return EXIT_ERROR
 
 
 def _cmd_brute(args):
     inst, oracle, seq, coloring = _load(args.instance)
     budget = BruteForceBudget(max_assignments=args.budget)
+    start = time.perf_counter()
     partition = brute_force_solve(oracle, seq, coloring, inst.r, budget)
+    wall_ms = (time.perf_counter() - start) * 1000.0
     if partition is None:
         _emit_report(
             RunReport(
                 outcome="no-partition",
                 message="exhaustive search found no valid partition",
                 oracle_calls=oracle.oracle_calls,
+                wall_ms=wall_ms,
             ),
             args.json,
         )
@@ -178,6 +186,7 @@ def _cmd_brute(args):
         outcome="partition",
         parts=[list(p) for p in partition.part_indices()],
         oracle_calls=oracle.oracle_calls,
+        wall_ms=wall_ms,
         extra=_certificate_extra(partition),
     )
     if args.out:

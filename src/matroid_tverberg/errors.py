@@ -10,7 +10,7 @@ class UnknownElement(MatroidTverbergError):
 
 
 class UnknownColor(MatroidTverbergError):
-    """A color id is missing from the palette, or an index is uncolored."""
+    """An index of a sequence has no color, or an empty sequence has no first color."""
 
 
 class MixedParents(MatroidTverbergError):

@@ -680,26 +680,6 @@ def _color_plan(profile, m, r, length, rng):
     return tuple(multiset)
 
 
-def check_generator_limits(family, m, r, length, uniform_n):
-    """Raise InfeasibleRequest unless a generated file of these sizes would parse.
-
-    The generators call it before they build anything, so a request beyond
-    the ``MAX_*`` caps of ``parse_instance`` fails here, not with
-    MemoryError.  A file of rank m declares n = ``uniform_n`` when uniform,
-    m + 1 vertices when graphic, dimension m - 1 when affine_rational and
-    dimension m otherwise.
-    """
-    if family == "uniform":
-        declared = ("n", uniform_n, MAX_N)
-    elif family == "graphic":
-        declared = ("vertices", m + 1, MAX_VERTICES)
-    else:
-        declared = ("dim", m - 1 if family == "affine_rational" else m, MAX_DIM)
-    for what, value, cap in (declared, ("r", r, MAX_R), ("sequence length", length, MAX_SEQUENCE)):
-        if value > cap:
-            raise InfeasibleRequest(f"{family}: {what} {value} exceeds the file limit of {cap}")
-
-
 _PRIMES = {"vector_gf2": 2, "vector_gf3": 3}
 
 
@@ -707,27 +687,42 @@ def _unit(i, dim):
     return tuple(int(j == i) for j in range(dim))
 
 
-def _anchor(family, m, n):
+def _anchor(family, m, n, r, length):
     """A generator family's rank-m spec before any other element, and its basis ids.
 
-    The vector families hold the unit vectors b1..bm, ``affine_rational``
-    the origin a1 and the unit points a2..am of dimension m - 1,
-    ``graphic`` the path t1..tm on m + 1 vertices, and ``uniform`` is
-    U(m, n) with basis e0..e{m-1}.  The caller runs
-    ``check_generator_limits`` first, so no anchor past the caps is built.
+    The spec is first made with its sizes and no element, and those sizes
+    are checked through its own ``declared``, the rule ``parse_instance``
+    applies; then r and the sequence length are checked.  So a request
+    beyond the ``MAX_*`` caps raises InfeasibleRequest before the basis is
+    built.  The vector families hold the unit vectors b1..bm,
+    ``affine_rational`` the origin a1 and the unit points a2..am of
+    dimension m - 1, ``graphic`` the path t1..tm on m + 1 vertices, and
+    ``uniform`` is U(m, n) with basis e0..e{m-1}.
     """
+    rows = {}
     if family == "uniform":
-        return UniformSpec(m, n), [f"e{i}" for i in range(m)]
+        spec = UniformSpec(m, n)
+    elif family == "graphic":
+        spec = GraphicSpec(m + 1, rows)
+    elif family == "affine_rational":
+        spec = AffineSpec("rational", m - 1, rows)
+    elif family == "vector_rational":
+        spec = VectorRationalSpec(m, rows)
+    else:
+        spec = VectorGFpSpec(_PRIMES[family], m, rows)
+    sizes = [(what, value, cap) for _, what, value, cap in spec.declared()]
+    for what, value, cap in sizes + [("r", r, MAX_R), ("sequence length", length, MAX_SEQUENCE)]:
+        if value > cap:
+            raise InfeasibleRequest(f"{family}: {what} {value} exceeds the file limit of {cap}")
+    if family == "uniform":
+        return spec, [f"e{i}" for i in range(m)]
     if family == "graphic":
-        spec = GraphicSpec(m + 1, {f"t{i + 1}": (i, i + 1) for i in range(m)})
-        return spec, list(spec.edges)
-    if family == "affine_rational":
-        spec = AffineSpec("rational", m - 1, {f"a{i + 1}": _unit(i - 1, m - 1) for i in range(m)})
-        return spec, list(spec.points)
-    rows = {f"b{i + 1}": _unit(i, m) for i in range(m)}
-    if family == "vector_rational":
-        return VectorRationalSpec(m, rows), list(rows)
-    return VectorGFpSpec(_PRIMES[family], m, rows), list(rows)
+        rows.update((f"t{i + 1}", (i, i + 1)) for i in range(m))
+    elif family == "affine_rational":
+        rows.update((f"a{i + 1}", _unit(i - 1, m - 1)) for i in range(m))
+    else:
+        rows.update((f"b{i + 1}", _unit(i, m)) for i in range(m))
+    return spec, list(rows)
 
 
 def _random_fraction(rng):
@@ -752,10 +747,9 @@ def gen_random_instance(family, m, r, length, seed, profile):
     if length < 1:
         raise InfeasibleRequest("length must be at least 1")
     uniform_n = max(m + 1, min(8, length))
-    check_generator_limits(family, m, r, length, uniform_n)
+    spec, _ = _anchor(family, m, uniform_n, r, length)
     rng = random.Random(seed)
     colors = _color_plan(profile, m, r, length, rng)
-    spec, _ = _anchor(family, m, uniform_n)
     if family == "uniform":
         refs = [f"e{rng.randrange(uniform_n)}" for _ in range(length)]
     elif family == "graphic":
@@ -803,10 +797,9 @@ def gen_tight_instance(family, m, r):
         raise InfeasibleRequest(f"unknown family {family!r}")
     if r < 2:
         raise InfeasibleRequest("r must be at least 2 (r = 1 would yield an empty sequence)")
-    check_generator_limits(family, m, r, m * (r - 1), m + 2)
     if m < 1:
         raise InfeasibleRequest("rank must be at least 1")
-    spec, basis = _anchor(family, m, m + 2)
+    spec, basis = _anchor(family, m, m + 2, r, m * (r - 1))
     if family == "graphic":
         spec.edges["g0"] = (0, 1) if m == 1 else (0, 2)
     elif family == "affine_rational":

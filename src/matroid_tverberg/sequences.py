@@ -130,25 +130,14 @@ class Coloring:
     """A total map from sequence indices to color ids.
 
     ``assignment`` may cover a superset of any particular subsequence's
-    indices; ``palette`` is the set of colors considered in use (the image
-    plus any explicitly declared spares).
+    indices; the colors in play are always those of the sequence at hand,
+    ``colors_of(seq)``.
     """
 
-    __slots__ = ("_assignment", "_palette")
+    __slots__ = ("_assignment",)
 
-    def __init__(self, assignment, palette=None):
+    def __init__(self, assignment):
         self._assignment = dict(assignment)
-        image = frozenset(self._assignment.values())
-        if palette is None:
-            self._palette = image
-        else:
-            self._palette = frozenset(palette)
-            if not image <= self._palette:
-                raise UnknownColor("assignment uses colors outside the palette")
-
-    @property
-    def palette(self):
-        return self._palette
 
     def of(self, entry):
         """Color of an entry (an (index, element) pair)."""
@@ -171,25 +160,11 @@ class Coloring:
         except KeyError as exc:
             raise UnknownColor(f"index {exc.args[0]} has no color") from None
 
-    def overridden(self, new_assignments, extra_palette=()):
+    def overridden(self, new_assignments):
         """A new coloring with some indices recolored."""
         merged = dict(self._assignment)
         merged.update(new_assignments)
-        return Coloring(merged, palette=self._palette | frozenset(extra_palette))
-
-    def narrowed_to(self, seq):
-        """Assignment restricted to ``seq``'s indices, palette to its colors."""
-        assignment = {i: self.of_index(i) for i in seq.indices}
-        return Coloring(assignment)
-
-    def fresh_color(self, stem="z"):
-        """A color id guaranteed to be outside the palette."""
-        n = 1
-        while True:
-            candidate = f"{stem}{n}"
-            if candidate not in self._palette:
-                return candidate
-            n += 1
+        return Coloring(merged)
 
 
 def distinct_elements(entries):
@@ -219,11 +194,12 @@ def is_rainbow(seq, coloring):
 
 
 def color_class(seq, coloring, colors):
-    """The subsequence of ``seq`` whose entries are colored from ``colors``."""
+    """The subsequence of ``seq`` whose entries are colored from ``colors``.
+
+    A color that no entry carries selects nothing; an uncolored entry
+    raises UnknownColor.
+    """
     colors = frozenset(colors)
-    if not colors <= coloring.palette:
-        bad = next(iter(colors - coloring.palette))
-        raise UnknownColor(f"color {bad!r} is not in the palette")
     assignment = coloring._assignment
     try:
         return seq._derive(tuple([pair for pair in seq.entries if assignment[pair[0]] in colors]))
@@ -243,14 +219,11 @@ class ColorCountProfile:
     ordering: tuple
 
     @classmethod
-    def of(cls, seq, coloring, palette=None):
-        palette = coloring.palette if palette is None else frozenset(palette)
-        tally = {color: 0 for color in palette}
+    def of(cls, seq, coloring):
+        tally = {}
         for entry in seq:
             color = coloring.of(entry)
-            if color not in tally:
-                raise UnknownColor(f"color {color!r} is not in the palette")
-            tally[color] += 1
+            tally[color] = tally.get(color, 0) + 1
         ordering = tuple(
             sorted(tally, key=lambda c: (-tally[c], color_sort_key(c)))
         )
@@ -260,7 +233,7 @@ class ColorCountProfile:
     @property
     def first_color(self):
         if not self.ordering:
-            raise UnknownColor("empty palette has no first color")
+            raise UnknownColor("an empty sequence has no first color")
         return self.ordering[0]
 
     def top(self, k):
@@ -304,14 +277,15 @@ def check_general_profile(seq, coloring, r, m):
 def check_special_profile(seq, coloring, r, m):
     """Precondition of the special solver.
 
-    Requires exactly m colors in the palette, at least r entries of the
-    designated first color (the most frequent) and at least r-1 of every
-    other color.
+    Requires exactly m colors on the entries of ``seq``, at least r entries
+    of the designated first color (the most frequent) and at least r-1 of
+    every other color.
     """
-    if len(coloring.palette) != m:
+    colors = coloring.colors_of(seq)
+    if len(colors) != m:
         return ProfileCheck(
             False,
-            f"palette has {len(coloring.palette)} colors, the rank requires exactly {m}",
+            f"the sequence has {len(colors)} colors, the rank requires exactly {m}",
         )
     profile = ColorCountProfile.of(seq, coloring)
     for rank_pos, (color, count) in enumerate(profile.counts):

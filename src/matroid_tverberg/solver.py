@@ -40,6 +40,7 @@ spanning C_K without a trial: the rest still spans C_K.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -225,14 +226,16 @@ def _validate_input(matroid, seq, coloring, r):
 def _normalize(matroid, seq, coloring, restriction=None):
     """Drop whole color classes until #colors == rank of the sequence.
 
-    Returns the surviving sequence, its coloring, and ``(elements, m)``: the
-    elements of the sequence and their rank m, which equals the number of
-    colors whenever the instance satisfies the special profile.  The working
-    matroid is the restriction M|elements; since cl_{M|X}(Y) = cl_M(Y) ∩ X,
-    every closure question about it is asked of ``matroid`` itself, and m is
-    all the restriction adds.  Dropping keeps the most frequent colors, so
-    the r / r-1 count thresholds survive each round.  ``restriction`` is an
-    earlier ``(elements, m)``; its rank is reused while the elements stay.
+    Returns the surviving sequence and ``(elements, m)``: the elements of
+    the sequence and their rank m, which equals the number of colors
+    whenever the instance satisfies the special profile.  The coloring
+    passes through unchanged: the colors in play are those of the returned
+    sequence.  The working matroid is the restriction M|elements; since
+    cl_{M|X}(Y) = cl_M(Y) ∩ X, every closure question about it is asked of
+    ``matroid`` itself, and m is all the restriction adds.  Dropping keeps
+    the most frequent colors, so the r / r-1 count thresholds survive each
+    round.  ``restriction`` is an earlier ``(elements, m)``; its rank is
+    reused while the elements stay.
     """
     while True:
         if restriction is None or restriction[0] != seq.set_image:
@@ -240,8 +243,8 @@ def _normalize(matroid, seq, coloring, restriction=None):
         m = restriction[1]
         used = coloring.colors_of(seq)
         if len(used) <= m:
-            return seq, coloring.narrowed_to(seq), restriction
-        profile = ColorCountProfile.of(seq, coloring, palette=used)
+            return seq, restriction
+        profile = ColorCountProfile.of(seq, coloring)
         seq = color_class(seq, coloring, profile.top(m))
 
 
@@ -251,8 +254,8 @@ def special_precondition(matroid, seq, coloring, r):
         _validate_input(matroid, seq, coloring, r)
     except (PreconditionViolated, LoopInInput) as exc:
         return ProfileCheck(False, str(exc))
-    nseq, ncol, (_, m) = _normalize(matroid, seq, coloring)
-    return check_special_profile(nseq, ncol, r, m)
+    nseq, (_, m) = _normalize(matroid, seq, coloring)
+    return check_special_profile(nseq, coloring, r, m)
 
 
 def general_precondition(matroid, seq, coloring, r):
@@ -279,11 +282,11 @@ def solve_special(matroid, seq, coloring, r, *, stats=None):
 
 def _special_parts(matroid, seq, coloring, r, stats):
     """The parts ``solve_special`` returns, for input it has already validated."""
-    nseq, ncol, restriction = _normalize(matroid, seq, coloring)
-    profile_ok = check_special_profile(nseq, ncol, r, restriction[1])
+    nseq, restriction = _normalize(matroid, seq, coloring)
+    profile_ok = check_special_profile(nseq, coloring, r, restriction[1])
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    parts = _solve(matroid, nseq, ncol, r, restriction, stats)
+    parts = _solve(matroid, nseq, coloring, r, restriction, stats)
     return [seq.with_indices(p.indices) for p in parts]
 
 
@@ -337,7 +340,7 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
             extra_entries.append((next_index, x))
             next_index += 1
 
-    profile = ColorCountProfile.of(trimmed, coloring, palette=used)
+    profile = ColorCountProfile.of(trimmed, coloring)
     deficits = []
     for pos, (col, count) in enumerate(profile.counts):
         target = r if pos == 0 else r - 1
@@ -379,8 +382,8 @@ def solve_noncolor(matroid, seq, r, *, stats=None):
 def _solve(matroid, seq, coloring, r, restriction, stats):
     """Returns r disjoint rainbow parts of ``seq`` with chained closures.
 
-    ``seq`` and ``coloring`` come normalized, and ``restriction`` is the
-    ``(elements, m)`` that ``_normalize`` returned with them.  Trusts that
+    ``seq`` comes normalized, and ``restriction`` is the ``(elements, m)``
+    that ``_normalize`` returned with it.  Trusts that
     (seq, coloring, r) satisfies the special profile after normalization;
     that is asserted (never raised on legal public input).
 
@@ -400,7 +403,7 @@ def _solve(matroid, seq, coloring, r, restriction, stats):
             # after carving out a spanning RI with r' = 1 a color may
             # legitimately have run out.
             return [seq.take_first(1)] + tops[::-1]
-        seq, coloring, restriction = _normalize(matroid, seq, coloring, restriction)
+        seq, restriction = _normalize(matroid, seq, coloring, restriction)
         m = restriction[1]
         ok = check_special_profile(seq, coloring, r, m)
         if not ok:
@@ -486,9 +489,10 @@ def _case_smaller_flat(seq, coloring, i_seq, c_k):
     The I-colored entries plus one K-colored entry of a fresh color live in
     a matroid of strictly smaller rank; merging that fresh color with the
     most frequent color of I keeps the profile intact, and parts rainbow
-    under the merged coloring stay rainbow under the original one.  Returns
-    the sequence and its merged coloring, for ``_solve`` to solve with the
-    same r.
+    under the merged coloring stay rainbow under the original one.  The
+    merged color is the first of z1, z2, ... that ``seq`` does not carry.
+    Returns the sequence and its merged coloring, for ``_solve`` to solve
+    with the same r.
     """
     if len(i_seq) == 0:
         raise InternalInvariantBroken("the flat case fired with an empty I")
@@ -499,11 +503,12 @@ def _case_smaller_flat(seq, coloring, i_seq, c_k):
     p = candidates[0]
     core = color_class(seq, coloring, i_colors)
     sub_seq = core.union(seq.with_indices({p[0]}))
-    k1 = ColorCountProfile.of(core, coloring, palette=i_colors).first_color
-    z = coloring.fresh_color()
+    k1 = ColorCountProfile.of(core, coloring).first_color
+    seq_colors = coloring.colors_of(seq)
+    z = next(f"z{n}" for n in itertools.count(1) if f"z{n}" not in seq_colors)
     recolored = {idx: z for idx, _ in color_class(sub_seq, coloring, {k1})}
     recolored[p[0]] = z
-    return sub_seq, coloring.overridden(recolored, extra_palette=(z,))
+    return sub_seq, coloring.overridden(recolored)
 
 
 def _case_grow(matroid, seq, coloring, ri, i_seq, aug, p_entry):

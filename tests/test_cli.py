@@ -168,6 +168,31 @@ def test_verify_json_names_the_entry_outside_the_next_closure(tmp_path, special_
     assert payload["message"] == "chain: entry (2, c) of part 1 is outside cl(part 2)"
 
 
+def test_verify_and_brute_report_what_they_cost(tmp_path, capsys):
+    inst = str(tmp_path / "inst.txt")
+    part = str(tmp_path / "part.txt")
+    argv = [
+        "gen-random", "--family", "uniform", "--rank", "3", "--r", "3",
+        "--length", "9", "--seed", "1", "--profile", "general", "--out", inst,
+    ]
+    assert main(argv) == 0
+    assert main(["solve", inst, "--out", part]) == 0
+    capsys.readouterr()
+    assert main(["verify", inst, part, "--json"]) == 0
+    verified = json.loads(capsys.readouterr().out)
+    # The same check, asked directly of a fresh oracle built from the same files.
+    loaded = instances.parse_instance(open(inst, encoding="utf-8").read())
+    seq = loaded.build_sequence()
+    parts = [seq.with_indices(p) for p in instances.parse_partition(open(part).read())]
+    oracle = loaded.oracle
+    assert solver.verify_partition(oracle, seq, loaded.build_coloring(), loaded.r, parts)
+    assert verified["outcome"] == "verified"
+    assert verified["oracle_calls"] == oracle.oracle_calls > 0
+    assert verified["wall_ms"] > 0
+    assert main(["brute", inst, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["wall_ms"] > 0
+
+
 def test_solve_direct_sum_instance(tmp_path, capsys):
     inst = write(
         tmp_path,

@@ -58,8 +58,7 @@ def test_color_class_examples():
     assert color_class(s, c, {"r", "b"}) == s
     picked = color_class(s, c, {"r"})
     assert picked.entries == ((0, "a"), (2, "c"))
-    with pytest.raises(UnknownColor):
-        color_class(s, c, {"green"})
+    assert color_class(s, c, {"green"}) == seq_of([])
 
 
 def test_seq_ops_examples():
@@ -148,9 +147,21 @@ def test_special_profile_examples():
     c = coloring_of(["u", "u", "v"])
     assert check_special_profile(s, c, 2, 2)
     off = check_special_profile(s, c, 2, 3)
-    assert not off and "palette" in off.reason
+    assert not off and "colors" in off.reason
     low = check_special_profile(s, c, 3, 2)
     assert not low
+
+
+def test_profiles_judge_a_subsequence_by_its_own_colors():
+    # The coloring also colors indices 3 and 4, outside ``sub``; their
+    # color "w" takes no part in the profile of ``sub``.
+    s = seq_of(["a", "b", "c", "d", "e"])
+    c = coloring_of(["u", "u", "v", "w", "w"])
+    sub = s.with_indices({0, 1, 2})
+    assert ColorCountProfile.of(sub, c).counts == (("u", 2), ("v", 1))
+    assert check_special_profile(sub, c, 2, 2)
+    off = check_special_profile(sub, c, 2, 3)
+    assert not off and off.reason.startswith("the sequence has 2 colors")
 
 
 def test_disjoint_rainbow_union_is_rainbow():
@@ -185,7 +196,7 @@ def test_setops_laws(n, picks, other):
 )
 def test_color_class_intersection_law(colors, u, v):
     s = seq_of([f"e{i}" for i in range(len(colors))])
-    c = Coloring({i: col for i, col in enumerate(colors)}, palette="rgby")
+    c = Coloring({i: col for i, col in enumerate(colors)})
     lhs = color_class(s, c, u).intersection(color_class(s, c, v))
     rhs = color_class(s, c, u & v)
     assert lhs == rhs
