@@ -84,7 +84,7 @@ class RunReport:
             "wall_ms": self.wall_ms,
         }
         payload.update(self.extra)
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload)
 
 
 def _read_text(path):
@@ -105,6 +105,12 @@ def _certificate_extra(partition):
     return {"witness_nonloop": partition.witness_nonloop[0]}
 
 
+def _solve_cost(stats):
+    """The report fields a solve's ``SolveStats`` fills, however the solve ended."""
+    counts = ("oracle_calls", "cycle_iterations", "restarts", "recursion_depth")
+    return {name: getattr(stats, name) for name in counts} | {"wall_ms": stats.wall_time * 1000.0}
+
+
 def _emit_report(report, as_json):
     print(report.to_json() if as_json else report.to_text())
 
@@ -120,18 +126,14 @@ def _cmd_solve(args):
         else:
             partition = solve_noncolor(oracle, seq, inst.r, stats=stats)
     except PreconditionViolated as exc:
-        report = RunReport(outcome="precondition-violated", message=str(exc))
+        report = RunReport(outcome="precondition-violated", message=str(exc), **_solve_cost(stats))
         _emit_report(report, args.json)
         return EXIT_PRECONDITION
     report = RunReport(
         outcome="partition",
         parts=[list(p) for p in partition.part_indices()],
-        oracle_calls=stats.oracle_calls,
-        cycle_iterations=stats.cycle_iterations,
-        restarts=stats.restarts,
-        recursion_depth=stats.recursion_depth,
-        wall_ms=stats.wall_time * 1000.0,
         extra=_certificate_extra(partition),
+        **_solve_cost(stats),
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -268,16 +268,21 @@ def general_precondition(matroid, seq, coloring, r):
 
 
 def solve_special(matroid, seq, coloring, r, *, stats=None):
-    """Partition under the exact-profile hypothesis (m colors, counts >= r / r-1)."""
+    """Partition under the exact-profile hypothesis (m colors, counts >= r / r-1).
+
+    ``stats`` gets the solve's ``oracle_calls`` and ``wall_time`` however
+    the solve ends, with a partition or with an exception.
+    """
     stats = SolveStats() if stats is None else stats
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
-    _validate_input(matroid, seq, coloring, r)
-    parts = _special_parts(matroid, seq, coloring, r, stats)
-    partition = _certified(matroid, seq, coloring, r, parts)
-    stats.oracle_calls = matroid.oracle_calls - calls0
-    stats.wall_time = time.perf_counter() - start
-    return partition
+    try:
+        _validate_input(matroid, seq, coloring, r)
+        parts = _special_parts(matroid, seq, coloring, r, stats)
+        return _certified(matroid, seq, coloring, r, parts)
+    finally:
+        stats.oracle_calls = matroid.oracle_calls - calls0
+        stats.wall_time = time.perf_counter() - start
 
 
 def _special_parts(matroid, seq, coloring, r, stats):
@@ -305,65 +310,59 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
     Trims S to exactly m(r-1)+1 entries, adjoins one fresh coloop per color
     beyond the rank (each appended r-1 times and colored so that counts
     become exactly r / r-1), solves the exact-profile instance, and drops
-    the padded entries from the answer.
+    the padded entries from the answer.  ``stats`` gets the solve's
+    ``oracle_calls``, the padding's included, and ``wall_time`` however the
+    solve ends.
     """
     stats = SolveStats() if stats is None else stats
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
-    _validate_input(matroid, seq, coloring, r)
-    m = matroid.rank_bound
-    profile_ok = check_general_profile(seq, coloring, r, m)
-    if not profile_ok:
-        raise PreconditionViolated(f"general profile violated: {profile_ok.reason}")
-    if r == 1:
-        # One entry of a loopless sequence.  Its verification asks no
-        # question: there is no pair of parts to chain, and strictness reads
-        # the declared loops.
-        partition = _certified(matroid, seq, coloring, r, [seq.take_first(1)])
-        stats.oracle_calls = matroid.oracle_calls - calls0
+    padded_matroid = matroid
+    try:
+        _validate_input(matroid, seq, coloring, r)
+        m = matroid.rank_bound
+        profile_ok = check_general_profile(seq, coloring, r, m)
+        if not profile_ok:
+            raise PreconditionViolated(f"general profile violated: {profile_ok.reason}")
+        if r == 1:
+            # One entry of a loopless sequence.  Its verification asks no
+            # question: there is no pair of parts to chain, and strictness
+            # reads the declared loops.
+            return _certified(matroid, seq, coloring, r, [seq.take_first(1)])
+
+        keep = m * (r - 1) + 1
+        trimmed = seq.take_first(keep)
+        d = len(coloring.colors_of(trimmed))
+        if d < m:
+            raise InternalInvariantBroken("color count fell below the rank after trimming")
+
+        padded_matroid = add_coloops(matroid, d - m)
+        coloops = padded_matroid.ground[len(matroid.ground):]
+        padding = [x for x in coloops for _ in range(r - 1)]
+        extra_entries = list(enumerate(padding, max(seq.indices) + 1))
+
+        profile = ColorCountProfile.of(trimmed, coloring)
+        deficits = []
+        for pos, (col, count) in enumerate(profile.counts):
+            target = r if pos == 0 else r - 1
+            if count > target:
+                raise InternalInvariantBroken(f"color {col!r} exceeds its padded target")
+            deficits.extend([col] * (target - count))
+        if len(deficits) != len(extra_entries):
+            raise InternalInvariantBroken("coloop padding does not match the color deficits")
+
+        padded_seq = IndexedSequence(list(trimmed.entries) + extra_entries)
+        extra_colors = {i: col for (i, _), col in zip(extra_entries, deficits)}
+        padded_coloring = Coloring({e[0]: coloring.of(e) for e in trimmed} | extra_colors)
+
+        # Only the parts projected onto the original instance are certified:
+        # they are what this function returns.
+        inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats)
+        parts = [seq.with_indices(p.indices & trimmed.indices) for p in inner]
+        return _certified(matroid, seq, coloring, r, parts)
+    finally:
+        stats.oracle_calls = padded_matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
-        return partition
-
-    keep = m * (r - 1) + 1
-    trimmed = seq.take_first(keep)
-    used = coloring.colors_of(trimmed)
-    d = len(used)
-    if d < m:
-        raise InternalInvariantBroken("color count fell below the rank after trimming")
-
-    padded_matroid = add_coloops(matroid, d - m)
-    coloops = padded_matroid.ground[len(matroid.ground):]
-    next_index = (max(i for i, _ in seq) + 1) if len(seq) else 0
-    extra_entries = []
-    for x in coloops:
-        for _ in range(r - 1):
-            extra_entries.append((next_index, x))
-            next_index += 1
-
-    profile = ColorCountProfile.of(trimmed, coloring)
-    deficits = []
-    for pos, (col, count) in enumerate(profile.counts):
-        target = r if pos == 0 else r - 1
-        if count > target:
-            raise InternalInvariantBroken(f"color {col!r} exceeds its padded target")
-        deficits.extend([col] * (target - count))
-    if len(deficits) != len(extra_entries):
-        raise InternalInvariantBroken("coloop padding does not match the color deficits")
-
-    padded_seq = IndexedSequence(list(trimmed.entries) + extra_entries)
-    assignment = {i: coloring.of_index(i) for i in trimmed.indices}
-    assignment.update({entry[0]: col for entry, col in zip(extra_entries, deficits)})
-    padded_coloring = Coloring(assignment)
-
-    # Only the parts projected onto the original instance are certified:
-    # they are what this function returns.
-    inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats)
-    kept_indices = trimmed.indices
-    parts = [seq.with_indices(p.indices & kept_indices) for p in inner]
-    partition = _certified(matroid, seq, coloring, r, parts)
-    stats.oracle_calls = padded_matroid.oracle_calls - calls0
-    stats.wall_time = time.perf_counter() - start
-    return partition
 
 
 def solve_noncolor(matroid, seq, r, *, stats=None):

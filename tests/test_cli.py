@@ -46,6 +46,29 @@ def test_solve_json_output(special_instance, capsys):
     assert "chain_spanning_subsets" not in payload
 
 
+def test_solve_json_is_one_line(special_instance, capsys):
+    assert main(["solve", special_instance, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["parts"] == [[1], [0, 2]]
+
+
+def test_a_violated_precondition_reports_what_the_solve_cost(tmp_path, capsys):
+    # Four entries over rank 2 and r = 3: the special profile fails after
+    # normalization, whose rank asks the oracle.
+    inst = write(
+        tmp_path,
+        "short.txt",
+        "mode special\nr 3\nmatroid vector_gfp {\n p 3\n dim 2\n element a 1 0\n"
+        " element b 2 0\n element c 0 1\n}\nsequence a b c a\ncolors c1 c1 c2 c1\n",
+    )
+    assert main(["solve", inst, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "precondition-violated"
+    assert payload["oracle_calls"] == 3
+    assert payload["wall_ms"] > 0
+
+
 def test_solve_tight_instance_exits_2(tmp_path, capsys):
     inst = write(
         tmp_path,
