@@ -23,7 +23,6 @@ from .errors import (
     InternalInvariantBroken,
     LoopInInput,
     MatroidTverbergError,
-    MixedParents,
     NotABasis,
     ParseError,
     PreconditionViolated,
@@ -90,7 +89,6 @@ __all__ = [
     "LoopInInput",
     "MatroidOracle",
     "MatroidTverbergError",
-    "MixedParents",
     "NotABasis",
     "ParseError",
     "Partition",

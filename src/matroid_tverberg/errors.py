@@ -13,10 +13,6 @@ class UnknownColor(MatroidTverbergError):
     """An index of a sequence has no color, or an empty sequence has no first color."""
 
 
-class MixedParents(MatroidTverbergError):
-    """Sequence set-operations require operands rooted at the same sequence."""
-
-
 class SeedInvalid(MatroidTverbergError):
     """A seed subsequence is not rainbow, not independent, or not contained in S."""
 

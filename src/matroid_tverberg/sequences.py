@@ -1,18 +1,17 @@
 """Sequences as sets of (index, element) pairs, with total colorings.
 
 Storing a sequence as index/element pairs makes repeated elements
-distinguishable while keeping set terminology available: subsequence,
-difference, intersection, union, disjointness.  Set-style operations are
-only defined between subsequences of a common root sequence.
+distinguishable while keeping set terminology available.  These types are
+the package's interface: the solver's engine turns a sequence into one bit
+per entry and works on int masks, and the verifier, the referee and the CLI
+read and build sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedParents, UnknownColor
-
-_NO_ELEMENT = object()
+from .errors import UnknownColor
 
 
 def color_sort_key(color):
@@ -23,13 +22,11 @@ def color_sort_key(color):
 class IndexedSequence:
     """An ordered sequence of (index, element) entries with unique indices.
 
-    The constructor sorts and checks its entries and makes a root sequence.
-    Subsequences derived from it take their entries from an already sorted,
-    checked sequence and skip that work; every sequence builds its index
-    set, set image and index lookup on first use.
+    The constructor sorts and checks its entries; every sequence builds its
+    index set and set image on first use.
     """
 
-    __slots__ = ("_entries", "_root", "_index_set", "_set_image", "_by_index")
+    __slots__ = ("_entries", "_index_set", "_set_image")
 
     def __init__(self, entries):
         entries = sorted(entries, key=lambda pair: pair[0])
@@ -37,29 +34,16 @@ class IndexedSequence:
             if i == j:
                 raise ValueError(f"duplicate index {i}")
         self._entries = tuple((int(i), e) for i, e in entries)
-        self._root = None
-        self._index_set = self._set_image = self._by_index = None
-
-    def _derive(self, entries):
-        """A subsequence of the same root from a tuple of this root's entries, in index order."""
-        seq = object.__new__(IndexedSequence)
-        seq._entries = entries
-        seq._root = self.root
-        seq._index_set = seq._set_image = seq._by_index = None
-        return seq
+        self._index_set = self._set_image = None
 
     @classmethod
     def from_elements(cls, elements):
-        """A new root sequence with indices 0, 1, ... over ``elements``."""
+        """A new sequence with indices 0, 1, ... over ``elements``."""
         return cls(list(enumerate(elements)))
 
     @property
     def entries(self):
         return self._entries
-
-    @property
-    def root(self):
-        return self if self._root is None else self._root
 
     @property
     def indices(self):
@@ -80,11 +64,6 @@ class IndexedSequence:
     def __iter__(self):
         return iter(self._entries)
 
-    def __contains__(self, entry):
-        if self._by_index is None:
-            self._by_index = dict(self._entries)
-        return self._by_index.get(entry[0], _NO_ELEMENT) == entry[1]
-
     def __eq__(self, other):
         return isinstance(other, IndexedSequence) and self._entries == other._entries
 
@@ -96,34 +75,12 @@ class IndexedSequence:
 
     def take_first(self, k):
         """Subsequence of the k lowest-index entries."""
-        return self._derive(self._entries[:k])
+        return IndexedSequence(self._entries[:k])
 
     def with_indices(self, indices):
         """Subsequence formed by the entries whose index is in ``indices``."""
         idx = indices if isinstance(indices, frozenset) else frozenset(indices)
-        return self._derive(tuple([pair for pair in self._entries if pair[0] in idx]))
-
-    def _check_root(self, other):
-        if self.root is not other.root:
-            raise MixedParents("operands come from different parent sequences")
-
-    def difference(self, other):
-        self._check_root(other)
-        drop = other.indices
-        return self._derive(tuple([pair for pair in self._entries if pair[0] not in drop]))
-
-    def intersection(self, other):
-        self._check_root(other)
-        return self.with_indices(other.indices)
-
-    def union(self, other):
-        self._check_root(other)
-        merged = dict(self._entries)
-        merged.update(other._entries)
-        return self._derive(tuple(sorted(merged.items())))
-
-    def is_subsequence_of(self, other):
-        return set(self._entries) <= set(other._entries)
+        return IndexedSequence([pair for pair in self._entries if pair[0] in idx])
 
 
 class Coloring:
@@ -146,12 +103,6 @@ class Coloring:
         except KeyError:
             raise UnknownColor(f"index {entry[0]} has no color") from None
 
-    def of_index(self, index):
-        try:
-            return self._assignment[index]
-        except KeyError:
-            raise UnknownColor(f"index {index} has no color") from None
-
     def colors_of(self, seq):
         """Set of colors used by the entries of ``seq``."""
         assignment = self._assignment
@@ -159,12 +110,6 @@ class Coloring:
             return frozenset([assignment[i] for i, _ in seq.entries])
         except KeyError as exc:
             raise UnknownColor(f"index {exc.args[0]} has no color") from None
-
-    def overridden(self, new_assignments):
-        """A new coloring with some indices recolored."""
-        merged = dict(self._assignment)
-        merged.update(new_assignments)
-        return Coloring(merged)
 
 
 def distinct_elements(entries):
@@ -202,7 +147,7 @@ def color_class(seq, coloring, colors):
     colors = frozenset(colors)
     assignment = coloring._assignment
     try:
-        return seq._derive(tuple([pair for pair in seq.entries if assignment[pair[0]] in colors]))
+        return IndexedSequence([pair for pair in seq.entries if assignment[pair[0]] in colors])
     except KeyError as exc:
         raise UnknownColor(f"index {exc.args[0]} has no color") from None
 
@@ -224,6 +169,11 @@ class ColorCountProfile:
         for entry in seq:
             color = coloring.of(entry)
             tally[color] = tally.get(color, 0) + 1
+        return cls.of_counts(tally)
+
+    @classmethod
+    def of_counts(cls, tally):
+        """The profile of a dict from each color in play to its number of entries."""
         ordering = tuple(
             sorted(tally, key=lambda c: (-tally[c], color_sort_key(c)))
         )
@@ -281,13 +231,16 @@ def check_special_profile(seq, coloring, r, m):
     of the designated first color (the most frequent) and at least r-1 of
     every other color.
     """
-    colors = coloring.colors_of(seq)
-    if len(colors) != m:
+    return check_special_counts(ColorCountProfile.of(seq, coloring), r, m)
+
+
+def check_special_counts(profile, r, m):
+    """``check_special_profile`` read from the ``ColorCountProfile`` of the sequence."""
+    if len(profile.counts) != m:
         return ProfileCheck(
             False,
-            f"the sequence has {len(colors)} colors, the rank requires exactly {m}",
+            f"the sequence has {len(profile.counts)} colors, the rank requires exactly {m}",
         )
-    profile = ColorCountProfile.of(seq, coloring)
     for rank_pos, (color, count) in enumerate(profile.counts):
         needed = r if rank_pos == 0 else r - 1
         if count < needed:

@@ -58,9 +58,8 @@ from .sequences import (
     IndexedSequence,
     ProfileCheck,
     check_general_profile,
-    check_special_profile,
+    check_special_counts,
     color_clash,
-    color_class,
     distinct_elements,
     is_rainbow,
 )
@@ -182,28 +181,17 @@ def max_rainbow_independent(matroid, seq, coloring, seed=None):
     """
     if seed is None:
         seed = seq.with_indices(())
-    if not seed.is_subsequence_of(seq):
+    if not set(seed.entries) <= set(seq.entries):
         raise SeedInvalid("seed is not a subsequence of S")
     if not is_rainbow(seed, coloring):
         raise SeedInvalid("seed is not rainbow")
     if matroid.rank(seed.set_image) != len(seed):
         raise SeedInvalid("seed is not independent")
-    return _extend_rainbow(matroid, seq, coloring, seed)
-
-
-def _extend_rainbow(matroid, seq, coloring, seed):
-    """``max_rainbow_independent`` for a seed already known to be valid."""
-    chosen = list(seed.entries)
-    used_colors = {coloring.of(entry) for entry in seed}
-    elems = set(seed.set_image)
-    for entry in seq:
-        color = coloring.of(entry)
-        if color in used_colors or matroid.covers(entry[1], elems):
-            continue
-        chosen.append(entry)
-        used_colors.add(color)
-        elems.add(entry[1])
-    return seq.with_indices(i for i, _ in chosen)
+    work = _Bits(seq, coloring)
+    work.restrict(work.full)
+    seed_mask = sum(1 << b for b, i in enumerate(work.index) if i in seed.indices)
+    found = _extend_rainbow(matroid, work, work.full, seed_mask)
+    return seq.with_indices([work.index[b] for b in work.bits(found)])
 
 
 def _validate_input(matroid, seq, coloring, r):
@@ -215,37 +203,11 @@ def _validate_input(matroid, seq, coloring, r):
         if e not in matroid.ground_set:
             raise UnknownElement(f"sequence entry ({i}, {e!r}) is not in the ground set")
     if coloring is not None:
-        for entry in seq:
-            coloring.of(entry)
+        coloring.colors_of(seq)
     loops = matroid.loops
     for i, e in seq:
         if e in loops:
             raise LoopInInput(f"entry ({i}, {e!r}) is a loop")
-
-
-def _normalize(matroid, seq, coloring, restriction=None):
-    """Drop whole color classes until #colors == rank of the sequence.
-
-    Returns the surviving sequence and ``(elements, m)``: the elements of
-    the sequence and their rank m, which equals the number of colors
-    whenever the instance satisfies the special profile.  The coloring
-    passes through unchanged: the colors in play are those of the returned
-    sequence.  The working matroid is the restriction M|elements; since
-    cl_{M|X}(Y) = cl_M(Y) ∩ X, every closure question about it is asked of
-    ``matroid`` itself, and m is all the restriction adds.  Dropping keeps
-    the most frequent colors, so the r / r-1 count thresholds survive each
-    round.  ``restriction`` is an earlier ``(elements, m)``; its rank is
-    reused while the elements stay.
-    """
-    while True:
-        if restriction is None or restriction[0] != seq.set_image:
-            restriction = (seq.set_image, matroid.rank(seq.set_image))
-        m = restriction[1]
-        used = coloring.colors_of(seq)
-        if len(used) <= m:
-            return seq, restriction
-        profile = ColorCountProfile.of(seq, coloring)
-        seq = color_class(seq, coloring, profile.top(m))
 
 
 def special_precondition(matroid, seq, coloring, r):
@@ -254,8 +216,9 @@ def special_precondition(matroid, seq, coloring, r):
         _validate_input(matroid, seq, coloring, r)
     except (PreconditionViolated, LoopInInput) as exc:
         return ProfileCheck(False, str(exc))
-    nseq, (_, m) = _normalize(matroid, seq, coloring)
-    return check_special_profile(nseq, coloring, r, m)
+    work = _Bits(seq, coloring)
+    _, (_, m) = _normalize(matroid, work, work.full)
+    return check_special_counts(work.profile(), r, m)
 
 
 def general_precondition(matroid, seq, coloring, r):
@@ -287,12 +250,13 @@ def solve_special(matroid, seq, coloring, r, *, stats=None):
 
 def _special_parts(matroid, seq, coloring, r, stats):
     """The parts ``solve_special`` returns, for input it has already validated."""
-    nseq, restriction = _normalize(matroid, seq, coloring)
-    profile_ok = check_special_profile(nseq, coloring, r, restriction[1])
+    work = _Bits(seq, coloring)
+    nseq, restriction = _normalize(matroid, work, work.full)
+    profile_ok = check_special_counts(work.profile(), r, restriction[1])
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    parts = _solve(matroid, nseq, coloring, r, restriction, stats)
-    return [seq.with_indices(p.indices) for p in parts]
+    parts = _solve(matroid, work, nseq, r, restriction, stats)
+    return [seq.with_indices([work.index[b] for b in work.bits(p)]) for p in parts]
 
 
 def _certified(matroid, seq, coloring, r, parts):
@@ -378,12 +342,103 @@ def solve_noncolor(matroid, seq, r, *, stats=None):
 # The engine.
 
 
-def _solve(matroid, seq, coloring, r, restriction, stats):
-    """Returns r disjoint rainbow parts of ``seq`` with chained closures.
+class _Bits:
+    """A sequence and its coloring as bits: entry b, in index order, is 1 << b.
+
+    The engine holds the working sequence, RI, I, C_K and each I^p as int
+    masks and walks a mask's bits lowest first, which is index order, so it
+    asks the questions the entries would ask, in the same order.
+    ``restrict`` makes a mask the working sequence and maps each of its
+    colors to the mask of its entries in ``classes``.  A mask's bit
+    positions and its elements as a frozenset are built once per solve.
+    """
+
+    def __init__(self, seq, coloring):
+        self.index = [i for i, _ in seq]
+        self.element = [e for _, e in seq]
+        self.color = [coloring.of(entry) for entry in seq]
+        self.full = (1 << len(self.index)) - 1
+        self._positions = {self.full: list(range(len(self.index)))}
+        self._sets = {}
+
+    def bits(self, mask):
+        """The bit positions of ``mask``, lowest first; the list is shared, not a copy."""
+        positions = self._positions.get(mask)
+        if positions is None:
+            positions, rest = [], mask
+            while rest:
+                low = rest & -rest
+                positions.append(low.bit_length() - 1)
+                rest ^= low
+            self._positions[mask] = positions
+        return positions
+
+    def elements(self, mask):
+        elements = self._sets.get(mask)
+        if elements is None:
+            elements = self._sets[mask] = frozenset([self.element[b] for b in self.bits(mask)])
+        return elements
+
+    def order(self, mask):
+        """The distinct elements of ``mask``, in index order."""
+        return tuple(dict.fromkeys([self.element[b] for b in self.bits(mask)]))
+
+    def restrict(self, mask):
+        classes, color = {}, self.color
+        for b in self.bits(mask):
+            classes[color[b]] = classes.get(color[b], 0) | 1 << b
+        self.classes = classes
+
+    def profile(self):
+        """The ``ColorCountProfile`` of the working sequence."""
+        return ColorCountProfile.of_counts({c: cls.bit_count() for c, cls in self.classes.items()})
+
+    def classes_of(self, mask):
+        """The color classes that meet ``mask``; being disjoint, they sum to their union."""
+        classes, color = self.classes, self.color
+        return {classes[color[b]] for b in self.bits(mask)}
+
+
+def _normalize(matroid, work, seq, restriction=None):
+    """Drop whole color classes of the mask ``seq`` until #colors <= its rank m.
+
+    Returns the surviving mask, left as ``work``'s working sequence, and
+    ``(elements, m)``: the restriction M|elements the engine works in (see
+    the module docstring).  Dropping keeps the most frequent colors, so the
+    r / r-1 count thresholds survive each round.  ``restriction`` is an
+    earlier ``(elements, m)``; its rank is reused while the elements stay.
+    """
+    while True:
+        elements = work.elements(seq)
+        if restriction is None or restriction[0] != elements:
+            restriction = (elements, matroid.rank(elements))
+        m = restriction[1]
+        work.restrict(seq)
+        if len(work.classes) <= m:
+            return seq, restriction
+        seq = sum(work.classes[c] for c in work.profile().top(m))
+
+
+def _extend_rainbow(matroid, work, seq, seed):
+    """Extend the rainbow independent mask ``seed`` to a maximal one inside ``seq``, in index order."""
+    element, color, classes = work.element, work.color, work.classes
+    chosen, taken = seed, sum(work.classes_of(seed))
+    elems = set(work.elements(seed))
+    for b in work.bits(seq & ~taken):
+        if taken >> b & 1 or matroid.covers(element[b], elems):
+            continue
+        chosen |= 1 << b
+        taken |= classes[color[b]]
+        elems.add(element[b])
+    return chosen
+
+
+def _solve(matroid, work, seq, r, restriction, stats):
+    """Returns r disjoint rainbow parts of ``seq``, as masks, with chained closures.
 
     ``seq`` comes normalized, and ``restriction`` is the ``(elements, m)``
-    that ``_normalize`` returned with it.  Trusts that
-    (seq, coloring, r) satisfies the special profile after normalization;
+    that ``_normalize`` returned with it.  Trusts that (seq, r) with
+    ``work``'s colors satisfies the special profile after normalization;
     that is asserted (never raised on legal public input).
 
     Both ways down are steps of one loop, not recursive calls, so the stack
@@ -401,23 +456,23 @@ def _solve(matroid, seq, coloring, r, restriction, stats):
             # A single non-loop entry settles r = 1; no profile is needed, and
             # after carving out a spanning RI with r' = 1 a color may
             # legitimately have run out.
-            return [seq.take_first(1)] + tops[::-1]
-        seq, restriction = _normalize(matroid, seq, coloring, restriction)
+            return [seq & -seq] + tops[::-1]
+        seq, restriction = _normalize(matroid, work, seq, restriction)
         m = restriction[1]
-        ok = check_special_profile(seq, coloring, r, m)
+        ok = check_special_counts(work.profile(), r, m)
         if not ok:
             raise InternalInvariantBroken(f"recursion lost the color profile: {ok.reason}")
         if m == 1:
             # Every entry spans the rank-1 working matroid; the profile
             # guarantees at least r entries.
-            if len(seq) < r:
+            if seq.bit_count() < r:
                 raise InternalInvariantBroken("rank-1 base case is short of entries")
-            return [seq.with_indices({seq.entries[i][0]}) for i in range(r)] + tops[::-1]
+            return [1 << b for b in work.bits(seq)[:r]] + tops[::-1]
 
-        ri = _extend_rainbow(matroid, seq, coloring, seq.with_indices(()))
+        ri = _extend_rainbow(matroid, work, seq, 0)
         restarts = 0
-        while len(ri) < m:
-            kind, found = _run_cycle(matroid, m, seq, coloring, ri, depth, stats)
+        while ri.bit_count() < m:
+            kind, found = _run_cycle(matroid, work, m, seq, ri, depth, stats)
             if kind == "flat":
                 break
             restarts += 1
@@ -425,42 +480,42 @@ def _solve(matroid, seq, coloring, r, restriction, stats):
             stats.max_restarts_per_level = max(stats.max_restarts_per_level, restarts)
             if restarts > m:
                 raise InternalInvariantBroken("more cycle restarts than the rank allows")
-            if len(found) != len(ri) + 1:
+            if found.bit_count() != ri.bit_count() + 1:
                 raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-            ri = _extend_rainbow(matroid, seq, coloring, found)
+            ri = _extend_rainbow(matroid, work, seq, found)
         else:
             # RI spans: it is the top part, and r-1 parts remain below it.
-            stats.note(depth, "spanning", ri=len(ri), r=r)
+            stats.note(depth, "spanning", ri=ri.bit_count(), r=r)
             tops.append(ri)
-            seq, r, depth = seq.difference(ri), r - 1, depth + 1
+            seq, r, depth = seq & ~ri, r - 1, depth + 1
             continue
         # Case a: the parts lie inside a smaller flat, with the same r.
-        (seq, coloring), depth = found, depth + 1
+        seq, depth = found, depth + 1
 
 
-def _run_cycle(matroid, m, seq, coloring, ri, depth, stats):
+def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     """One run of the replacement cycle for a non-spanning RI of rank-m elements.
 
-    Returns ("flat", (sub_seq, sub_coloring)) when the answer lies inside a
-    smaller flat and the caller should solve that instance, or ("grow",
-    enlarged_seed) when RI can be extended and the caller should restart.
+    Returns ("flat", sub_seq) when the answer lies inside a smaller flat
+    and the caller should solve that instance, or ("grow", enlarged_seed)
+    when RI can be extended and the caller should restart.  K is held as
+    C_K, the mask of its color classes, and the exchange map ``aug`` takes
+    each eligible entry p to (I^p, the class of the color I^p gains).
     """
-    all_colors = coloring.colors_of(seq)
-    ri_colors = coloring.colors_of(ri)
-    k_set = all_colors - ri_colors
-    if not k_set:
+    c_k = seq & ~sum(work.classes_of(ri))
+    if not c_k:
         raise InternalInvariantBroken("no color is free although RI does not span")
-    i_seq = seq.with_indices(())
-    c_k = color_class(seq, coloring, k_set)
+    i_mask = 0
     # Initially every entry colored from K is eligible (non-loops are never
     # in cl(empty)) and may simply replace the empty I by itself.
-    aug = {entry: (c_k.with_indices({entry[0]}), coloring.of(entry)) for entry in c_k}
+    aug = {b: (1 << b, work.classes[work.color[b]]) for b in work.bits(c_k)}
+    element = work.element
 
     iterations = 0
     while True:
-        i_elems = i_seq.set_image
-        outside_i = [entry for entry in c_k if not matroid.covers(entry[1], i_elems)]
-        _check_rules(matroid, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats)
+        i_elems = work.elements(i_mask)
+        outside_i = [b for b in work.bits(c_k) if not matroid.covers(element[b], i_elems)]
+        _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
@@ -468,136 +523,128 @@ def _run_cycle(matroid, m, seq, coloring, ri, depth, stats):
             raise InternalInvariantBroken("cycle ran longer than the rank allows")
 
         if not outside_i:
-            stats.note(depth, "case_a", k=len(k_set), i=len(i_seq))
-            return "flat", _case_smaller_flat(seq, coloring, i_seq, c_k)
+            stats.note(depth, "case_a", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
+            return "flat", _case_smaller_flat(work, i_mask, c_k)
 
-        ri_elems = ri.set_image
-        escape = next((p for p in outside_i if not matroid.covers(p[1], ri_elems)), None)
+        ri_elems = work.elements(ri)
+        escape = next((p for p in outside_i if not matroid.covers(element[p], ri_elems)), None)
         if escape is not None:
-            stats.note(depth, "case_b", p=escape[0])
-            return "grow", _case_grow(matroid, seq, coloring, ri, i_seq, aug, escape)
+            stats.note(depth, "case_b", p=work.index[escape])
+            return "grow", _case_grow(matroid, work, seq, ri, i_mask, aug, escape)
 
-        stats.note(depth, "case_c", k=len(k_set), i=len(i_seq))
-        k_set, i_seq, aug = _case_advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k)
-        c_k = color_class(seq, coloring, k_set)
+        stats.note(depth, "case_c", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
+        c_k, i_mask, aug = _case_advance(matroid, work, ri, i_mask, aug, c_k)
 
 
-def _case_smaller_flat(seq, coloring, i_seq, c_k):
+def _case_smaller_flat(work, i_mask, c_k):
     """Every K-colored entry lies in cl(I): the instance inside that flat.
 
     The I-colored entries plus one K-colored entry of a fresh color live in
     a matroid of strictly smaller rank; merging that fresh color with the
     most frequent color of I keeps the profile intact, and parts rainbow
     under the merged coloring stay rainbow under the original one.  The
-    merged color is the first of z1, z2, ... that ``seq`` does not carry.
-    Returns the sequence and its merged coloring, for ``_solve`` to solve
-    with the same r.
+    merged color is the first of z1, z2, ... that the working sequence does
+    not carry; ``work`` is recolored in place.  Returns the sub-sequence.
     """
-    if len(i_seq) == 0:
+    if not i_mask:
         raise InternalInvariantBroken("the flat case fired with an empty I")
-    i_colors = coloring.colors_of(i_seq)
-    candidates = [e for e in c_k if coloring.of(e) not in i_colors]
+    core = sum(work.classes_of(i_mask))
+    candidates = c_k & ~core
     if not candidates:
         raise InternalInvariantBroken("no K-colored entry outside the colors of I")
-    p = candidates[0]
-    core = color_class(seq, coloring, i_colors)
-    sub_seq = core.union(seq.with_indices({p[0]}))
-    k1 = ColorCountProfile.of(core, coloring).first_color
-    seq_colors = coloring.colors_of(seq)
-    z = next(f"z{n}" for n in itertools.count(1) if f"z{n}" not in seq_colors)
-    recolored = {idx: z for idx, _ in color_class(sub_seq, coloring, {k1})}
-    recolored[p[0]] = z
-    return sub_seq, coloring.overridden(recolored)
+    p = candidates & -candidates
+    counts = {work.color[b]: work.classes[work.color[b]].bit_count() for b in work.bits(i_mask)}
+    k1 = ColorCountProfile.of_counts(counts).first_color
+    z = next(f"z{n}" for n in itertools.count(1) if f"z{n}" not in work.classes)
+    for b in work.bits(work.classes[k1] | p):
+        work.color[b] = z
+    return core | p
 
 
-def _case_grow(matroid, seq, coloring, ri, i_seq, aug, p_entry):
-    """Some eligible entry escapes cl(RI): swap I for I^p, growing RI by one.
+def _case_grow(matroid, work, seq, ri, i_mask, aug, p):
+    """Some eligible entry p escapes cl(RI): swap I for I^p, growing RI by one.
 
-    The grown sequence seeds the restart, so what a seed must satisfy is
+    The grown mask seeds the restart, so what a seed must satisfy is
     asserted here: it is a rainbow, independent subsequence of S.
     """
-    if p_entry not in aug:
+    if p not in aug:
         raise InternalInvariantBroken("escaping entry has no exchange sequence")
-    exchange, _ = aug[p_entry]
-    grown = ri.difference(i_seq).union(exchange)
-    if not grown.is_subsequence_of(seq):
+    exchange, _ = aug[p]
+    grown = ri & ~i_mask | exchange
+    if grown & ~seq:
         raise InternalInvariantBroken("exchange left the sequence")
-    if not is_rainbow(grown, coloring):
+    if len(work.classes_of(grown)) != grown.bit_count():
         raise InternalInvariantBroken("exchange broke rainbowness of RI")
-    if matroid.rank(grown.set_image) != len(grown):
+    if matroid.rank(work.elements(grown)) != grown.bit_count():
         raise InternalInvariantBroken("exchange broke independence of RI")
-    if len(grown) != len(ri) + 1:
+    if grown.bit_count() != ri.bit_count() + 1:
         raise InternalInvariantBroken("exchange did not enlarge RI by one")
     # Growth is genuine: cl(grown) equals cl(RI + p).
-    order = distinct_elements(ri.entries + (p_entry,))
-    target, grown_elems = frozenset(order), grown.set_image
-    if not all(matroid.covers(e, target) for e in distinct_elements(grown)):
+    order = tuple(dict.fromkeys(work.order(ri) + (work.element[p],)))
+    target, grown_elems = frozenset(order), work.elements(grown)
+    if not all(matroid.covers(e, target) for e in work.order(grown)):
         raise InternalInvariantBroken("cl(RI') is not within cl(RI + p)")
     if not all(matroid.covers(e, grown_elems) for e in order):
         raise InternalInvariantBroken("cl(RI + p) is not within cl(RI')")
     return grown
 
 
-def _case_advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k):
+def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     """All of C_K sits inside cl(RI) but not inside cl(I): enlarge (K, I).
 
     The new I is an inclusion-minimal subsequence of RI spanning C_K,
     computed by greedy deletion in ascending index order.  For every entry p
     of a color new to K that escapes cl(new I), an exchange sequence is
-    assembled from the old rules.
+    assembled from the old rules.  Returns the new C_K, I and exchange map.
     """
-    ck_elems = distinct_elements(c_k)
-    ck_set = frozenset(ck_elems)
+    element = work.element
+    ck_elems = work.order(c_k)
+    ck_set = work.elements(c_k)
     coloops = matroid.known_coloops
 
-    def spans(entries):
-        elems = frozenset([e for _, e in entries])
+    def spans(mask):
+        elems = work.elements(mask)
         return all(matroid.covers(x, elems) for x in ck_elems)
 
-    current = list(ri.entries)
-    if not spans(current):
+    i_next = ri
+    if not spans(i_next):
         raise InternalInvariantBroken("RI does not span C_K in the advance case")
-    for entry in ri.entries:
+    for b in work.bits(ri):
         # RI is independent, so the trial without this entry cannot span
         # the entry's own element: known without asking the oracle.
-        if entry not in current or entry[1] in ck_set:
+        if element[b] in ck_set:
             continue
-        trial = [e for e in current if e != entry]
+        trial = i_next & ~(1 << b)
         # A coloop outside C_K adds nothing to the span of C_K: the trial
-        # spans because ``current`` does.
-        if entry[1] in coloops or spans(trial):
-            current = trial
-    i_next = seq.with_indices(i for i, _ in current)
+        # spans because ``i_next`` does.
+        if element[b] in coloops or spans(trial):
+            i_next = trial
 
-    if not (set(i_seq.entries) < set(i_next.entries)):
+    if i_mask & ~i_next or i_mask == i_next:
         raise InternalInvariantBroken("I did not strictly grow")
-    if matroid.rank(i_next.set_image) <= matroid.rank(i_seq.set_image):
+    if matroid.rank(work.elements(i_next)) <= matroid.rank(work.elements(i_mask)):
         raise InternalInvariantBroken("cl(I) did not strictly grow")
 
-    k_next = k_set | coloring.colors_of(i_next)
-    old_indices = i_seq.indices
-    new_entries = [e for e in i_next if e[0] not in old_indices]
-    i_next_elems = i_next.set_image
+    i_next_elems = work.elements(i_next)
     aug_next = {}
-    for rr in new_entries:
-        reduced = i_next.with_indices(i_next.indices - {rr[0]})
-        reduced_elems = reduced.set_image
-        witness = next((q for q in c_k if not matroid.covers(q[1], reduced_elems)), None)
+    for rr in work.bits(i_next & ~i_mask):
+        reduced = i_next & ~(1 << rr)
+        reduced_elems = work.elements(reduced)
+        witness = next((q for q in work.bits(c_k) if not matroid.covers(element[q], reduced_elems)), None)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
         if witness not in aug:
             raise InternalInvariantBroken("the witness entry has no exchange sequence")
-        exchange_q, color_q = aug[witness]
-        base = reduced.difference(i_seq).union(exchange_q)
-        same_color = color_class(seq, coloring, {coloring.of(rr)})
-        for p in same_color:
-            if matroid.covers(p[1], i_next_elems):
+        exchange_q, gained_q = aug[witness]
+        base = reduced & ~i_mask | exchange_q
+        for p in work.bits(work.classes[work.color[rr]]):
+            if matroid.covers(element[p], i_next_elems):
                 continue
-            aug_next[p] = (base.union(same_color.with_indices({p[0]})), color_q)
-    return k_next, i_next, aug_next
+            aug_next[p] = (base | 1 << p, gained_q)
+    return c_k | sum(work.classes_of(i_next)), i_next, aug_next
 
 
-def _check_rules(matroid, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats):
+def _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats):
     """Assert the five invariants of the replacement rules, plus domain.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
@@ -607,38 +654,42 @@ def _check_rules(matroid, coloring, ri, k_set, c_k, i_seq, aug, outside_i, stats
     I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
     the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I), as
     the cycle's scan at the top of this pass found them; the domain of
-    ``aug`` must be exactly those entries.  Exchanges that share their part
-    without p share its check, which runs once.
+    ``aug`` must be exactly those entries.  Color classes are disjoint and
+    not empty, so an exchange has the colors of I plus the gained one
+    exactly when it lies in the union of their classes and meets each.
+    Exchanges that share their part without p share its check, which runs
+    once.
     """
     stats.invariant_checks += 1
-    i_elems = i_seq.set_image
-    i_colors = coloring.colors_of(i_seq)
-    ri_colors = coloring.colors_of(ri)
-    if not (i_colors < k_set):
+    i_elems = work.elements(i_mask)
+    i_classes = work.classes_of(i_mask)
+    i_cover = sum(i_classes)
+    if i_mask & ~c_k or not c_k & ~i_cover:
         raise InternalInvariantBroken("rules: colors of I do not sit strictly inside K")
-    if not (k_set - ri_colors):
+    if not c_k & ~sum(work.classes_of(ri)):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
-    if ri.intersection(c_k) != i_seq:
+    if ri & c_k != i_mask:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
     if set(aug) != set(outside_i):
         raise InternalInvariantBroken("rules: exchange map domain mismatch")
-    i_order = distinct_elements(i_seq)
+    i_order = work.order(i_mask)
     checked = set()
-    for p, (exchange, new_color) in aug.items():
-        if len(exchange) != len(i_seq) + 1:
+    for p, (exchange, gained) in aug.items():
+        if exchange.bit_count() != i_mask.bit_count() + 1:
             raise InternalInvariantBroken("rules: exchange length is not |I| + 1")
-        if p not in exchange:
+        if not exchange >> p & 1:
             raise InternalInvariantBroken("rules: exchange does not contain its entry")
-        if coloring.colors_of(exchange) != i_colors | {new_color}:
+        allowed = i_cover | gained
+        if exchange & ~allowed or not gained & exchange or not all(map(exchange.__and__, i_classes)):
             raise InternalInvariantBroken("rules: exchange colors are not colors(I) plus one")
-        if new_color not in k_set - ri_colors:
+        if gained & ~c_k or gained & ri:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
-        rest = exchange.with_indices(exchange.indices - {p[0]})
-        rest_elems = rest.set_image
+        rest = exchange & ~(1 << p)
+        rest_elems = work.elements(rest)
         if rest_elems in checked:
             continue
         checked.add(rest_elems)
-        if not all(matroid.covers(e, i_elems) for e in distinct_elements(rest)):
+        if not all(matroid.covers(e, i_elems) for e in work.order(rest)):
             raise InternalInvariantBroken("rules: cl(exchange - p) exceeds cl(I)")
         if not all(matroid.covers(e, rest_elems) for e in i_order):
             raise InternalInvariantBroken("rules: cl(exchange - p) misses part of cl(I)")

@@ -481,11 +481,11 @@ def test_broken_parts_fail_certification(monkeypatch, mode):
     matroid, seq, coloring = _seeded("uniform", "general", 4, 4, 13, 1)
     solve_parts = solver._special_parts
 
-    def broken(*args):
-        parts = solve_parts(*args)
-        moved = parts[-1].take_first(1)
-        parts[0] = parts[0].union(moved)
-        parts[-1] = parts[-1].difference(moved)
+    def broken(matroid_, seq_, *rest):
+        parts = solve_parts(matroid_, seq_, *rest)
+        moved = parts[-1].entries[0][0]
+        parts[0] = seq_.with_indices(parts[0].indices | {moved})
+        parts[-1] = seq_.with_indices(parts[-1].indices - {moved})
         return parts
 
     monkeypatch.setattr(solver, "_special_parts", broken)
@@ -504,9 +504,9 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
         parts = solve_parts(matroid_, seq_, coloring_, *rest)
         color = coloring_.of(parts[0].entries[0])
         twin = color_class(parts[-1], coloring_, {color})
-        twin = twin.with_indices(twin.indices & seq.indices)
-        parts[0] = parts[0].union(twin)
-        parts[-1] = parts[-1].difference(twin)
+        twin = twin.indices & seq.indices
+        parts[0] = seq_.with_indices(parts[0].indices | twin)
+        parts[-1] = seq_.with_indices(parts[-1].indices - twin)
         return parts
 
     monkeypatch.setattr(solver, "_special_parts", broken)
@@ -615,16 +615,17 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     # The chained-advance instance hands a non-empty exchange map to the
     # second pass.  Dropping an entry of it, or adding an old C_K entry
     # (inside cl(I) by construction), must trip the rule check, which
-    # compares the map's domain with the pass's own scan of C_K.
+    # compares the map's domain with the pass's own scan of C_K.  Entries
+    # are bit positions and C_K is a mask.
     advance = solver._case_advance
 
-    def faulty(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k):
-        k_next, i_next, aug_next = advance(matroid, seq, coloring, ri, k_set, i_seq, aug, c_k)
+    def faulty(matroid, work, ri, i_mask, aug, c_k):
+        c_next, i_next, aug_next = advance(matroid, work, ri, i_mask, aug, c_k)
         if fault == "drop":
             del aug_next[min(aug_next)]
         else:
-            aug_next[c_k.entries[0]] = next(iter(aug_next.values()))
-        return k_next, i_next, aug_next
+            aug_next[(c_k & -c_k).bit_length() - 1] = next(iter(aug_next.values()))
+        return c_next, i_next, aug_next
 
     monkeypatch.setattr(solver, "_case_advance", faulty)
     m = VectorMatroidGFp(2, 3, {
