@@ -384,10 +384,11 @@ class _Bits:
         return tuple(dict.fromkeys([self.element[b] for b in self.bits(mask)]))
 
     def restrict(self, mask):
-        classes, color = {}, self.color
+        members, color = {}, self.color
         for b in self.bits(mask):
-            classes[color[b]] = classes.get(color[b], 0) | 1 << b
-        self.classes = classes
+            members.setdefault(color[b], []).append(b)
+        self.classes = {c: sum([1 << b for b in bits]) for c, bits in members.items()}
+        self._positions.update(zip(self.classes.values(), members.values()))
 
     def profile(self):
         """The ``ColorCountProfile`` of the working sequence."""
@@ -408,15 +409,15 @@ def _normalize(matroid, work, seq, restriction=None):
     r / r-1 count thresholds survive each round.  ``restriction`` is an
     earlier ``(elements, m)``; its rank is reused while the elements stay.
     """
+    work.restrict(seq)
     while True:
         elements = work.elements(seq)
         if restriction is None or restriction[0] != elements:
             restriction = (elements, matroid.rank(elements))
-        m = restriction[1]
-        work.restrict(seq)
-        if len(work.classes) <= m:
+        if len(work.classes) <= restriction[1]:
             return seq, restriction
-        seq = sum(work.classes[c] for c in work.profile().top(m))
+        work.classes = {c: work.classes[c] for c in work.profile().top(restriction[1])}
+        seq = sum(work.classes.values())
 
 
 def _extend_rainbow(matroid, work, seq, seed):
@@ -602,34 +603,32 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     ck_set = work.elements(c_k)
     coloops = matroid.known_coloops
 
-    def spans(mask):
-        elems = work.elements(mask)
+    def spans(elems):
         return all(matroid.covers(x, elems) for x in ck_elems)
 
-    i_next = ri
-    if not spans(i_next):
+    # RI is independent, so its elements are distinct, and a trial without
+    # an entry cannot span the entry's own element: known without asking.
+    i_next, i_next_elems = ri, work.elements(ri)
+    if not spans(i_next_elems):
         raise InternalInvariantBroken("RI does not span C_K in the advance case")
     for b in work.bits(ri):
-        # RI is independent, so the trial without this entry cannot span
-        # the entry's own element: known without asking the oracle.
         if element[b] in ck_set:
             continue
-        trial = i_next & ~(1 << b)
+        trial = i_next_elems - {element[b]}
         # A coloop outside C_K adds nothing to the span of C_K: the trial
         # spans because ``i_next`` does.
         if element[b] in coloops or spans(trial):
-            i_next = trial
+            i_next, i_next_elems = i_next & ~(1 << b), trial
 
     if i_mask & ~i_next or i_mask == i_next:
         raise InternalInvariantBroken("I did not strictly grow")
-    if matroid.rank(work.elements(i_next)) <= matroid.rank(work.elements(i_mask)):
+    if matroid.rank(i_next_elems) <= matroid.rank(work.elements(i_mask)):
         raise InternalInvariantBroken("cl(I) did not strictly grow")
 
-    i_next_elems = work.elements(i_next)
     aug_next = {}
     for rr in work.bits(i_next & ~i_mask):
         reduced = i_next & ~(1 << rr)
-        reduced_elems = work.elements(reduced)
+        reduced_elems = i_next_elems - {element[rr]}
         witness = next((q for q in work.bits(c_k) if not matroid.covers(element[q], reduced_elems)), None)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
