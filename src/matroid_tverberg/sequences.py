@@ -33,7 +33,7 @@ class IndexedSequence:
         for (i, _), (j, _) in zip(entries, entries[1:]):
             if i == j:
                 raise ValueError(f"duplicate index {i}")
-        self._entries = tuple((int(i), e) for i, e in entries)
+        self._entries = tuple([(int(i), e) for i, e in entries])
         self._index_set = self._set_image = None
 
     @classmethod

@@ -188,7 +188,6 @@ def max_rainbow_independent(matroid, seq, coloring, seed=None):
     if matroid.rank(seed.set_image) != len(seed):
         raise SeedInvalid("seed is not independent")
     work = _Bits(seq, coloring)
-    work.restrict(work.full)
     seed_mask = sum(1 << b for b, i in enumerate(work.index) if i in seed.indices)
     found = _extend_rainbow(matroid, work, work.full, seed_mask)
     return seq.with_indices([work.index[b] for b in work.bits(found)])
@@ -422,14 +421,14 @@ def _normalize(matroid, work, seq, restriction=None):
 
 def _extend_rainbow(matroid, work, seq, seed):
     """Extend the rainbow independent mask ``seed`` to a maximal one inside ``seq``, in index order."""
-    element, color, classes = work.element, work.color, work.classes
-    chosen, taken = seed, sum(work.classes_of(seed))
+    element, color = work.element, work.color
+    chosen, used = seed, {color[b] for b in work.bits(seed)}
     elems = set(work.elements(seed))
-    for b in work.bits(seq & ~taken):
-        if taken >> b & 1 or matroid.covers(element[b], elems):
+    for b in work.bits(seq):
+        if color[b] in used or matroid.covers(element[b], elems):
             continue
         chosen |= 1 << b
-        taken |= classes[color[b]]
+        used.add(color[b])
         elems.add(element[b])
     return chosen
 
@@ -503,7 +502,8 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     C_K, the mask of its color classes, and the exchange map ``aug`` takes
     each eligible entry p to (I^p, the class of the color I^p gains).
     """
-    c_k = seq & ~sum(work.classes_of(ri))
+    ri_cover = sum(work.classes_of(ri))
+    c_k = seq & ~ri_cover
     if not c_k:
         raise InternalInvariantBroken("no color is free although RI does not span")
     i_mask = 0
@@ -516,7 +516,7 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     while True:
         i_elems = work.elements(i_mask)
         outside_i = [b for b in work.bits(c_k) if not matroid.covers(element[b], i_elems)]
-        _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats)
+        _check_rules(matroid, work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
@@ -643,7 +643,7 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     return c_k | sum(work.classes_of(i_next)), i_next, aug_next
 
 
-def _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats):
+def _check_rules(matroid, work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats):
     """Assert the five invariants of the replacement rules, plus domain.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
@@ -651,13 +651,13 @@ def _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats):
     entry longer than I; (4) each exchange contains its entry p and spans
     exactly cl(I) without it; (5) RI meets the K-colored entries exactly in
     I, and K keeps a color unused by RI.  ``c_k`` is the K-colored part of
-    the sequence and ``outside_i`` the entries of ``c_k`` outside cl(I), as
-    the cycle's scan at the top of this pass found them; the domain of
-    ``aug`` must be exactly those entries.  Color classes are disjoint and
-    not empty, so an exchange has the colors of I plus the gained one
-    exactly when it lies in the union of their classes and meets each.
-    Exchanges that share their part without p share its check, which runs
-    once.
+    the sequence, ``ri_cover`` the part colored like RI, and ``outside_i``
+    the entries of ``c_k`` outside cl(I) as the cycle's scan at the top of
+    this pass found them; the domain of ``aug`` must be exactly those.
+    Color classes are disjoint and not empty, so an exchange has the colors
+    of I plus the gained one exactly when it lies in the union of their
+    classes and meets each.  Exchanges that share their part without p
+    share its check, which runs once.
     """
     stats.invariant_checks += 1
     i_elems = work.elements(i_mask)
@@ -665,23 +665,24 @@ def _check_rules(matroid, work, ri, c_k, i_mask, aug, outside_i, stats):
     i_cover = sum(i_classes)
     if i_mask & ~c_k or not c_k & ~i_cover:
         raise InternalInvariantBroken("rules: colors of I do not sit strictly inside K")
-    if not c_k & ~sum(work.classes_of(ri)):
+    if not c_k & ~ri_cover:
         raise InternalInvariantBroken("rules: K has no color unused by RI")
     if ri & c_k != i_mask:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
     if set(aug) != set(outside_i):
         raise InternalInvariantBroken("rules: exchange map domain mismatch")
     i_order = work.order(i_mask)
+    size, outside_k = i_mask.bit_count() + 1, ~c_k | ri
     checked = set()
     for p, (exchange, gained) in aug.items():
-        if exchange.bit_count() != i_mask.bit_count() + 1:
+        if exchange.bit_count() != size:
             raise InternalInvariantBroken("rules: exchange length is not |I| + 1")
         if not exchange >> p & 1:
             raise InternalInvariantBroken("rules: exchange does not contain its entry")
         allowed = i_cover | gained
         if exchange & ~allowed or not gained & exchange or not all(map(exchange.__and__, i_classes)):
             raise InternalInvariantBroken("rules: exchange colors are not colors(I) plus one")
-        if gained & ~c_k or gained & ri:
+        if gained & outside_k:
             raise InternalInvariantBroken("rules: the gained color is not free in K")
         rest = exchange & ~(1 << p)
         rest_elems = work.elements(rest)
