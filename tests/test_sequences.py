@@ -128,6 +128,20 @@ def test_general_profile_examples():
     assert not check_general_profile(s3, coloring_of(["u", "u", "u", "v"]), 2, 3)
 
 
+def test_general_profile_ranks_tied_ints_before_strings():
+    # Colors that tie in count rank by type name, then by value: ints
+    # before strings, 4 before 7, "a" before "b".  The reason names the
+    # first color over its cap in that order.
+    s = seq_of(list("abcdefghijkl"))
+    three_each = coloring_of([7, 7, 7, "a", "a", "a", 4, 4, 4, "b", "b", "b"])
+    outcome = check_general_profile(s, three_each, 3, 5)
+    assert not outcome
+    assert outcome.reason == "color 7 has 3 entries, allowed at most 2"
+    four_each = coloring_of([7, 7, 7, 7, "a", "a", "a", "a", 4, 4, 4, 4])
+    outcome = check_general_profile(s, four_each, 3, 5)
+    assert outcome.reason == "color 4 has 4 entries, allowed at most 3"
+
+
 def test_special_profile_examples():
     s = seq_of(["a", "b", "c"])
     c = coloring_of(["u", "u", "v"])

@@ -112,6 +112,26 @@ def test_special_flat_recursion_case():
     assert labels == ["case_c", "case_a"]
 
 
+def test_special_ranks_tied_ints_before_strings():
+    # Three colors over rank 2: normalization keeps 5 and the first of the
+    # tied 7 and "a", which is 7 (ints rank before strings), so entry 2
+    # joins the spanning top part, not entry 3.
+    s = seq_of(["e0", "e1", "e2", "e3"])
+    part = solve_special(UniformMatroid(2, 4), s, coloring_of([5, 5, 7, "a"]), 2)
+    assert part.part_indices() == ((1,), (0, 2))
+    # With int colors, case a merges into the string color z1, and the
+    # instance inside the flat is solved with colors of both types.
+    m = VectorMatroidGFp(2, 3, {
+        "g0": (1, 0, 0), "g1": (1, 0, 0), "g2": (1, 0, 1), "g3": (0, 1, 0),
+    })
+    s = seq_of(["g0", "g1", "g2", "g3"])
+    c = coloring_of([3, 2, 1, 1])
+    stats = SolveStats()
+    part = solve_special(m, s, c, 2, stats=stats)
+    assert [label for _, label, _ in stats.events] == ["case_c", "case_a"]
+    assert part.part_indices() == ((0,), (1,))
+
+
 def test_special_exchange_grows_ri():
     # g2 duplicates g0, so the greedy rainbow independent set stalls at
     # size two; the cycle first swaps the exchange rules (g3 escapes
