@@ -9,8 +9,13 @@ each family's kernel against another family's kernel on drawn inputs:
 * a graphic matroid is its incidence vectors over GF(2) and its signed
   incidence vectors over GF(3); a self-loop edge is a zero row;
 * U_k^n with k < n is n points of the moment curve (1, t, ..., t^(k-1))
-  over the rationals.  (U_n^n declares its elements as coloops, and a
-  vector matroid declares none, so its questions would differ.)
+  over the rationals, and over GF(p) for a prime p >= n, where the n
+  values of t stay distinct.  (U_n^n declares its elements as coloops,
+  and a vector matroid declares none, so its questions would differ.)
+* an affine point set, rational or over GF(3), is the vector matroid of
+  its points lifted by a last coordinate 1;
+* the direct sum of two vector matroids over one field is the vector
+  matroid of their block-diagonal vectors.
 """
 
 from fractions import Fraction
@@ -19,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_tverberg import (
+    AffineMatroid,
     Coloring,
+    DirectSumMatroid,
     GraphicMatroid,
     IndexedSequence,
     SolveStats,
@@ -45,12 +52,18 @@ def incidence_gfp(graph, p):
     return VectorMatroidGFp(p, graph.num_vertices, vectors)
 
 
-def moment_curve(uniform):
-    """U_k^n as the points (1, t, ..., t^(k-1)) for t = 0..n-1 over the rationals."""
+def moment_curve(uniform, p=None):
+    """U_k^n as the points (1, t, ..., t^(k-1)) for t = 0..n-1, over the rationals or GF(p)."""
     k = uniform.k
-    return VectorMatroidRational(
-        k, {eid: tuple(Fraction(t**j) for j in range(k)) for t, eid in enumerate(uniform.ground)}
-    )
+    points = {eid: tuple(t**j for j in range(k)) for t, eid in enumerate(uniform.ground)}
+    return vector_matroid(p, k, points)
+
+
+def vector_matroid(p, dim, vectors):
+    """The vector matroid of ``vectors`` over the rationals (``p`` None) or over GF(p)."""
+    if p is None:
+        return VectorMatroidRational(dim, vectors)
+    return VectorMatroidGFp(p, dim, vectors)
 
 
 @st.composite
@@ -67,17 +80,61 @@ def uniforms(draw):
     return UniformMatroid(draw(st.integers(1, n - 1)), n)
 
 
+def coordinates(p):
+    """Small coordinates: fractions for the rationals, residues for GF(p)."""
+    if p is None:
+        return st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.integers(0, p - 1)
+
+
+@st.composite
+def affine_sets(draw):
+    """Affine points, rational or over GF(3), and the vector matroid of their lifts."""
+    p = draw(st.sampled_from([None, 3]))
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[coordinates(p)] * dim), min_size=1, max_size=7))
+    points = {f"a{i}": point for i, point in enumerate(points)}
+    affine = AffineMatroid("rational" if p is None else p, dim, points)
+    lifted = {eid: point + (1,) for eid, point in points.items()}
+    return [affine, vector_matroid(p, dim + 1, lifted)]
+
+
+@st.composite
+def block_sums(draw):
+    """The direct sum of two vector matroids and the vector matroid of its block-diagonal vectors."""
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    dims = [draw(st.integers(1, 3)) for _ in range(2)]
+    blocks = [
+        {
+            f"{name}{i}": vector
+            for i, vector in enumerate(
+                draw(st.lists(st.tuples(*[coordinates(p)] * dim), min_size=1, max_size=4))
+            )
+        }
+        for name, dim in zip("uv", dims)
+    ]
+    left, right = (vector_matroid(p, dim, block) for dim, block in zip(dims, blocks))
+    zeros = [(0,) * dim for dim in dims]
+    diagonal = {eid: vector + zeros[1] for eid, vector in blocks[0].items()}
+    diagonal |= {eid: zeros[0] + vector for eid, vector in blocks[1].items()}
+    return [DirectSumMatroid(left, right), vector_matroid(p, sum(dims), diagonal)]
+
+
 @st.composite
 def representations(draw):
     """A matroid and the other oracles that represent it, each built fresh."""
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["graph", "uniform", "affine", "block"]))
+    if kind == "graph":
         graph = draw(graphs())
         return [graph, incidence_gfp(graph, 2), incidence_gfp(graph, 3)]
-    uniform = draw(uniforms())
-    return [uniform, moment_curve(uniform)]
+    if kind == "uniform":
+        uniform = draw(uniforms())
+        p = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q >= len(uniform.ground)]))
+        return [uniform, moment_curve(uniform), moment_curve(uniform, p)]
+    return draw(affine_sets() if kind == "affine" else block_sums())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(representations(), st.data())
 def test_sampled_closure_answers_agree(oracles, data):
     first = oracles[0]
@@ -129,7 +186,7 @@ def _solve_record(matroid, seq, coloring, r):
     return partition.part_indices(), stats.events, stats.oracle_calls, stats.recursion_depth
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(instances())
 def test_solve_and_referee_agree(case):
     oracles, seq, coloring, r = case
