@@ -50,13 +50,12 @@ from .matroids import (
     add_coloops,
 )
 from .sequences import (
-    ColorCountProfile,
     Coloring,
     IndexedSequence,
     check_general_profile,
     check_special_profile,
-    color_class,
     is_rainbow,
+    ranked_counts,
 )
 from .solver import (
     Partition,
@@ -78,7 +77,6 @@ __all__ = [
     "AffineMatroid",
     "BruteForceBudget",
     "BudgetExceeded",
-    "ColorCountProfile",
     "Coloring",
     "DirectSumMatroid",
     "GraphicMatroid",
@@ -110,7 +108,6 @@ __all__ = [
     "check_special_profile",
     "check_tightness",
     "closure_intersection_agrees",
-    "color_class",
     "emit_instance",
     "emit_partition",
     "gen_random_instance",
@@ -119,6 +116,7 @@ __all__ = [
     "max_rainbow_independent",
     "parse_instance",
     "parse_partition",
+    "ranked_counts",
     "rota_check",
     "solve_general",
     "solve_noncolor",

@@ -9,6 +9,7 @@ read and build sequences.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import UnknownColor
@@ -138,57 +139,23 @@ def is_rainbow(seq, coloring):
     return color_clash(seq, coloring) is None
 
 
-def color_class(seq, coloring, colors):
-    """The subsequence of ``seq`` whose entries are colored from ``colors``.
+def ranked_counts(tally):
+    """The (color, count) pairs of ``tally``, most frequent first.
 
-    A color that no entry carries selects nothing; an uncolored entry
-    raises UnknownColor.
-    """
-    colors = frozenset(colors)
-    assignment = coloring._assignment
-    try:
-        return IndexedSequence([pair for pair in seq.entries if assignment[pair[0]] in colors])
-    except KeyError as exc:
-        raise UnknownColor(f"index {exc.args[0]} has no color") from None
-
-
-@dataclass(frozen=True)
-class ColorCountProfile:
-    """Color counts of a sequence, ordered most-frequent-first.
-
-    Ties break by ascending color id so that "the first color" is always a
+    ``tally`` maps each color of a sequence to its number of entries.  Ties
+    break by ``color_sort_key``, so that "the first color" is always a
     deterministic choice.
     """
+    return sorted(tally.items(), key=lambda pair: (-pair[1], color_sort_key(pair[0])))
 
-    counts: tuple
-    ordering: tuple
 
-    @classmethod
-    def of(cls, seq, coloring):
-        tally = {}
-        for entry in seq:
-            color = coloring.of(entry)
-            tally[color] = tally.get(color, 0) + 1
-        return cls.of_counts(tally)
+def quota(pos, r):
+    """The count bound of the color ranked ``pos`` (from 0): r for the first, r-1 for the rest.
 
-    @classmethod
-    def of_counts(cls, tally):
-        """The profile of a dict from each color in play to its number of entries."""
-        ordering = tuple(
-            sorted(tally, key=lambda c: (-tally[c], color_sort_key(c)))
-        )
-        counts = tuple((c, tally[c]) for c in ordering)
-        return cls(counts=counts, ordering=ordering)
-
-    @property
-    def first_color(self):
-        if not self.ordering:
-            raise UnknownColor("an empty sequence has no first color")
-        return self.ordering[0]
-
-    def top(self, k):
-        """The k most frequent colors (deterministic tie-break)."""
-        return self.ordering[:k]
+    The general profile caps each color's entries at its quota, and the
+    special profile requires at least as many.
+    """
+    return r if pos == 0 else r - 1
 
 
 @dataclass(frozen=True)
@@ -213,13 +180,11 @@ def check_general_profile(seq, coloring, r, m):
         return ProfileCheck(False, f"length {len(seq)} is not above m(r-1) = {m * (r - 1)}")
     if r == 1:
         return ProfileCheck(True)
-    profile = ColorCountProfile.of(seq, coloring)
-    for rank_pos, (color, count) in enumerate(profile.counts):
-        limit = r if rank_pos == 0 else r - 1
-        if count > limit:
+    for pos, (color, count) in enumerate(ranked_counts(Counter(map(coloring.of, seq)))):
+        if count > quota(pos, r):
             return ProfileCheck(
                 False,
-                f"color {color!r} has {count} entries, allowed at most {limit}",
+                f"color {color!r} has {count} entries, allowed at most {quota(pos, r)}",
             )
     return ProfileCheck(True)
 
@@ -231,21 +196,20 @@ def check_special_profile(seq, coloring, r, m):
     of the designated first color (the most frequent) and at least r-1 of
     every other color.
     """
-    return check_special_counts(ColorCountProfile.of(seq, coloring), r, m)
+    return check_special_counts(ranked_counts(Counter(map(coloring.of, seq))), r, m)
 
 
-def check_special_counts(profile, r, m):
-    """``check_special_profile`` read from the ``ColorCountProfile`` of the sequence."""
-    if len(profile.counts) != m:
+def check_special_counts(ranked, r, m):
+    """``check_special_profile`` read from the ``ranked_counts`` of the sequence."""
+    if len(ranked) != m:
         return ProfileCheck(
             False,
-            f"the sequence has {len(profile.counts)} colors, the rank requires exactly {m}",
+            f"the sequence has {len(ranked)} colors, the rank requires exactly {m}",
         )
-    for rank_pos, (color, count) in enumerate(profile.counts):
-        needed = r if rank_pos == 0 else r - 1
-        if count < needed:
+    for pos, (color, count) in enumerate(ranked):
+        if count < quota(pos, r):
             return ProfileCheck(
                 False,
-                f"color {color!r} has {count} entries, needs at least {needed}",
+                f"color {color!r} has {count} entries, needs at least {quota(pos, r)}",
             )
     return ProfileCheck(True)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -53,7 +54,6 @@ from .errors import (
 )
 from .matroids import add_coloops
 from .sequences import (
-    ColorCountProfile,
     Coloring,
     IndexedSequence,
     ProfileCheck,
@@ -62,6 +62,8 @@ from .sequences import (
     color_clash,
     distinct_elements,
     is_rainbow,
+    quota,
+    ranked_counts,
 )
 
 @dataclass(frozen=True)
@@ -187,10 +189,9 @@ def max_rainbow_independent(matroid, seq, coloring, seed=None):
         raise SeedInvalid("seed is not rainbow")
     if matroid.rank(seed.set_image) != len(seed):
         raise SeedInvalid("seed is not independent")
-    work = _Bits(seq, coloring)
+    work = _Bits(seq.entries, map(coloring.of, seq))
     seed_mask = sum(1 << b for b, i in enumerate(work.index) if i in seed.indices)
-    found = _extend_rainbow(matroid, work, work.full, seed_mask)
-    return seq.with_indices([work.index[b] for b in work.bits(found)])
+    return work.sequence(_extend_rainbow(matroid, work, work.full, seed_mask))
 
 
 def _validate_input(matroid, seq, coloring, r):
@@ -215,7 +216,7 @@ def special_precondition(matroid, seq, coloring, r):
         _validate_input(matroid, seq, coloring, r)
     except (PreconditionViolated, LoopInInput) as exc:
         return ProfileCheck(False, str(exc))
-    work = _Bits(seq, coloring)
+    work = _Bits(seq.entries, map(coloring.of, seq))
     _, (_, m) = _normalize(matroid, work, work.full)
     return check_special_counts(work.profile(), r, m)
 
@@ -240,22 +241,21 @@ def solve_special(matroid, seq, coloring, r, *, stats=None):
     calls0 = matroid.oracle_calls
     try:
         _validate_input(matroid, seq, coloring, r)
-        parts = _special_parts(matroid, seq, coloring, r, stats)
-        return _certified(matroid, seq, coloring, r, parts)
+        work = _Bits(seq.entries, map(coloring.of, seq))
+        parts = _special_parts(matroid, work, r, stats)
+        return _certified(matroid, seq, coloring, r, map(work.sequence, parts))
     finally:
         stats.oracle_calls = matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
 
 
-def _special_parts(matroid, seq, coloring, r, stats):
-    """The parts ``solve_special`` returns, for input it has already validated."""
-    work = _Bits(seq, coloring)
+def _special_parts(matroid, work, r, stats):
+    """The parts of ``work``'s sequence under the exact profile, as masks, for validated input."""
     nseq, restriction = _normalize(matroid, work, work.full)
     profile_ok = check_special_counts(work.profile(), r, restriction[1])
     if not profile_ok:
         raise PreconditionViolated(f"special profile violated: {profile_ok.reason}")
-    parts = _solve(matroid, work, nseq, r, restriction, stats)
-    return [seq.with_indices([work.index[b] for b in work.bits(p)]) for p in parts]
+    return _solve(matroid, work, nseq, r, restriction, stats)
 
 
 def _certified(matroid, seq, coloring, r, parts):
@@ -294,35 +294,33 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
             return _certified(matroid, seq, coloring, r, [seq.take_first(1)])
 
         keep = m * (r - 1) + 1
-        trimmed = seq.take_first(keep)
-        d = len(coloring.colors_of(trimmed))
-        if d < m:
+        trimmed = seq.entries[:keep]
+        colors = [coloring.of(entry) for entry in trimmed]
+        ranked = ranked_counts(Counter(colors))
+        if len(ranked) < m:
             raise InternalInvariantBroken("color count fell below the rank after trimming")
 
-        padded_matroid = add_coloops(matroid, d - m)
+        padded_matroid = add_coloops(matroid, len(ranked) - m)
         coloops = padded_matroid.ground[len(matroid.ground):]
         padding = [x for x in coloops for _ in range(r - 1)]
-        extra_entries = list(enumerate(padding, max(seq.indices) + 1))
 
-        profile = ColorCountProfile.of(trimmed, coloring)
         deficits = []
-        for pos, (col, count) in enumerate(profile.counts):
-            target = r if pos == 0 else r - 1
-            if count > target:
+        for pos, (col, count) in enumerate(ranked):
+            if count > quota(pos, r):
                 raise InternalInvariantBroken(f"color {col!r} exceeds its padded target")
-            deficits.extend([col] * (target - count))
-        if len(deficits) != len(extra_entries):
+            deficits.extend([col] * (quota(pos, r) - count))
+        if len(deficits) != len(padding):
             raise InternalInvariantBroken("coloop padding does not match the color deficits")
 
-        padded_seq = IndexedSequence(list(trimmed.entries) + extra_entries)
-        extra_colors = {i: col for (i, _), col in zip(extra_entries, deficits)}
-        padded_coloring = Coloring({e[0]: coloring.of(e) for e in trimmed} | extra_colors)
-
-        # Only the parts projected onto the original instance are certified:
-        # they are what this function returns.
-        inner = _special_parts(padded_matroid, padded_seq, padded_coloring, r, stats)
-        parts = [seq.with_indices(p.indices & trimmed.indices) for p in inner]
-        return _certified(matroid, seq, coloring, r, parts)
+        # The padding entries get indices above every index of S, so they
+        # take the bits above the trimmed entries.  Only the parts projected
+        # onto the original instance are certified: they are what this
+        # function returns.
+        padded = trimmed + tuple(enumerate(padding, max(seq.indices) + 1))
+        work = _Bits(padded, colors + deficits)
+        parts = _special_parts(padded_matroid, work, r, stats)
+        original = (1 << keep) - 1
+        return _certified(matroid, seq, coloring, r, [work.sequence(p & original) for p in parts])
     finally:
         stats.oracle_calls = padded_matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
@@ -342,20 +340,21 @@ def solve_noncolor(matroid, seq, r, *, stats=None):
 
 
 class _Bits:
-    """A sequence and its coloring as bits: entry b, in index order, is 1 << b.
+    """Entries, in index order, and their colors as bits: entry b is 1 << b.
 
     The engine holds the working sequence, RI, I, C_K and each I^p as int
     masks and walks a mask's bits lowest first, which is index order, so it
     asks the questions the entries would ask, in the same order.
     ``restrict`` makes a mask the working sequence and maps each of its
-    colors to the mask of its entries in ``classes``.  A mask's bit
-    positions and its elements as a frozenset are built once per solve.
+    colors to the mask of its entries in ``classes``, and ``sequence`` maps
+    a mask back to its entries.  A mask's bit positions and its elements as
+    a frozenset are built once per solve.
     """
 
-    def __init__(self, seq, coloring):
-        self.index = [i for i, _ in seq]
-        self.element = [e for _, e in seq]
-        self.color = [coloring.of(entry) for entry in seq]
+    def __init__(self, entries, colors):
+        self.index = [i for i, _ in entries]
+        self.element = [e for _, e in entries]
+        self.color = list(colors)
         self.full = (1 << len(self.index)) - 1
         self._positions = {self.full: list(range(len(self.index)))}
         self._sets = {}
@@ -378,6 +377,10 @@ class _Bits:
             elements = self._sets[mask] = frozenset([self.element[b] for b in self.bits(mask)])
         return elements
 
+    def sequence(self, mask):
+        """The entries of ``mask`` as an ``IndexedSequence``."""
+        return IndexedSequence([(self.index[b], self.element[b]) for b in self.bits(mask)])
+
     def order(self, mask):
         """The distinct elements of ``mask``, in index order."""
         return tuple(dict.fromkeys([self.element[b] for b in self.bits(mask)]))
@@ -390,8 +393,8 @@ class _Bits:
         self._positions.update(zip(self.classes.values(), members.values()))
 
     def profile(self):
-        """The ``ColorCountProfile`` of the working sequence."""
-        return ColorCountProfile.of_counts({c: cls.bit_count() for c, cls in self.classes.items()})
+        """The ranked (color, count) pairs of the working sequence."""
+        return ranked_counts({c: cls.bit_count() for c, cls in self.classes.items()})
 
     def classes_of(self, mask):
         """The color classes that meet ``mask``; being disjoint, they sum to their union."""
@@ -415,7 +418,7 @@ def _normalize(matroid, work, seq, restriction=None):
             restriction = (elements, matroid.rank(elements))
         if len(work.classes) <= restriction[1]:
             return seq, restriction
-        work.classes = {c: work.classes[c] for c in work.profile().top(restriction[1])}
+        work.classes = {c: work.classes[c] for c, _ in work.profile()[:restriction[1]]}
         seq = sum(work.classes.values())
 
 
@@ -555,7 +558,7 @@ def _case_smaller_flat(work, i_mask, c_k):
         raise InternalInvariantBroken("no K-colored entry outside the colors of I")
     p = candidates & -candidates
     counts = {work.color[b]: work.classes[work.color[b]].bit_count() for b in work.bits(i_mask)}
-    k1 = ColorCountProfile.of_counts(counts).first_color
+    k1 = ranked_counts(counts)[0][0]
     z = next(f"z{n}" for n in itertools.count(1) if f"z{n}" not in work.classes)
     for b in work.bits(work.classes[k1] | p):
         work.color[b] = z

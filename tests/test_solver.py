@@ -21,7 +21,6 @@ from matroid_tverberg import (
     VectorMatroidGFp,
     brute_force_solve,
     build_partition,
-    color_class,
     gen_random_instance,
     max_rainbow_independent,
     solve_general,
@@ -501,11 +500,11 @@ def test_broken_parts_fail_certification(monkeypatch, mode):
     matroid, seq, coloring = _seeded("uniform", "general", 4, 4, 13, 1)
     solve_parts = solver._special_parts
 
-    def broken(matroid_, seq_, *rest):
-        parts = solve_parts(matroid_, seq_, *rest)
-        moved = parts[-1].entries[0][0]
-        parts[0] = seq_.with_indices(parts[0].indices | {moved})
-        parts[-1] = seq_.with_indices(parts[-1].indices - {moved})
+    def broken(*args):
+        parts = solve_parts(*args)
+        moved = parts[-1] & -parts[-1]
+        parts[0] |= moved
+        parts[-1] &= ~moved
         return parts
 
     monkeypatch.setattr(solver, "_special_parts", broken)
@@ -520,13 +519,18 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
     matroid, seq, coloring = _seeded("uniform", "general", 3, 3, 7, 1)
     solve_parts = solver._special_parts
 
-    def broken(matroid_, seq_, coloring_, *rest):
-        parts = solve_parts(matroid_, seq_, coloring_, *rest)
-        color = coloring_.of(parts[0].entries[0])
-        twin = color_class(parts[-1], coloring_, {color})
-        twin = twin.indices & seq.indices
-        parts[0] = seq_.with_indices(parts[0].indices | twin)
-        parts[-1] = seq_.with_indices(parts[-1].indices - twin)
+    def broken(matroid_, work, *rest):
+        # Case a recolors ``work`` in place, so read the colors first.
+        colors = list(work.color)
+        parts = solve_parts(matroid_, work, *rest)
+        color = colors[work.bits(parts[0])[0]]
+        twin = sum(
+            1 << b
+            for b in work.bits(parts[-1])
+            if colors[b] == color and work.index[b] in seq.indices
+        )
+        parts[0] |= twin
+        parts[-1] &= ~twin
         return parts
 
     monkeypatch.setattr(solver, "_special_parts", broken)
