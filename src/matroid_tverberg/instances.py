@@ -65,7 +65,7 @@ from .matroids import (
     VectorMatroidRational,
     check_prime,
 )
-from .sequences import Coloring, IndexedSequence
+from .sequences import Coloring, IndexedSequence, quota
 
 MODES = ("general", "special", "noncolor")
 
@@ -655,20 +655,18 @@ def _color_plan(profile, m, r, length, rng):
         if r == 1:
             counts = [length]  # count caps are vacuous when only one part is needed
         else:
-            counts = [min(r, length)]
-            rest = length - counts[0]
+            counts, rest = [], length
             while rest > 0:
-                take = min(r - 1, rest)
-                counts.append(take)
-                rest -= take
+                counts.append(min(quota(len(counts), r), rest))
+                rest -= counts[-1]
     elif profile == "special":
-        floor_other = max(r - 1, 1)
-        minimum = r + (m - 1) * floor_other
+        # Each of the m colors carries an entry, even where r = 1 asks none.
+        counts = [max(quota(pos, r), 1) for pos in range(m)]
+        minimum = sum(counts)
         if length < minimum:
             raise InfeasibleRequest(
                 f"special profile with m = {m}, r = {r} needs length >= {minimum}"
             )
-        counts = [r] + [floor_other] * (m - 1)
         for _ in range(length - minimum):
             counts[rng.randrange(m)] += 1
     else:
