@@ -9,7 +9,6 @@ re-derives the same answers by exhaustive search at desk scale.
 """
 
 from .bruteforce import (
-    BruteForceBudget,
     brute_force_solve,
     check_intersection_lemma,
     check_tightness,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMatroid",
-    "BruteForceBudget",
     "BudgetExceeded",
     "Coloring",
     "DirectSumMatroid",

@@ -14,7 +14,6 @@ rainbow-bases repartition question (feasible for rank at most 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 
 from .errors import (
@@ -27,27 +26,16 @@ from .sequences import Coloring, IndexedSequence, distinct_elements
 from .solver import build_partition, verify_partition
 
 
-# Exhaustive search takes at most MAX_ENTRIES entries and MAX_R parts, so
-# its per-search closure table holds at most 2**MAX_ENTRIES = 4,096 masks.
+# brute_force_solve searches at most MAX_ENTRIES entries, MAX_R parts and
+# MAX_NODES nodes.  The caps bound the other searches too: check_tightness
+# has m(r-1) <= 12, so for m >= 1 at most (2**r - 1)**m <= 3**12 = 531,441
+# divisions, and rota_check has m <= 3, so at most (3**10 - 1)/2 = 29,524 nodes.
 MAX_ENTRIES = 12
 MAX_R = 4
+MAX_NODES = 20_000_000
 
 
-@dataclass(frozen=True)
-class BruteForceBudget:
-    """Caps that keep exhaustive enumeration from running unbounded.
-
-    ``max_assignments`` bounds visited search-tree nodes, which in turn
-    bounds the number of labelings examined.
-    """
-
-    max_assignments: int = 20_000_000
-
-
-DEFAULT_BUDGET = BruteForceBudget()
-
-
-def brute_force_solve(matroid, seq, coloring, r, budget=None):
+def brute_force_solve(matroid, seq, coloring, r):
     """Exhaustive search for a valid partition; None when none exists.
 
     Entries are assigned labels {0 = unused, 1..r} in lexicographic order
@@ -72,10 +60,9 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
     known in and outside their closure (the mask itself is in).  The oracle
     is asked only what the table does not know, never twice, in order of
     first occurrence in ``seq`` (so ``oracle_calls`` does not depend on the
-    hash seed).  Labels visited, nodes charged to the budget, leaf verdicts
-    and so the witness are those of the plain search over entry lists.
+    hash seed).  Labels visited, nodes counted, leaf verdicts and so the
+    witness are those of the plain search over entry lists.
     """
-    budget = budget or DEFAULT_BUDGET
     if not isinstance(r, int) or r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
     n = len(seq)
@@ -100,7 +87,7 @@ def brute_force_solve(matroid, seq, coloring, r, budget=None):
         color_pos = {}
         color_bit = [1 << color_pos.setdefault(coloring.of(entry), len(color_pos)) for entry in entries]
 
-    max_nodes = budget.max_assignments
+    max_nodes = MAX_NODES
     part_mask = [0] * r
     part_colors = [0] * r
     has_nonloop = [False] * r
@@ -212,7 +199,7 @@ def tight_instance(matroid, basis, r):
     return IndexedSequence.from_elements(elements)
 
 
-def check_tightness(matroid, basis, r, budget=None):
+def check_tightness(matroid, basis, r):
     """Exhaustively confirm that the tight instance admits no partition.
 
     For every division of the tight sequence into r disjoint (possibly
@@ -224,16 +211,12 @@ def check_tightness(matroid, basis, r, budget=None):
     Closures come from the oracle; the closure-intersection law is applied
     to each division as a cross-check only.
     """
-    budget = budget or DEFAULT_BUDGET
     basis = _require_basis(matroid, basis)
     if r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
     m = len(basis)
     if m * (r - 1) > MAX_ENTRIES:
         raise BudgetExceeded(f"m(r-1) = {m * (r - 1)} exceeds the budget of {MAX_ENTRIES}")
-    profile_count = (2**r - 1) ** m
-    if profile_count > budget.max_assignments:
-        raise BudgetExceeded(f"{profile_count} divisions exceed the assignment budget")
 
     ground = matroid.ground
     bit_of = {e: i for i, e in enumerate(ground)}
@@ -315,7 +298,7 @@ def check_intersection_lemma(matroid, basis, u, v):
     return closure_intersection_agrees(matroid, u, v)
 
 
-def rota_check(matroid, bases, budget=None):
+def rota_check(matroid, bases):
     """Search for a repartition of m disjoint bases into m rainbow bases.
 
     The input sequence is the concatenation of the given bases, entry i of
@@ -324,7 +307,6 @@ def rota_check(matroid, bases, budget=None):
     each entry exactly once, so labels range over parts only.  Feasible for
     rank at most 3.
     """
-    budget = budget or DEFAULT_BUDGET
     m = matroid.rank_bound
     bases = [tuple(b) for b in bases]
     if len(bases) != m:
@@ -344,13 +326,8 @@ def rota_check(matroid, bases, budget=None):
     part_entries = [[] for _ in range(m)]
     part_elems = [[] for _ in range(m)]
     part_colors = [set() for _ in range(m)]
-    nodes = 0
 
     def dfs(j):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.max_assignments:
-            raise BudgetExceeded(f"assignment budget of {budget.max_assignments} exhausted")
         if j == len(entries):
             return True  # sizes, rainbowness and independence were enforced on the way
         entry = entries[j]

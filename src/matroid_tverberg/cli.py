@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .bruteforce import BruteForceBudget, brute_force_solve
+from .bruteforce import brute_force_solve
 from .errors import MatroidTverbergError, ParseError, PreconditionViolated
 from .instances import (
     GENERATOR_FAMILIES,
@@ -101,10 +101,6 @@ def _load(path):
     return inst, inst.oracle, inst.build_sequence(), inst.build_coloring()
 
 
-def _certificate_extra(partition):
-    return {"witness_nonloop": partition.witness_nonloop[0]}
-
-
 def _solve_cost(stats):
     """The report fields a solve's ``SolveStats`` fills, however the solve ended."""
     counts = ("oracle_calls", "cycle_iterations", "restarts", "recursion_depth")
@@ -113,6 +109,21 @@ def _solve_cost(stats):
 
 def _emit_report(report, as_json):
     print(report.to_json() if as_json else report.to_text())
+
+
+def _emit_partition(partition, args, **cost):
+    """Report a found partition, and write it to ``--out`` if given."""
+    report = RunReport(
+        outcome="partition",
+        parts=[list(p) for p in partition.part_indices()],
+        extra={"witness_nonloop": partition.witness_nonloop[0]},
+        **cost,
+    )
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(emit_partition(report.parts))
+    _emit_report(report, args.json)
+    return EXIT_OK
 
 
 def _cmd_solve(args):
@@ -129,17 +140,7 @@ def _cmd_solve(args):
         report = RunReport(outcome="precondition-violated", message=str(exc), **_solve_cost(stats))
         _emit_report(report, args.json)
         return EXIT_PRECONDITION
-    report = RunReport(
-        outcome="partition",
-        parts=[list(p) for p in partition.part_indices()],
-        extra=_certificate_extra(partition),
-        **_solve_cost(stats),
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(emit_partition(report.parts))
-    _emit_report(report, args.json)
-    return EXIT_OK
+    return _emit_partition(partition, args, **_solve_cost(stats))
 
 
 def _cmd_verify(args):
@@ -169,9 +170,8 @@ def _cmd_verify(args):
 
 def _cmd_brute(args):
     inst, oracle, seq, coloring = _load(args.instance)
-    budget = BruteForceBudget(max_assignments=args.budget)
     start = time.perf_counter()
-    partition = brute_force_solve(oracle, seq, coloring, inst.r, budget)
+    partition = brute_force_solve(oracle, seq, coloring, inst.r)
     wall_ms = (time.perf_counter() - start) * 1000.0
     if partition is None:
         _emit_report(
@@ -184,18 +184,7 @@ def _cmd_brute(args):
             args.json,
         )
         return EXIT_NO_PARTITION
-    report = RunReport(
-        outcome="partition",
-        parts=[list(p) for p in partition.part_indices()],
-        oracle_calls=oracle.oracle_calls,
-        wall_ms=wall_ms,
-        extra=_certificate_extra(partition),
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(emit_partition(report.parts))
-    _emit_report(report, args.json)
-    return EXIT_OK
+    return _emit_partition(partition, args, oracle_calls=oracle.oracle_calls, wall_ms=wall_ms)
 
 
 def _write_generated(inst, out):
@@ -247,7 +236,6 @@ def _build_parser():
 
     p = sub.add_parser("brute", help="exhaustive partition search")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=BruteForceBudget.max_assignments)
     p.add_argument("--out", help="write a found partition to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_brute)

@@ -34,7 +34,7 @@ class NotABasis(MatroidTverbergError):
 
 
 class BudgetExceeded(MatroidTverbergError):
-    """A brute-force enumeration hit its configured budget."""
+    """A brute-force enumeration hit one of its fixed caps."""
 
 
 class InfeasibleRequest(MatroidTverbergError):

@@ -190,11 +190,13 @@ def check_general_profile(seq, coloring, r, m):
 
 
 def check_special_profile(seq, coloring, r, m):
-    """Precondition of the special solver.
+    """The exact form the engine runs on.
 
     Requires exactly m colors on the entries of ``seq``, at least r entries
-    of the designated first color (the most frequent) and at least r-1 of
-    every other color.
+    of the first color (the most frequent) and at least r-1 of every other.
+    ``solve_special`` first drops the least frequent colors while there are
+    more colors than the rank of the sequence's elements, and takes m to be
+    that rank; its precondition is ``solver.special_precondition``.
     """
     return check_special_counts(ranked_counts(Counter(map(coloring.of, seq))), r, m)
 

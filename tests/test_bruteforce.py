@@ -8,7 +8,6 @@ import pytest
 
 from matroid_tverberg import (
     AffineMatroid,
-    BruteForceBudget,
     BudgetExceeded,
     Coloring,
     IndexedSequence,
@@ -89,16 +88,16 @@ def test_brute_respects_coloring():
     assert partition.part_indices() == ((0,), (1,))
 
 
-def test_brute_budget_errors():
+def test_brute_budget_errors(monkeypatch):
     m = UniformMatroid(2, 13)
     s = seq_of([f"e{i}" for i in range(13)])
     with pytest.raises(BudgetExceeded):
         brute_force_solve(m, s, None, 2)
     with pytest.raises(BudgetExceeded):
         brute_force_solve(m, seq_of(["e0"]), None, 5)
-    tiny = BruteForceBudget(max_assignments=10)
+    monkeypatch.setattr(bruteforce, "MAX_NODES", 10)
     with pytest.raises(BudgetExceeded):
-        brute_force_solve(m, seq_of([f"e{i}" for i in range(8)]), None, 2, tiny)
+        brute_force_solve(m, seq_of([f"e{i}" for i in range(8)]), None, 2)
 
 
 def test_brute_agrees_with_solver_on_random_instances():

@@ -5,8 +5,8 @@ parts became bitmasks and each part mask's elements were read off once per
 search: parts are entry lists with color sets, the empty-part count is
 recomputed at every node, and every leaf rebuilds each part's set-image and
 asks the oracle again.  Both searches must return the same lexicographically first witness
-(or both none) and charge the same number of nodes to the budget, so they
-also run out of budget on exactly the same instances.
+(or both none) and visit the same number of nodes, so they also reach the
+node cap ``MAX_NODES`` on exactly the same instances.
 """
 
 import random
@@ -14,12 +14,12 @@ import random
 import pytest
 
 from matroid_tverberg import (
-    BruteForceBudget,
     BudgetExceeded,
     Coloring,
     IndexedSequence,
     VectorMatroidGFp,
     brute_force_solve,
+    bruteforce,
     gen_random_instance,
     tight_instance,
 )
@@ -90,12 +90,15 @@ def reference_search(matroid, seq, coloring, r):
 
 
 def assert_same_search(matroid, seq, coloring, r):
-    """Same witness as the reference, and the budget runs out at the same node."""
+    """Same witness as the reference, and the node cap is reached at the same node."""
     witness, nodes = reference_search(matroid, seq, coloring, r)
-    found = brute_force_solve(matroid, seq, coloring, r, BruteForceBudget(max_assignments=nodes))
-    assert (None if found is None else found.part_indices()) == witness
-    with pytest.raises(BudgetExceeded):
-        brute_force_solve(matroid, seq, coloring, r, BruteForceBudget(max_assignments=nodes - 1))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(bruteforce, "MAX_NODES", nodes)
+        found = brute_force_solve(matroid, seq, coloring, r)
+        assert (None if found is None else found.part_indices()) == witness
+        monkeypatch.setattr(bruteforce, "MAX_NODES", nodes - 1)
+        with pytest.raises(BudgetExceeded):
+            brute_force_solve(matroid, seq, coloring, r)
     return witness
 
 
