@@ -236,7 +236,7 @@ def check_tightness(matroid, basis, r):
     loops_mask = sub_mask[0]
 
     full = (1 << r) - 1
-    proper = list(range(full))  # every subset of parts except all of them
+    proper = range(full)  # every subset of parts except all of them
     part_bits = [0] * r
 
     def rec(j):

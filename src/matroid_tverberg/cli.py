@@ -5,7 +5,7 @@ an instance, ``brute`` -force search an instance, ``gen-tight`` and
 ``gen-random`` instance generators.
 
 Exit codes: 0 success / partition found, 2 precondition violated,
-3 no partition exists (brute), 1 anything else.
+3 no partition exists (brute), 1 anything else, usage errors included.
 """
 
 from __future__ import annotations
@@ -208,6 +208,22 @@ def _cmd_gen_random(args):
     return _write_generated(inst, args.out)
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects: an unknown command or option, or a missing operand."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that hands usage errors to ``main``.
+
+    argparse itself exits 2 on them, the code that means "precondition
+    violated"; ``main`` reports them as errors, with exit code 1.  Subparsers
+    are built with the same class, so theirs go the same way.
+    """
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and reused by later calls.
@@ -216,7 +232,7 @@ def _build_parser():
     call of ``parse_args`` returns a fresh namespace, so nothing carries
     over from one ``main`` call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matroid-tverberg",
         description="Tverberg-style partitions of colored sequences in matroids.",
     )
@@ -261,13 +277,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except MatroidTverbergError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (_UsageError, MatroidTverbergError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,8 +17,15 @@ matroid), or for rational vectors Python integers, since each vector is
 scaled once to an integer row and reduced by fraction-free elimination.
 Floating point never enters a membership decision.
 
-Oracles are immutable after construction and safe to share between threads
-for reads; the per-oracle call counter is a plain int and relies on the GIL.
+Oracles give the same answers for their whole life and are safe to share
+between threads for reads; the per-oracle call counter is a plain int and
+relies on the GIL.  The graphic and rational kernels keep the last target
+they answered for with its union-find forest or echelon basis, and reuse
+it when the next target is the same set or that set plus one element.
+They copy a kept structure before they grow it, never change one to mean
+another target, and publish a new (target, structure) pair with one
+assignment, so a thread that reads the old pair still holds a structure
+that matches its target.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ class MatroidOracle:
 
     Subclasses implement ``_members(x, ys)`` with ``ys`` a frozenset already
     validated against the ground set.  ``in_closure`` adds validation, call
-    counting and memoization (sound because oracles are immutable).
+    counting and memoization (sound because an oracle's answers never change).
 
     ``known_coloops`` is a set of elements the oracle knows to be coloops,
     empty unless the family declares some.  A coloop c lies in cl(Y) only
@@ -301,6 +308,8 @@ class VectorMatroidRational(MatroidOracle):
         self._rows = {eid: integer_row(coords) for eid, coords in table.items()}
         super().__init__(ids)
         self.loops = frozenset(eid for eid, row in self._rows.items() if not any(row))
+        # The last target asked about and an echelon basis of its rows.
+        self._kept = (frozenset(), [])
 
     def coords(self, eid):
         if eid not in self._vectors:
@@ -310,11 +319,19 @@ class VectorMatroidRational(MatroidOracle):
     def _members(self, x, ys):
         if x in ys:
             return True
-        basis = []
-        for y in sorted(ys, key=self._position.__getitem__):
-            if _insert(basis, self._rows[y]) and len(basis) == self.dim:
-                return True
-        return not any(_reduce(self._rows[x], basis))
+        target, basis = self._kept
+        if ys != target:
+            if len(ys) == len(target) + 1 and target < ys:
+                (y,) = ys - target
+                basis = basis.copy()
+                _insert(basis, self._rows[y])
+            else:
+                basis = []
+                for y in sorted(ys, key=self._position.__getitem__):
+                    if _insert(basis, self._rows[y]) and len(basis) == self.dim:
+                        break
+            self._kept = (ys, basis)
+        return len(basis) == self.dim or not any(_reduce(self._rows[x], basis))
 
     def _compute_rank_bound(self):
         return rational_rank(self._rows[e] for e in self._ground)
@@ -408,6 +425,8 @@ class GraphicMatroid(MatroidOracle):
         self._edges = table
         super().__init__(tuple(table))
         self.loops = frozenset(eid for eid, (u, v) in table.items() if u == v)
+        # The last target asked about and its spanning forest.
+        self._kept = (frozenset(), {})
 
     def endpoints(self, eid):
         if eid not in self._edges:
@@ -418,15 +437,40 @@ class GraphicMatroid(MatroidOracle):
         u, v = self._edges[x]
         if u == v:
             return True
-        parent, _ = _spanning_forest(map(self._edges.__getitem__, ys))
-        while u in parent:
-            u = parent[u]
-        while v in parent:
-            v = parent[v]
-        return u == v
+        target, parent = self._kept
+        if ys != target:
+            if len(ys) == len(target) + 1 and target < ys:
+                (y,) = ys - target
+                parent = parent.copy()
+                _union(parent, *self._edges[y])
+            else:
+                parent, _ = _spanning_forest(map(self._edges.__getitem__, ys))
+            self._kept = (ys, parent)
+        return _union(parent, u, v, join=False)
 
     def _compute_rank_bound(self):
         return _spanning_forest(self._edges.values())[1]
+
+
+def _union(parent, a, b, join=True):
+    """Find the roots of vertices a and b in the forest ``parent``, with path halving.
+
+    Returns whether they share a root.  Unless they do, or ``join`` is
+    False, the tree of a is hung under the root of b.  Halving only moves a
+    vertex closer to its own root, so it never changes which vertices a
+    forest connects.
+    """
+    while a in parent:
+        p = parent[a]
+        parent[a] = a = parent.get(p, p)
+    while b in parent:
+        p = parent[b]
+        parent[b] = b = parent.get(p, p)
+    if a == b:
+        return True
+    if join:
+        parent[a] = b
+    return False
 
 
 def _spanning_forest(edges):
@@ -439,14 +483,7 @@ def _spanning_forest(edges):
     parent = {}
     joined = 0
     for a, b in edges:
-        while a in parent:
-            p = parent[a]
-            parent[a] = a = parent.get(p, p)
-        while b in parent:
-            p = parent[b]
-            parent[b] = b = parent.get(p, p)
-        if a != b:
-            parent[a] = b
+        if not _union(parent, a, b):
             joined += 1
     return parent, joined
 

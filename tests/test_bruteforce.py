@@ -177,6 +177,12 @@ def test_check_tightness_r1_vacuous(u24):
     assert check_tightness(u24, ("e0", "e1"), 1)
 
 
+def test_check_tightness_rank_0_builds_no_list_of_part_subsets():
+    # m(r-1) = 0 passes the entry cap for every r; the 2**r - 1 part subsets
+    # are a range, so r = 40 returns at once.
+    assert check_tightness(UniformMatroid(0, 2), (), 40)
+
+
 def test_check_tightness_budget(u24):
     with pytest.raises(BudgetExceeded):
         check_tightness(u24, ("e0", "e1"), 8)

@@ -100,6 +100,31 @@ def test_brute_past_the_entry_cap_exits_1(tmp_path, capsys):
     assert captured.err == "error: |S| = 13 exceeds the budget of 12\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["brute", "INSTANCE", "--budget", "5"], "error: unrecognized arguments: --budget 5\n"),
+        (["bruteforce", "INSTANCE"], "error: argument command: invalid choice: 'bruteforce'"),
+        (["solve"], "error: the following arguments are required: instance\n"),
+    ],
+)
+def test_a_usage_error_exits_1_not_2(special_instance, capsys, argv, message):
+    # Exit code 2 means a violated precondition, so a typo must not return it.
+    argv = [special_instance if a == "INSTANCE" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_gen_tight_then_brute_exits_3(tmp_path, capsys):
     out_file = str(tmp_path / "tight.txt")
     assert main(["gen-tight", "--family", "uniform", "--rank", "2", "--r", "3", "--out", out_file]) == 0
