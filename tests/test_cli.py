@@ -1,6 +1,7 @@
 """The command-line interface, run in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,7 +186,7 @@ def test_gen_random_deterministic(tmp_path):
     f2 = str(tmp_path / "b.txt")
     assert main(args + ["--out", f1]) == 0
     assert main(args + ["--out", f2]) == 0
-    assert open(f1).read() == open(f2).read()
+    assert Path(f1).read_text(encoding="utf-8") == Path(f2).read_text(encoding="utf-8")
 
 
 def test_verify_rejects_bad_partition(tmp_path, special_instance, capsys):
@@ -229,9 +230,9 @@ def test_verify_and_brute_report_what_they_cost(tmp_path, capsys):
     assert main(["verify", inst, part, "--json"]) == 0
     verified = json.loads(capsys.readouterr().out)
     # The same check, asked directly of a fresh oracle built from the same files.
-    loaded = instances.parse_instance(open(inst, encoding="utf-8").read())
+    loaded = instances.parse_instance(Path(inst).read_text(encoding="utf-8"))
     seq = loaded.build_sequence()
-    parts = [seq.with_indices(p) for p in instances.parse_partition(open(part).read())]
+    parts = [seq.with_indices(p) for p in instances.parse_partition(Path(part).read_text(encoding="utf-8"))]
     oracle = loaded.oracle
     assert solver.verify_partition(oracle, seq, loaded.build_coloring(), loaded.r, parts)
     assert verified["outcome"] == "verified"

@@ -9,6 +9,13 @@ mutated instance and ``verify --json`` on a mutated instance and
 partition pair must return 0, 1, 2 or 3 without raising, and whatever they
 print to standard output must be JSON.  Values stay small, so no mutated
 file asks for a large matroid or a long search.
+
+Drawn command lines hold the same contract: any of the five subcommands,
+or none, with existing, missing and extra operands, known and unknown
+options, and flag values in and out of range.  Exit code 2 must come with
+a ``precondition-violated`` report, and no traceback may reach standard
+error.  Ranks and r stay below 5 and lengths below 13, so every run is
+quick.
 """
 
 import contextlib
@@ -17,7 +24,8 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from matroid_tverberg import gen_random_instance, solve_general, solve_noncolor, solve_special
 from matroid_tverberg.cli import main
@@ -27,6 +35,7 @@ from matroid_tverberg.instances import (
     MODES,
     emit_instance,
     emit_partition,
+    gen_tight_instance,
     parse_instance,
 )
 
@@ -142,3 +151,85 @@ def test_solve_on_mutated_instances_keeps_exit_codes(case):
 @given(cases(("instance", "partition", "both")))
 def test_verify_on_mutated_files_keeps_exit_codes(case):
     _with_files(*case, "verify")
+
+
+COMMANDS = ("solve", "verify", "brute", "gen-tight", "gen-random")
+# The operands: a solvable instance, a tight one (solve exits 2, brute 3),
+# its partition, a file that does not parse, a directory and a missing path.
+# ``--budget`` is no option of the CLI; it is drawn with a value.
+OPERANDS = ("inst.txt", "tight.txt", "part.txt", "junk.txt", "subdir", "missing.txt")
+small = st.integers(-1, 4).map(str)
+FLAG_VALUES = {
+    "--family": st.sampled_from(GENERATOR_FAMILIES + ("nope",)),
+    "--rank": small,
+    "--r": small,
+    "--length": st.integers(-1, 12).map(str),
+    "--seed": st.integers(-2, 5).map(str),
+    "--profile": st.sampled_from(("general", "special", "noncolor")),
+    "--out": st.sampled_from(("out.txt", "subdir", "missing/out.txt")),
+    "--budget": small,
+}
+GEN_FLAGS = ("--family", "--rank", "--r", "--length", "--seed", "--profile")
+OPTIONS = tuple(FLAG_VALUES) + ("--json", "--bogus", "-x", "-h", "--help", "--")
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    text, part = SEEDS[1]
+    (path / "inst.txt").write_text(text, encoding="utf-8")
+    (path / "part.txt").write_text(part, encoding="utf-8")
+    (path / "tight.txt").write_text(emit_instance(gen_tight_instance("uniform", 2, 3)), encoding="utf-8")
+    (path / "junk.txt").write_text("mode sideways\n", encoding="utf-8")
+    (path / "subdir").mkdir()
+    return path
+
+
+@st.composite
+def argvs(draw):
+    """A command (or none), then operands, required gen flags and options."""
+    command = draw(st.sampled_from(COMMANDS * 2 + ("nope", "")))
+    argv = [command] if command else []
+    count = draw(st.sampled_from((0, 1, 1, 2, 2, 3)))
+    argv += [draw(st.sampled_from(OPERANDS + ("tight.txt",))) for _ in range(count)]
+    if command.startswith("gen-"):
+        # Most gen command lines carry each required flag, so that some run.
+        for flag in GEN_FLAGS:
+            if draw(st.integers(0, 9)):
+                argv += [flag, draw(FLAG_VALUES[flag])]
+    for option in draw(st.lists(st.sampled_from(OPTIONS), max_size=2)):
+        argv.append(option)
+        if option in FLAG_VALUES and draw(st.integers(0, 4)):
+            argv.append(draw(FLAG_VALUES[option]))
+    return argv
+
+
+def _outcome(out):
+    """The outcome of a JSON or text report, or None for other output."""
+    text = out.strip()
+    if text.startswith("{"):
+        return json.loads(text)["outcome"]
+    first = text.splitlines()[0] if text else ""
+    return first[len("outcome "):] if first.startswith("outcome ") else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_drawn_command_lines_keep_the_exit_code_contract(argv_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help, and only --help, exits through argparse
+                assert "-h" in argv or "--help" in argv, argv
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    event(f"{argv[0] if argv and argv[0] in COMMANDS else 'no command'} exits {code}")
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code == 2:
+        assert _outcome(out.getvalue()) == "precondition-violated", (argv, out.getvalue())

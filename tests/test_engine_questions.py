@@ -206,8 +206,8 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (_cheap_rows, "60f5329d978624ef4e77fcb55b05fa9bc86642c3e79297718e1aa3f667761516", CHEAP),
-        (_rational_rows, "6b6a4cae48b935a0281b73e90efae83ac437c12923efeac195cb97ff003e1649", RATIONAL),
+        (_cheap_rows, "2d57af0e4a2dc1cf1c37d6e1497076f56d262160b19215803c07610a57c3b6b6", CHEAP),
+        (_rational_rows, "b11128984da4c0fe18c99956c234ef75f7f0d426b31a395ec1068a9b470e22b7", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )

@@ -520,7 +520,7 @@ def test_non_rainbow_parts_fail_certification(monkeypatch):
     solve_parts = solver._special_parts
 
     def broken(matroid_, work, *rest):
-        # Case a recolors ``work`` in place, so read the colors first.
+        # The input's colors, read before the solve.
         colors = list(work.color)
         parts = solve_parts(matroid_, work, *rest)
         color = colors[work.bits(parts[0])[0]]
@@ -660,6 +660,105 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     c = coloring_of(["c1", "c2", "c1", "c3", "c2"])
     with pytest.raises(InternalInvariantBroken, match="exchange map domain mismatch"):
         solve_special(m, s, c, 2)
+
+
+class _SaysAllInside:
+    """A matroid that puts every element inside the closure of one set."""
+
+    def __init__(self, matroid, elements):
+        self._matroid, self._elements = matroid, elements
+
+    def covers(self, x, ys):
+        return ys == self._elements or self._matroid.covers(x, ys)
+
+    def __getattr__(self, name):
+        return getattr(self._matroid, name)
+
+
+@pytest.mark.parametrize(
+    "fault, instance, caught",
+    [
+        # Case b grows RI with an eligible entry other than the escaping
+        # one, so the grown seed may be dependent: no check asks.  A
+        # dependent seed ends in a broken chain or in a part without a
+        # non-loop.
+        ("other_entry", ("general", "graphic", 4, 3, 9, 5), "output failed verification: chain"),
+        ("other_entry", ("noncolor", "graphic", 3, 3, 7, 3), "first part has no non-loop entry"),
+        # Case b swaps in another entry's exchange for the escaping entry's,
+        # so cl(grown) need not be cl(RI + p): no check asks.
+        ("other_exchange", ("general", "graphic", 4, 3, 9, 5), "output failed verification: chain"),
+        # Case c composes each new exchange from the wrong old one, so an
+        # exchange without its entry need not span cl(I): no check asks.
+        ("composed_wrong", ("special", "uniform", 5, 5, 26, 1), "output failed verification: chain"),
+        # Case c runs although an entry escapes cl(RI).  That entry stays
+        # outside cl(I) without an exchange, so the next pass's domain
+        # check fails; no check asks whether RI spans C_K.
+        ("escape_unseen", ("special", "uniform", 3, 4, 14, 3), "exchange map domain mismatch"),
+    ],
+)
+def test_a_fault_that_no_closure_check_asks_about_is_caught(monkeypatch, fault, instance, caught):
+    grow, advance, cycle = solver._case_grow, solver._case_advance, solver._run_cycle
+
+    def grow_with_other_entry(work, seq, ri, i_mask, aug, p):
+        return grow(work, seq, ri, i_mask, aug, next((q for q in aug if q != p), p))
+
+    def grow_with_other_exchange(work, seq, ri, i_mask, aug, p):
+        other = aug[next((q for q in aug if q != p), p)]
+        return grow(work, seq, ri, i_mask, {**aug, p: other}, p)
+
+    def advance_with_rotated_exchanges(matroid, work, ri, i_mask, aug, c_k):
+        keys = list(aug)
+        rotated = {q: aug[keys[(n + 1) % len(keys)]] for n, q in enumerate(keys)}
+        return advance(matroid, work, ri, i_mask, rotated, c_k)
+
+    def cycle_blind_to_escapes(matroid, work, m, seq, ri, depth, stats):
+        return cycle(_SaysAllInside(matroid, work.elements(ri)), work, m, seq, ri, depth, stats)
+
+    def advance_with_the_true_matroid(matroid, *rest):
+        return advance(matroid._matroid, *rest)
+
+    patches = {
+        "other_entry": {"_case_grow": grow_with_other_entry},
+        "other_exchange": {"_case_grow": grow_with_other_exchange},
+        "composed_wrong": {"_case_advance": advance_with_rotated_exchanges},
+        "escape_unseen": {
+            "_run_cycle": cycle_blind_to_escapes,
+            "_case_advance": advance_with_the_true_matroid,
+        },
+    }
+    mode, family, m, r, length, seed = instance
+    matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
+    _run(mode, matroid, seq, coloring, r)
+    for name, faulty in patches[fault].items():
+        monkeypatch.setattr(solver, name, faulty)
+    matroid, seq, coloring = _seeded(family, mode, m, r, length, seed)
+    with pytest.raises(InternalInvariantBroken, match=caught):
+        _run(mode, matroid, seq, coloring, r)
+
+
+def test_case_a_leaves_the_callers_colors(monkeypatch):
+    # Case a merges two colors of the smaller flat's instance into a fresh
+    # z-color.  It does so on its own copy of the bit table, so the table
+    # that _special_parts was given still holds the input's colors when it
+    # returns, and a mask mapped back through it keeps its input colors.
+    special_parts = solver._special_parts
+    kept = []
+
+    def watched(matroid, work, r, stats):
+        colors = list(work.color)
+        parts = special_parts(matroid, work, r, stats)
+        kept.append(work.color == colors)
+        return parts
+
+    monkeypatch.setattr(solver, "_special_parts", watched)
+    flats = 0
+    for seed in range(1, 40):
+        matroid, seq, coloring = _seeded("uniform", "general", 3, 3, 7, seed)
+        stats = SolveStats()
+        solve_general(matroid, seq, coloring, 3, stats=stats)
+        flats += any(label == "case_a" for _, label, _ in stats.events)
+    assert flats >= 3
+    assert kept == [True] * 39
 
 
 @pytest.mark.parametrize("mode", ["special", "general", "noncolor"])
