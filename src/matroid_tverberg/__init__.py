@@ -8,24 +8,15 @@ closures form a chain strictly above cl(empty); the bruteforce module
 re-derives the same answers by exhaustive search at desk scale.
 """
 
-from .bruteforce import (
-    brute_force_solve,
-    check_intersection_lemma,
-    check_tightness,
-    closure_intersection_agrees,
-    rota_check,
-    tight_instance,
-)
+from .bruteforce import brute_force_solve
 from .errors import (
     BudgetExceeded,
     InfeasibleRequest,
     InternalInvariantBroken,
     LoopInInput,
     MatroidTverbergError,
-    NotABasis,
     ParseError,
     PreconditionViolated,
-    SeedInvalid,
     UnknownColor,
     UnknownElement,
 )
@@ -52,8 +43,6 @@ from .sequences import (
     Coloring,
     IndexedSequence,
     check_general_profile,
-    check_special_profile,
-    is_rainbow,
     ranked_counts,
 )
 from .solver import (
@@ -62,7 +51,6 @@ from .solver import (
     VerificationReport,
     build_partition,
     general_precondition,
-    max_rainbow_independent,
     solve_general,
     solve_noncolor,
     solve_special,
@@ -85,11 +73,9 @@ __all__ = [
     "LoopInInput",
     "MatroidOracle",
     "MatroidTverbergError",
-    "NotABasis",
     "ParseError",
     "Partition",
     "PreconditionViolated",
-    "SeedInvalid",
     "SolveStats",
     "UniformMatroid",
     "UnknownColor",
@@ -102,24 +88,16 @@ __all__ = [
     "brute_force_solve",
     "build_partition",
     "check_general_profile",
-    "check_intersection_lemma",
-    "check_special_profile",
-    "check_tightness",
-    "closure_intersection_agrees",
     "emit_instance",
     "emit_partition",
     "gen_random_instance",
     "general_precondition",
-    "is_rainbow",
-    "max_rainbow_independent",
     "parse_instance",
     "parse_partition",
     "ranked_counts",
-    "rota_check",
     "solve_general",
     "solve_noncolor",
     "solve_special",
     "special_precondition",
-    "tight_instance",
     "verify_partition",
 ]

@@ -13,10 +13,6 @@ class UnknownColor(MatroidTverbergError):
     """An index of a sequence has no color, or an empty sequence has no first color."""
 
 
-class SeedInvalid(MatroidTverbergError):
-    """A seed subsequence is not rainbow, not independent, or not contained in S."""
-
-
 class LoopInInput(MatroidTverbergError):
     """The input sequence contains a loop; the solvers require non-loops."""
 
@@ -27,10 +23,6 @@ class PreconditionViolated(MatroidTverbergError):
 
 class InternalInvariantBroken(MatroidTverbergError):
     """A runtime invariant of the algorithm failed; this always indicates a bug."""
-
-
-class NotABasis(MatroidTverbergError):
-    """An argument that must be (or lie inside) a basis is not one."""
 
 
 class BudgetExceeded(MatroidTverbergError):

@@ -1,10 +1,10 @@
 """Finite matroids presented through an exact closure-membership oracle.
 
 Every algorithm in this package sees a matroid only through
-``in_closure(x, ys)``: "does x lie in the closure of ys?".  Rank,
-independence and coloops are all derived from that single question.  The
-loops, cl(∅), are the one exception: each family reads them off its data at
-construction (``loops``), and the solvers answer "is x a loop?" from them.
+``in_closure(x, ys)``: "does x lie in the closure of ys?".  Rank and
+independence are derived from that single question.  The loops, cl(∅), are
+the one exception: each family reads them off its data at construction
+(``loops``), and the solvers answer "is x a loop?" from them.
 
 Concrete families: vectors over GF(p), vectors over the rationals, affine
 point sets over either field (homogenized internally), uniform matroids,
@@ -174,19 +174,10 @@ class MatroidOracle:
                 indep.append(e)
         return tuple(indep)
 
-    def closure(self, ys):
-        """The closure of ``ys`` as a frozenset of ground elements."""
-        return frozenset(x for x in self._ground if self.in_closure(x, ys))
-
     def is_loop(self, x):
         if x not in self._ground_set:
             raise UnknownElement(f"unknown element {x!r}")
         return x in self.loops
-
-    def is_coloop(self, x):
-        if x not in self._ground_set:
-            raise UnknownElement(f"unknown element {x!r}")
-        return not self.in_closure(x, self._ground_set - {x})
 
     def __repr__(self):
         return f"{type(self).__name__}(|ground|={len(self._ground)}, rank={self.rank_bound})"

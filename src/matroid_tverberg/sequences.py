@@ -134,11 +134,6 @@ def color_clash(seq, coloring):
     return None
 
 
-def is_rainbow(seq, coloring):
-    """True iff no two entries of ``seq`` share a color."""
-    return color_clash(seq, coloring) is None
-
-
 def ranked_counts(tally):
     """The (color, count) pairs of ``tally``, most frequent first.
 
@@ -189,20 +184,15 @@ def check_general_profile(seq, coloring, r, m):
     return ProfileCheck(True)
 
 
-def check_special_profile(seq, coloring, r, m):
-    """The exact form the engine runs on.
-
-    Requires exactly m colors on the entries of ``seq``, at least r entries
-    of the first color (the most frequent) and at least r-1 of every other.
-    ``solve_special`` first drops the least frequent colors while there are
-    more colors than the rank of the sequence's elements, and takes m to be
-    that rank; its precondition is ``solver.special_precondition``.
-    """
-    return check_special_counts(ranked_counts(Counter(map(coloring.of, seq))), r, m)
-
-
 def check_special_counts(ranked, r, m):
-    """``check_special_profile`` read from the ``ranked_counts`` of the sequence."""
+    """The exact form the engine runs on, read from a sequence's ``ranked_counts``.
+
+    Requires exactly m colors, at least r entries of the first color (the
+    most frequent) and at least r-1 of every other.  ``solve_special``
+    first drops the least frequent colors while there are more colors than
+    the rank of the sequence's elements, and takes m to be that rank; its
+    precondition is ``solver.special_precondition``.
+    """
     if len(ranked) != m:
         return ProfileCheck(
             False,

@@ -57,7 +57,6 @@ from .errors import (
     InternalInvariantBroken,
     LoopInInput,
     PreconditionViolated,
-    SeedInvalid,
     UnknownElement,
 )
 from .matroids import add_coloops
@@ -69,7 +68,6 @@ from .sequences import (
     check_special_counts,
     color_clash,
     distinct_elements,
-    is_rainbow,
     quota,
     ranked_counts,
 )
@@ -184,24 +182,6 @@ def verify_partition(matroid, seq, coloring, r, parts):
     return VerificationReport(True)
 
 
-def max_rainbow_independent(matroid, seq, coloring, seed=None):
-    """Extend ``seed`` to an inclusion-maximal rainbow independent subsequence.
-
-    Scans entries in ascending index order; deterministic.
-    """
-    if seed is None:
-        seed = seq.with_indices(())
-    if not set(seed.entries) <= set(seq.entries):
-        raise SeedInvalid("seed is not a subsequence of S")
-    if not is_rainbow(seed, coloring):
-        raise SeedInvalid("seed is not rainbow")
-    if matroid.rank(seed.set_image) != len(seed):
-        raise SeedInvalid("seed is not independent")
-    work = _Bits(seq.entries, map(coloring.of, seq))
-    seed_mask = sum(1 << b for b, i in enumerate(work.index) if i in seed.indices)
-    return work.sequence(_extend_rainbow(matroid, work, work.full, seed_mask))
-
-
 def _validate_input(matroid, seq, coloring, r):
     if not isinstance(r, int) or r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
@@ -210,8 +190,9 @@ def _validate_input(matroid, seq, coloring, r):
     for i, e in seq:
         if e not in matroid.ground_set:
             raise UnknownElement(f"sequence entry ({i}, {e!r}) is not in the ground set")
-    if coloring is not None:
-        coloring.colors_of(seq)
+    if coloring is None:
+        raise PreconditionViolated("no coloring given (solve_noncolor solves without colors)")
+    coloring.colors_of(seq)
     loops = matroid.loops
     for i, e in seq:
         if e in loops:

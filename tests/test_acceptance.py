@@ -21,11 +21,7 @@ from matroid_tverberg import (
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
-    check_intersection_lemma,
-    check_tightness,
-    closure_intersection_agrees,
     gen_random_instance,
-    rota_check,
     solve_general,
     solve_special,
     verify_partition,
@@ -33,6 +29,12 @@ from matroid_tverberg import (
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 from matroid_tverberg.kernels import gfp_rank
 
+from acceptance_checks import (
+    check_intersection_lemma,
+    check_tightness,
+    closure_intersection_agrees,
+    rota_check,
+)
 from conftest import family_zoo
 
 SEEDS_PER_COMBO = 4

@@ -16,8 +16,9 @@ search under two hash seeds.
 
 import pytest
 
-from matroid_tverberg import brute_force_solve, gen_random_instance, tight_instance
+from matroid_tverberg import brute_force_solve, gen_random_instance
 
+from acceptance_checks import tight_instance
 from conftest import family_zoo
 
 # (family, profile or "tight", m, r, length, oracle_calls, witness as "i j .. | k .. | .." or "none")

@@ -11,22 +11,24 @@ from matroid_tverberg import (
     BudgetExceeded,
     Coloring,
     IndexedSequence,
-    NotABasis,
     PreconditionViolated,
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
     bruteforce,
-    check_intersection_lemma,
-    check_tightness,
-    closure_intersection_agrees,
-    rota_check,
     solve_general,
     solve_special,
-    tight_instance,
     verify_partition,
 )
 
+from acceptance_checks import (
+    check_intersection_lemma,
+    check_tightness,
+    closure,
+    closure_intersection_agrees,
+    rota_check,
+    tight_instance,
+)
 from conftest import affine_line_rational, family_zoo, gfp_matroid
 from test_brute_golden import GOLDEN, golden_instance
 
@@ -159,11 +161,11 @@ def test_tight_instance_shapes(u24, gf2_plane):
 
 
 def test_tight_instance_rejects_non_basis(u24, gf2_plane):
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         tight_instance(u24, ("e0",), 2)  # too small
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         tight_instance(gf2_plane, ("x", "x"), 2)  # repeated
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         tight_instance(gf2_plane, ("x", "y", "z"), 2)  # dependent
 
 
@@ -209,15 +211,15 @@ def test_intersection_lemma_gf2_dim3_derived():
     v = {"v010", "v001"}
     assert check_intersection_lemma(m, basis, u, v)
     # independent derivation of both sides through raw closure enumeration
-    lhs = m.closure(u) & m.closure(v)
-    rhs = m.closure(u & v)
+    lhs = closure(m, u) & closure(m, v)
+    rhs = closure(m, u & v)
     assert lhs == rhs == {"v000", "v010"}
 
 
 def test_intersection_lemma_validates_inputs(gf2_plane):
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         check_intersection_lemma(gf2_plane, ("x", "z", "y"), {"x"}, {"y"})
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         check_intersection_lemma(gf2_plane, ("x", "y"), {"z"}, {"y"})
 
 
@@ -261,7 +263,7 @@ def test_rota_m2_example():
 
 def test_rota_rejects_dependent_color_class():
     m = VectorMatroidGFp(2, 2, {"a1": (1, 0), "a2": (1, 0), "b1": (1, 1), "b2": (1, 0)})
-    with pytest.raises(NotABasis):
+    with pytest.raises(ValueError):
         rota_check(m, [("a1", "a2"), ("b1", "b2")])
 
 

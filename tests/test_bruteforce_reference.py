@@ -21,11 +21,11 @@ from matroid_tverberg import (
     brute_force_solve,
     bruteforce,
     gen_random_instance,
-    tight_instance,
 )
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 from matroid_tverberg.sequences import distinct_elements
 
+from acceptance_checks import tight_instance
 from conftest import family_zoo
 
 

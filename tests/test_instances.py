@@ -8,7 +8,6 @@ from matroid_tverberg import (
     InfeasibleRequest,
     ParseError,
     check_general_profile,
-    check_special_profile,
     emit_instance,
     emit_partition,
     gen_random_instance,
@@ -18,6 +17,8 @@ from matroid_tverberg import (
 )
 from matroid_tverberg.instances import GENERATOR_FAMILIES, gen_tight_instance
 from matroid_tverberg.matroids import VectorMatroidGFp
+
+from acceptance_checks import check_special_profile
 
 SAMPLE = """
 # sample instance

