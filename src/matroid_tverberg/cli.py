@@ -279,6 +279,8 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if [] in vars(args).values():  # Python 3.11 reads a second "--" as an empty operand
+            raise _UsageError("an operand is missing")
         return args.func(args)
     except (_UsageError, MatroidTverbergError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,7 +151,7 @@ class MatroidOracle:
         raise NotImplementedError
 
     def _compute_rank_bound(self):
-        return self.rank(self._ground)
+        return len(self._greedy(self._ground, None))  # no stop: it would read this bound
 
     def rank(self, ys):
         """Size of a maximal independent subset of ``ys``."""
@@ -162,14 +162,21 @@ class MatroidOracle:
 
         Greedy scan of ``ys`` in stored ground order, so results are
         reproducible and, once ``_position`` is built, the cost grows with
-        |ys|, not with the ground.
+        |ys|, not with the ground.  It stops at ``rank_bound`` elements,
+        which span the matroid, so every later element is in their closure.
         """
         fs = frozenset(ys)
         if not fs <= self._ground_set:
             bad = next(iter(fs - self._ground_set))
             raise UnknownElement(f"unknown element {bad!r}")
+        return self._greedy(fs, self.rank_bound)
+
+    def _greedy(self, fs, bound):
+        """``max_independent``'s scan of the validated ``fs``, stopping at ``bound`` elements."""
         indep = []
         for e in sorted(fs, key=self._position.__getitem__):
+            if len(indep) == bound:
+                break
             if not self.covers(e, indep):
                 indep.append(e)
         return tuple(indep)

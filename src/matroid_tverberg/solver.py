@@ -138,10 +138,11 @@ def verify_partition(matroid, seq, coloring, r, parts):
     A failure's ``detail`` names the part and the entry, or the color, at
     fault.
     """
+    _check_r(r)
     if isinstance(parts, Partition):
         parts = parts.parts
     parts = tuple(parts)
-    if r < 1 or len(parts) != r:
+    if len(parts) != r:
         return VerificationReport(False, "part_count", f"expected {r} parts, got {len(parts)}")
     entry_pool = set(seq.entries)
     for k, part in enumerate(parts, 1):
@@ -182,9 +183,13 @@ def verify_partition(matroid, seq, coloring, r, parts):
     return VerificationReport(True)
 
 
-def _validate_input(matroid, seq, coloring, r):
+def _check_r(r):
     if not isinstance(r, int) or r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
+
+
+def _validate_input(matroid, seq, coloring, r):
+    _check_r(r)
     if len(seq) == 0:
         raise PreconditionViolated("the sequence is empty")
     for i, e in seq:
@@ -370,10 +375,6 @@ class _Bits:
         """The entries of ``mask`` as an ``IndexedSequence``."""
         return IndexedSequence([(self.index[b], self.element[b]) for b in self.bits(mask)])
 
-    def order(self, mask):
-        """The distinct elements of ``mask``, in index order."""
-        return tuple(dict.fromkeys([self.element[b] for b in self.bits(mask)]))
-
     def restrict(self, mask):
         members, color = {}, self.color
         for b in self.bits(mask):
@@ -480,7 +481,7 @@ def _solve(matroid, work, seq, r, restriction, stats):
                 raise InternalInvariantBroken("more cycle restarts than the rank allows")
             if found.bit_count() != ri.bit_count() + 1:
                 raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-            ri = _extend_rainbow(matroid, work, seq, found)
+            ri = found  # maximal as RI was: cl(found) ⊇ cl(RI), and its colors hold RI's
         else:
             # RI spans: it is the top part, and r-1 parts remain below it.
             stats.note(depth, "spanning", ri=ri.bit_count(), r=r)
@@ -506,15 +507,14 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     if not c_k:
         raise InternalInvariantBroken("no color is free although RI does not span")
     i_mask = 0
-    # Initially every entry colored from K is eligible (non-loops are never
-    # in cl(empty)) and may simply replace the empty I by itself.
+    # Initially every entry colored from K is eligible, unasked (no entry is a
+    # loop, so none is in cl(empty)), and may simply replace the empty I by itself.
     aug = {b: (1 << b, work.classes[work.color[b]]) for b in work.bits(c_k)}
     element = work.element
+    outside_i = work.bits(c_k)
 
     iterations = 0
     while True:
-        i_elems = work.elements(i_mask)
-        outside_i = [b for b in work.bits(c_k) if not matroid.covers(element[b], i_elems)]
         _check_rules(work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats)
         iterations += 1
         stats.cycle_iterations += 1
@@ -533,7 +533,12 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
             return "grow", _case_grow(work, seq, ri, i_mask, aug, escape)
 
         stats.note(depth, "case_c", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
+        # cl(I) ⊆ cl(next I): an entry inside the one is inside the other,
+        # so only this pass's outside entries and the new classes are asked.
+        inside = c_k & ~sum([1 << b for b in outside_i])
         c_k, i_mask, aug = _case_advance(matroid, work, ri, i_mask, aug, c_k)
+        i_elems = work.elements(i_mask)
+        outside_i = [b for b in work.bits(c_k & ~inside) if not matroid.covers(element[b], i_elems)]
 
 
 def _case_smaller_flat(work, i_mask, c_k):
@@ -589,12 +594,15 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     assembled from the old rules.  Returns the new C_K, I and exchange map.
     """
     element = work.element
-    ck_elems = work.order(c_k)
+    # Each trial and ``reduced`` set holds I, so only the entries outside cl(I),
+    # which ``_check_rules`` matched with the domain of ``aug``, are asked about.
+    outside_i = sorted(aug)
+    open_elems = tuple(dict.fromkeys([element[b] for b in outside_i]))
     ck_set = work.elements(c_k)
     coloops = matroid.known_coloops
 
     def spans(elems):
-        return all(matroid.covers(x, elems) for x in ck_elems)
+        return all(matroid.covers(x, elems) for x in open_elems)
 
     # RI is independent, so its elements are distinct, and a trial without
     # an entry cannot span the entry's own element: known without asking.
@@ -620,11 +628,9 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     for rr in work.bits(i_next & ~i_mask):
         reduced = i_next & ~(1 << rr)
         reduced_elems = i_next_elems - {element[rr]}
-        witness = next((q for q in work.bits(c_k) if not matroid.covers(element[q], reduced_elems)), None)
+        witness = next((q for q in outside_i if not matroid.covers(element[q], reduced_elems)), None)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
-        if witness not in aug:
-            raise InternalInvariantBroken("the witness entry has no exchange sequence")
         exchange_q, gained_q = aug[witness]
         base = reduced & ~i_mask | exchange_q
         for p in work.bits(work.classes[work.color[rr]]):
@@ -644,7 +650,7 @@ def _check_rules(work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats):
     meets the K-colored entries exactly in I, and K keeps a color unused by
     RI.  ``c_k`` is the K-colored part of the sequence, ``ri_cover`` the
     part colored like RI, and ``outside_i`` the entries of ``c_k`` outside
-    cl(I) as the cycle's scan at the top of this pass found them; the domain
+    cl(I) as the cycle's own scan found them for this pass; the domain
     of ``aug`` must be exactly those.  Color classes are disjoint and not
     empty, so an exchange has the colors of I plus the gained one exactly
     when it lies in the union of their classes and meets each.

@@ -119,6 +119,15 @@ def test_a_usage_error_exits_1_not_2(special_instance, capsys, argv, message):
     assert "Traceback" not in captured.err
 
 
+def test_a_second_double_dash_exits_1(special_instance, capsys):
+    # Python 3.11's argparse reads a "--" after the first as an empty list
+    # for the next operand; the command must still end in a usage error.
+    assert main(["verify", special_instance, "--", "--"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])

@@ -206,8 +206,8 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (_cheap_rows, "2d57af0e4a2dc1cf1c37d6e1497076f56d262160b19215803c07610a57c3b6b6", CHEAP),
-        (_rational_rows, "b11128984da4c0fe18c99956c234ef75f7f0d426b31a395ec1068a9b470e22b7", RATIONAL),
+        (_cheap_rows, "df6900e95d1d260c6a07e20e9ddc5307fe81dfcb653c107411d74df1c8eae9ce", CHEAP),
+        (_rational_rows, "036bfed0cec06ee6b318ab27060cf4b3762d2c40f54ca6f4d40ba05ccf7d22e5", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )

@@ -12,6 +12,7 @@ from matroid_tverberg import (
     AffineMatroid,
     DirectSumMatroid,
     GraphicMatroid,
+    MatroidOracle,
     UniformMatroid,
     UnknownElement,
     VectorMatroidGFp,
@@ -276,10 +277,48 @@ def test_rank_is_monotone_submodular_bounded(m):
             assert matroid.rank(a | b) + matroid.rank(a & b) <= ra + rb, name
 
 
+def _greedy_rank(matroid, ys):
+    """The rank of ``ys`` by a greedy of ``covers`` in ground order that never stops early."""
+    indep = []
+    for e in sorted(ys, key=matroid.ground.index):
+        if not matroid.covers(e, indep):
+            indep.append(e)
+    return len(indep)
+
+
 def test_rank_bound_matches_greedy_rank():
+    # ``rank`` stops at ``rank_bound`` elements, so only a greedy without
+    # that stop shows a ``rank_bound`` set too low.
     for m in (1, 2, 3):
         for name, (matroid, _) in family_zoo(m).items():
-            assert matroid.rank(matroid.ground) == matroid.rank_bound == m, name
+            assert _greedy_rank(matroid, matroid.ground) == matroid.rank_bound == m, name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rank_stopping_at_the_bound_matches_the_full_greedy(m):
+    rng = random.Random(500 + m)
+    for name, (matroid, _) in family_zoo(m).items():
+        for _ in range(20):
+            ys = _random_subset(rng, matroid.ground)
+            indep = matroid.max_independent(ys)
+            assert len(indep) == matroid.rank(ys) == _greedy_rank(matroid, ys), name
+            assert all(matroid.covers(y, indep) for y in ys), name
+
+
+def test_a_subclass_without_a_rank_finds_it_by_the_greedy():
+    # The default ``_compute_rank_bound`` runs the greedy without the stop
+    # at ``rank_bound``, which would ask for the bound it computes.
+    class TwoOfFour(MatroidOracle):
+        """U_2^4 through its closure alone."""
+
+        def _members(self, x, ys):
+            return x in ys or len(ys) >= 2
+
+    first_rank = TwoOfFour(range(4))
+    assert first_rank.rank({0, 1, 2}) == 2 and first_rank.rank_bound == 2
+    first_bound = TwoOfFour(range(4))
+    assert first_bound.rank_bound == 2 and first_bound.rank(range(4)) == 2
+    assert first_bound.max_independent({1, 3}) == (1, 3)
 
 
 def test_rational_scaling_invariance():

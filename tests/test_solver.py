@@ -303,6 +303,16 @@ def test_verify_passes_on_valid_parts():
     assert verify_partition(m, s, c, 2, parts).ok
 
 
+@pytest.mark.parametrize("r", ["2", None, 2.0, 0])
+def test_verify_rejects_an_r_that_is_no_positive_integer(r):
+    # The solves' own check, before any other: a part count of r is not
+    # compared, and no closure question is asked.
+    m, s, c, parts = _valid_setup()
+    with pytest.raises(PreconditionViolated, match=f"r must be a positive integer, got {r!r}"):
+        verify_partition(m, s, c, r, parts)
+    assert m.oracle_calls == 0
+
+
 def test_verify_wrong_part_count():
     m, s, c, parts = _valid_setup()
     report = verify_partition(m, s, c, 3, parts)
