@@ -37,7 +37,6 @@ from .matroids import (
     VectorMatroidGFp,
     VectorMatroidRational,
     active_backend,
-    add_coloops,
 )
 from .sequences import (
     Coloring,
@@ -84,7 +83,6 @@ __all__ = [
     "VectorMatroidRational",
     "VerificationReport",
     "active_backend",
-    "add_coloops",
     "brute_force_solve",
     "build_partition",
     "check_general_profile",

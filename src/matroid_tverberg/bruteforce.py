@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from itertools import pairwise
 
-from .errors import BudgetExceeded, InternalInvariantBroken, PreconditionViolated
+from .errors import BudgetExceeded, InternalInvariantBroken
 from .sequences import distinct_elements
-from .solver import build_partition, verify_partition
+from .solver import _check_r, build_partition, verify_partition
 
 
 # brute_force_solve searches at most MAX_ENTRIES entries, MAX_R parts and
@@ -56,8 +56,7 @@ def brute_force_solve(matroid, seq, coloring, r):
     hash seed).  Labels visited, nodes counted, leaf verdicts and so the
     witness are those of the plain search over entry lists.
     """
-    if not isinstance(r, int) or r < 1:
-        raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
+    _check_r(r)
     n = len(seq)
     if n > MAX_ENTRIES:
         raise BudgetExceeded(f"|S| = {n} exceeds the budget of {MAX_ENTRIES}")

@@ -10,7 +10,7 @@ class UnknownElement(MatroidTverbergError):
 
 
 class UnknownColor(MatroidTverbergError):
-    """An index of a sequence has no color, or an empty sequence has no first color."""
+    """An index of a sequence has no color in its coloring."""
 
 
 class LoopInInput(MatroidTverbergError):

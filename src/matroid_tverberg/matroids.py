@@ -8,7 +8,7 @@ the one exception: each family reads them off its data at construction
 
 Concrete families: vectors over GF(p), vectors over the rationals, affine
 point sets over either field (homogenized internally), uniform matroids,
-graphic matroids, and direct sums (used to adjoin free coloop elements).
+graphic matroids, and direct sums of any two of these.
 
 Ground elements are plain hashable identifiers; the shipped constructors use
 strings.  Arithmetic is exact everywhere: residues mod a prime (via the
@@ -489,14 +489,12 @@ def _spanning_forest(edges):
 class DirectSumMatroid(MatroidOracle):
     """Direct sum of two matroids on disjoint ground sets.
 
-    Membership is componentwise: a query goes straight to the summand that
-    holds x, with the other summand's elements dropped from ys (the set is
-    forwarded as it is when it has none), so call counting, the memo and
-    the ground check live in the summands and ``oracle_calls`` sums them.
-    An element of neither summand stays in the forwarded query, which the
-    summand's memo cannot hold, so the summand rejects it.  A coloop of
-    either summand is a coloop of the sum and a loop of either is a loop of
-    the sum, so the sum declares the unions of its summands' sets.
+    Membership is componentwise: a question goes to the ``_members`` of the
+    summand that holds x, with the other summand's elements dropped from ys
+    (the set is passed on as it is when it has none, so the summand's kept
+    structure is reused).  A coloop of either summand is a coloop of the
+    sum and a loop of either is a loop of the sum, so the sum declares the
+    unions of its summands' sets.
     """
 
     def __init__(self, left, right):
@@ -508,45 +506,15 @@ class DirectSumMatroid(MatroidOracle):
         self.known_coloops = left.known_coloops | right.known_coloops
         self.loops = left.loops | right.loops
 
-    @property
-    def oracle_calls(self):
-        return self.left.oracle_calls + self.right.oracle_calls
-
-    def in_closure(self, x, ys):
-        fs = ys if isinstance(ys, frozenset) else frozenset(ys)
+    def _members(self, x, ys):
         if x in self.left.ground_set:
             side, other = self.left, self.right.ground_set
         else:
             side, other = self.right, self.left.ground_set
-        return side.in_closure(x, fs if fs.isdisjoint(other) else fs - other)
+        return side._members(x, ys if ys.isdisjoint(other) else ys - other)
 
     def _compute_rank_bound(self):
         return self.left.rank_bound + self.right.rank_bound
-
-
-def add_coloops(matroid, count):
-    """Direct sum with a free matroid on ``count`` fresh elements.
-
-    The fresh elements are coloops named ``x1``, ``x2``, ... (prefixed with
-    underscores if those ids are taken); closure restricted to the original
-    elements is unchanged and the rank grows by exactly ``count``.  The free
-    matroid is U_count^count, so the sum declares the fresh elements in its
-    ``known_coloops``.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return matroid
-    taken = matroid.ground_set
-    names = []
-    prefix = ""
-    while True:
-        candidate = [f"{prefix}x{i + 1}" for i in range(count)]
-        if not taken & set(candidate):
-            names = candidate
-            break
-        prefix = "_" + prefix
-    return DirectSumMatroid(matroid, UniformMatroid(count, count, ids=names))
 
 
 # Miller-Rabin to these bases decides primality exactly for every n below

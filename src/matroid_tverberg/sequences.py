@@ -23,18 +23,25 @@ def color_sort_key(color):
 class IndexedSequence:
     """An ordered sequence of (index, element) entries with unique indices.
 
-    The constructor sorts and checks its entries; every sequence builds its
-    index set and set image on first use.
+    The constructor converts each index with ``int``, refusing one that the
+    conversion changes, then sorts and checks its entries; every sequence
+    builds its index set and set image on first use.
     """
 
     __slots__ = ("_entries", "_index_set", "_set_image")
 
     def __init__(self, entries):
-        entries = sorted(entries, key=lambda pair: pair[0])
-        for (i, _), (j, _) in zip(entries, entries[1:]):
+        pairs = []
+        for i, e in entries:
+            n = int(i)
+            if n != i:
+                raise ValueError(f"index {i!r} is not an integer")
+            pairs.append((n, e))
+        pairs.sort(key=lambda pair: pair[0])
+        for (i, _), (j, _) in zip(pairs, pairs[1:]):
             if i == j:
                 raise ValueError(f"duplicate index {i}")
-        self._entries = tuple([(int(i), e) for i, e in entries])
+        self._entries = tuple(pairs)
         self._index_set = self._set_image = None
 
     @classmethod

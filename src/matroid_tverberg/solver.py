@@ -3,9 +3,9 @@
 Given a sequence S of non-loops whose color counts meet the documented
 profile, ``solve_special`` produces r pairwise disjoint rainbow subsequences
 S_1..S_r whose closures form a chain strictly above the closure of the empty
-set.  ``solve_general`` reduces the loose-profile form to it by padding the
-matroid with fresh coloops, and ``solve_noncolor`` colors every entry
-distinctly and delegates.
+set.  ``solve_general`` reduces the loose-profile form to it by adjoining
+fresh coloops through a view of the matroid (``_Padded``), and
+``solve_noncolor`` colors every entry distinctly and delegates.
 
 The engine behind ``solve_special`` grows an inclusion-maximal rainbow
 independent subsequence RI.  The working matroid is the restriction of the
@@ -59,7 +59,6 @@ from .errors import (
     PreconditionViolated,
     UnknownElement,
 )
-from .matroids import add_coloops
 from .sequences import (
     Coloring,
     IndexedSequence,
@@ -184,7 +183,7 @@ def verify_partition(matroid, seq, coloring, r, parts):
 
 
 def _check_r(r):
-    if not isinstance(r, int) or r < 1:
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
 
 
@@ -266,15 +265,14 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
 
     Trims S to exactly m(r-1)+1 entries, adjoins one fresh coloop per color
     beyond the rank (each appended r-1 times and colored so that counts
-    become exactly r / r-1), solves the exact-profile instance, and drops
-    the padded entries from the answer.  ``stats`` gets the solve's
-    ``oracle_calls``, the padding's included, and ``wall_time`` however the
-    solve ends.
+    become exactly r / r-1), solves the exact-profile instance on a
+    ``_Padded`` view of the matroid, and drops the padded entries from the
+    answer.  ``stats`` gets the solve's ``oracle_calls`` and ``wall_time``
+    however the solve ends.
     """
     stats = SolveStats() if stats is None else stats
     start = time.perf_counter()
     calls0 = matroid.oracle_calls
-    padded_matroid = matroid
     try:
         _validate_input(matroid, seq, coloring, r)
         m = matroid.rank_bound
@@ -294,9 +292,8 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
         if len(ranked) < m:
             raise InternalInvariantBroken("color count fell below the rank after trimming")
 
-        padded_matroid = add_coloops(matroid, len(ranked) - m)
-        coloops = padded_matroid.ground[len(matroid.ground):]
-        padding = [x for x in coloops for _ in range(r - 1)]
+        pads = [object() for _ in range(len(ranked) - m)]
+        padding = [x for x in pads for _ in range(r - 1)]
 
         deficits = []
         for pos, (col, count) in enumerate(ranked):
@@ -312,12 +309,36 @@ def solve_general(matroid, seq, coloring, r, *, stats=None):
         # function returns.
         padded = trimmed + tuple(enumerate(padding, max(seq.indices) + 1))
         work = _Bits(padded, colors + deficits)
-        parts = _special_parts(padded_matroid, work, r, stats)
+        parts = _special_parts(_Padded(matroid, pads), work, r, stats)
         original = (1 << keep) - 1
         return _certified(matroid, seq, coloring, r, [work.sequence(p & original) for p in parts])
     finally:
-        stats.oracle_calls = padded_matroid.oracle_calls - calls0
+        stats.oracle_calls = matroid.oracle_calls - calls0
         stats.wall_time = time.perf_counter() - start
+
+
+class _Padded:
+    """The engine's view of ``base`` with the coloops ``pads``, fresh sentinels, adjoined.
+
+    The engine reads only ``covers``, ``rank`` and ``known_coloops``.  A pad
+    is in cl(Y) exactly when it is in Y and adds one to the rank, so the
+    rest goes to ``base`` with the pads dropped, and a set without pads as
+    it is, so that the base's memo key and kept structure are reused.
+    """
+
+    def __init__(self, base, pads):
+        self.base = base
+        self.pads = frozenset(pads)
+        self.known_coloops = base.known_coloops | self.pads
+
+    def covers(self, x, ys):
+        if x in ys or x in self.pads:
+            return x in ys
+        return self.base.covers(x, ys if ys.isdisjoint(self.pads) else ys - self.pads)
+
+    def rank(self, ys):
+        pads = ys & self.pads
+        return self.base.rank(ys - pads) + len(pads)
 
 
 def solve_noncolor(matroid, seq, r, *, stats=None):

@@ -6,6 +6,7 @@ import pytest
 
 from matroid_tverberg import (
     AffineMatroid,
+    DirectSumMatroid,
     GraphicMatroid,
     UniformMatroid,
     VectorMatroidGFp,
@@ -34,6 +35,16 @@ def rational_matroid(m, extra=None):
 def affine_line_rational(points):
     """Rational affine line through the given {id: x} points."""
     return AffineMatroid("rational", 1, {k: (Fraction(v),) for k, v in points.items()})
+
+
+def with_coloops(matroid, count):
+    """The direct sum of ``matroid`` with ``count`` coloops named x1, x2, ...
+
+    The coloops form U_count^count, so the sum declares them in its
+    ``known_coloops``.  ``matroid`` must not hold those names.
+    """
+    ids = [f"x{i + 1}" for i in range(count)]
+    return DirectSumMatroid(matroid, UniformMatroid(count, count, ids=ids))
 
 
 def standard_basis_ids(m):

@@ -25,7 +25,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from matroid_tverberg import gen_random_instance, solve_general, solve_noncolor, solve_special
 from matroid_tverberg.cli import main
@@ -215,6 +215,7 @@ def _outcome(out):
 
 @settings(max_examples=300, deadline=None)
 @given(argvs())
+@example(argv=["verify", "inst.txt", "--", "--"])  # a second "--" once raised TypeError
 def test_drawn_command_lines_keep_the_exit_code_contract(argv_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

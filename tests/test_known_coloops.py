@@ -12,10 +12,10 @@ from matroid_tverberg import (
     GraphicMatroid,
     UniformMatroid,
     VectorMatroidGFp,
-    add_coloops,
 )
 
 from acceptance_checks import is_coloop
+from conftest import with_coloops
 
 
 @st.composite
@@ -36,7 +36,7 @@ def base_matroids(draw):
 @st.composite
 def padded_matroids(draw):
     """A small matroid padded with coloops."""
-    return add_coloops(draw(base_matroids()), draw(st.integers(0, 3)))
+    return with_coloops(draw(base_matroids()), draw(st.integers(0, 3)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -56,14 +56,14 @@ def test_declared_coloops_are_coloops_and_answer_by_membership(matroid, data):
 
 def test_padding_declares_exactly_the_fresh_elements():
     base = GraphicMatroid(2, {"g0": (0, 1), "g1": (0, 1)})
-    padded = add_coloops(base, 2)
+    padded = with_coloops(base, 2)
     assert padded.known_coloops == {"x1", "x2"}
     assert UniformMatroid(3, 3).known_coloops == {"e0", "e1", "e2"}
     assert UniformMatroid(2, 3).known_coloops == frozenset()
 
 
 def test_a_direct_sum_keeps_only_its_summands_own_coloops():
-    left = add_coloops(GraphicMatroid(2, {"a": (0, 1), "b": (0, 1)}), 1)
+    left = with_coloops(GraphicMatroid(2, {"a": (0, 1), "b": (0, 1)}), 1)
     right = UniformMatroid(2, 2, ids=("c", "d"))
     total = DirectSumMatroid(left, right)
     assert total.known_coloops == left.known_coloops | right.known_coloops == {"x1", "c", "d"}
@@ -72,7 +72,7 @@ def test_a_direct_sum_keeps_only_its_summands_own_coloops():
 
 
 def test_max_independent_takes_a_known_coloop_without_asking():
-    padded = add_coloops(UniformMatroid(1, 3), 2)
+    padded = with_coloops(UniformMatroid(1, 3), 2)
     before = padded.oracle_calls
     assert padded.max_independent(padded.ground) == ("e0", "x1", "x2")
     # e0 (not in cl(empty)), e1 and e2 (both in cl(e0)); x1 and x2 unasked.
@@ -81,10 +81,10 @@ def test_max_independent_takes_a_known_coloop_without_asking():
 
 def test_direct_sum_forwards_a_disjoint_set_as_it_is():
     left = UniformMatroid(2, 3)
-    padded = add_coloops(left, 1)
+    padded = with_coloops(left, 1)
     seen = []
-    forward = left.in_closure
-    left.in_closure = lambda x, ys: seen.append(ys) or forward(x, ys)
+    forward = left._members
+    left._members = lambda x, ys: seen.append(ys) or forward(x, ys)
     ys = frozenset({"e0"})
     assert not padded.in_closure("e1", ys)
     assert padded.in_closure("e1", {"e0", "e2", "x1"})

@@ -22,9 +22,10 @@ from matroid_tverberg import (
     UniformMatroid,
     VectorMatroidGFp,
     VectorMatroidRational,
-    add_coloops,
     solve_noncolor,
 )
+
+from conftest import with_coloops
 
 
 def _ids(prefix, rows):
@@ -68,7 +69,7 @@ def matroid_builders(draw):
     """A family, maybe padded with coloops."""
     base = draw(family_builders("g"))
     count = draw(st.integers(0, 2))
-    return lambda: add_coloops(base(), count)
+    return lambda: with_coloops(base(), count)
 
 
 @settings(max_examples=300, deadline=None)

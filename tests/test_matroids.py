@@ -17,13 +17,12 @@ from matroid_tverberg import (
     UnknownElement,
     VectorMatroidGFp,
     VectorMatroidRational,
-    add_coloops,
 )
 from matroid_tverberg.instances import MAX_P
 from matroid_tverberg.matroids import check_prime
 
 from acceptance_checks import closure, is_coloop
-from conftest import family_zoo, gfp_matroid, triangle_graph
+from conftest import family_zoo, gfp_matroid, triangle_graph, with_coloops
 
 
 def test_gf2_membership_example(gf2_plane):
@@ -85,32 +84,21 @@ def test_affine_gfp_three_collinear():
 
 def test_coloop_example():
     base = UniformMatroid(1, 2)
-    summed = add_coloops(base, 1)
+    summed = with_coloops(base, 1)
     fresh = summed.ground[-1]
     assert is_coloop(summed, fresh)
     assert not is_coloop(summed, "e0")
 
 
-def test_add_coloops_identity():
-    base = UniformMatroid(1, 2)
-    assert add_coloops(base, 0) is base
-
-
-def test_add_coloops_rank_via_oracle():
+def test_coloops_raise_the_rank_via_oracle():
     # Rank of the extended ground set, measured through the oracle itself.
     base = VectorMatroidGFp(2, 1, {"x": (1,)})
-    extended = add_coloops(base, 2)
+    extended = with_coloops(base, 2)
     assert extended.rank(extended.ground) == 3
     assert extended.rank_bound == 3
     # Closure restricted to old elements is unchanged.
     assert extended.in_closure("x", {"x"})
     assert not extended.in_closure("x", set(extended.ground[1:]))
-
-
-def test_add_coloops_avoids_id_collisions():
-    base = UniformMatroid(1, 2, ids=("x1", "x2"))
-    extended = add_coloops(base, 2)
-    assert len(set(extended.ground)) == 4
 
 
 def test_unknown_element_errors(gf2_plane):
@@ -219,7 +207,7 @@ def covers_cases(draw):
     zoo["free"] = UniformMatroid(m, m)
     matroid = zoo[draw(st.sampled_from(sorted(zoo)))]
     if draw(st.booleans()):
-        matroid = add_coloops(matroid, draw(st.integers(1, 2)))
+        matroid = with_coloops(matroid, draw(st.integers(1, 2)))
     x = draw(st.sampled_from(matroid.ground))
     return matroid, x, draw(st.frozensets(st.sampled_from(matroid.ground)))
 

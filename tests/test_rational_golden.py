@@ -17,27 +17,27 @@ from matroid_tverberg import SolveStats, gen_random_instance, solve_general, sol
 GOLDEN = [
     ("vector_rational", "general", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),
-    ("vector_rational", "general", 3, 13, 24,
+    ("vector_rational", "general", 3, 13, 19,
      "6 | 3 4 5 | 0 1 2"),
     ("vector_rational", "general", 4, 13, 33,
      "12 | 8 9 10 11 | 3 5 6 7 | 0 1 2 4"),
-    ("vector_rational", "general", 4, 21, 84,
+    ("vector_rational", "general", 4, 21, 69,
      "8 | 2 10 11 12 | 5 6 7 9 | 0 1 3 4"),
     ("vector_rational", "general", 5, 21, 56,
      "20 | 14 15 17 18 19 | 2 11 12 13 16 | 1 5 8 9 10 | 0 3 4 6 7"),
-    ("vector_rational", "general", 5, 31, 166,
+    ("vector_rational", "general", 5, 31, 133,
      "19 | 4 15 16 18 20 | 10 11 12 13 17 | 3 7 8 9 14 | 0 1 2 5 6"),
     ("vector_rational", "general", 6, 31, 85,
      "30 | 22 24 25 27 28 29 | 12 16 18 21 23 26 | 7 10 11 15 19 20 | 4 6 8 9 13 17 | 0 1 2 3 5 14"),
-    ("vector_rational", "general", 6, 43, 293,
+    ("vector_rational", "general", 6, 43, 228,
      "30 | 17 25 26 27 28 29 | 10 18 20 21 22 24 | 6 11 15 16 19 23 | 3 5 8 12 13 14 | 0 1 2 4 7 9"),
     ("vector_rational", "general", 7, 43, 120,
      "40 | 31 32 34 36 39 41 42 | 25 29 30 33 35 37 38 | 17 20 21 22 26 27 28 | 6 10 15 16 18 19 24 | 3 5 7 12 13 14 23 | 0 1 2 4 8 9 11"),
-    ("vector_rational", "general", 7, 57, 453,
+    ("vector_rational", "general", 7, 57, 342,
      "42 | 32 33 35 38 39 40 41 | 20 24 28 31 34 36 37 | 14 19 25 26 27 29 30 | 5 10 15 16 17 21 22 | 4 8 9 11 12 13 23 | 0 1 2 3 6 7 18"),
     ("vector_rational", "general", 8, 57, 161,
      "51 | 47 48 49 50 52 54 55 56 | 35 39 42 43 44 45 46 53 | 28 32 33 34 36 38 40 41 | 20 21 24 25 27 29 31 37 | 8 11 14 15 17 22 26 30 | 2 5 9 10 13 16 19 23 | 0 1 3 4 6 7 12 18"),
-    ("vector_rational", "general", 8, 73, 786,
+    ("vector_rational", "general", 8, 73, 611,
      "53 | 43 44 46 48 51 54 55 56 | 29 33 36 39 40 45 47 52 | 14 18 26 32 34 38 41 49 | 15 17 27 30 31 35 37 42 | 6 11 13 16 24 25 28 50 | 4 7 10 12 19 20 22 23 | 0 1 2 3 5 8 9 21"),
     ("vector_rational", "special", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),
@@ -65,27 +65,27 @@ GOLDEN = [
      "45 | 40 41 43 47 49 51 64 71 | 33 35 38 39 42 44 58 60 | 18 19 30 32 34 37 48 55 | 12 17 20 27 28 29 31 54 | 4 11 15 21 23 25 26 53 | 3 6 9 10 14 16 22 36 | 0 1 2 5 7 8 13 24"),
     ("affine_rational", "general", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),
-    ("affine_rational", "general", 3, 13, 24,
+    ("affine_rational", "general", 3, 13, 19,
      "6 | 3 4 5 | 0 1 2"),
     ("affine_rational", "general", 4, 13, 33,
      "12 | 8 9 10 11 | 3 5 6 7 | 0 1 2 4"),
-    ("affine_rational", "general", 4, 21, 84,
+    ("affine_rational", "general", 4, 21, 69,
      "8 | 2 10 11 12 | 5 6 7 9 | 0 1 3 4"),
     ("affine_rational", "general", 5, 21, 56,
      "20 | 14 15 17 18 19 | 2 11 12 13 16 | 1 5 8 9 10 | 0 3 4 6 7"),
-    ("affine_rational", "general", 5, 31, 164,
+    ("affine_rational", "general", 5, 31, 130,
      "19 | 4 15 16 18 20 | 10 11 12 13 17 | 3 7 8 9 14 | 0 1 2 5 6"),
     ("affine_rational", "general", 6, 31, 86,
      "30 | 22 24 25 27 28 29 | 12 16 18 21 23 26 | 7 10 11 15 19 20 | 4 6 8 9 13 17 | 0 1 2 3 5 14"),
-    ("affine_rational", "general", 6, 43, 293,
+    ("affine_rational", "general", 6, 43, 228,
      "30 | 17 25 26 27 28 29 | 10 18 20 21 22 24 | 6 11 15 16 19 23 | 3 5 8 12 13 14 | 0 1 2 4 7 9"),
     ("affine_rational", "general", 7, 43, 120,
      "40 | 31 32 34 36 39 41 42 | 25 29 30 33 35 37 38 | 17 20 21 22 26 27 28 | 6 10 15 16 18 19 24 | 3 5 7 12 13 14 23 | 0 1 2 4 8 9 11"),
-    ("affine_rational", "general", 7, 57, 453,
+    ("affine_rational", "general", 7, 57, 342,
      "42 | 32 33 35 38 39 40 41 | 20 24 28 31 34 36 37 | 14 19 25 26 27 29 30 | 5 10 15 16 17 21 22 | 4 8 9 11 12 13 23 | 0 1 2 3 6 7 18"),
     ("affine_rational", "general", 8, 57, 161,
      "51 | 47 48 49 50 52 54 55 56 | 35 39 42 43 44 45 46 53 | 28 32 33 34 36 38 40 41 | 20 21 24 25 27 29 31 37 | 8 11 14 15 17 22 26 30 | 2 5 9 10 13 16 19 23 | 0 1 3 4 6 7 12 18"),
-    ("affine_rational", "general", 8, 73, 786,
+    ("affine_rational", "general", 8, 73, 611,
      "53 | 43 44 46 48 51 54 55 56 | 29 33 36 39 40 45 47 52 | 14 18 26 32 34 38 41 49 | 15 17 27 30 31 35 37 42 | 6 11 13 16 24 25 28 50 | 4 7 10 12 19 20 22 23 | 0 1 2 3 5 8 9 21"),
     ("affine_rational", "special", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),

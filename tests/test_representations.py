@@ -33,11 +33,12 @@ from matroid_tverberg import (
     UniformMatroid,
     VectorMatroidGFp,
     VectorMatroidRational,
-    add_coloops,
     brute_force_solve,
     solve_general,
     solve_noncolor,
 )
+
+from conftest import with_coloops
 
 
 def incidence_gfp(graph, p):
@@ -144,7 +145,7 @@ def test_sampled_closure_answers_agree(oracles, data):
         assert other.rank_bound == first.rank_bound
     # The same coloop padding over each oracle.
     if data.draw(st.booleans()):
-        oracles = [add_coloops(oracle, 2) for oracle in oracles]
+        oracles = [with_coloops(oracle, 2) for oracle in oracles]
     ground = st.sampled_from(oracles[0].ground)
     for _ in range(10):
         x, ys = data.draw(ground), data.draw(st.frozensets(ground, max_size=5))

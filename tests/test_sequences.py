@@ -32,6 +32,13 @@ def test_entries_sorted_and_unique():
         IndexedSequence([(1, "a"), (1, "b")])
 
 
+def test_an_index_that_int_changes_is_refused():
+    # Converted first, 1.5 would be a second entry with index 1.
+    with pytest.raises(ValueError, match="index 1.5 is not an integer"):
+        IndexedSequence([(1, "a"), (1.5, "b")])
+    assert IndexedSequence([(2.0, "a"), (1, "b")]).entries == ((1, "b"), (2, "a"))
+
+
 def test_set_image_collapses_repeats():
     s = seq_of(["e", "e"])
     assert s.set_image == {"e"}

@@ -303,13 +303,19 @@ def test_verify_passes_on_valid_parts():
     assert verify_partition(m, s, c, 2, parts).ok
 
 
-@pytest.mark.parametrize("r", ["2", None, 2.0, 0])
+@pytest.mark.parametrize("r", ["2", None, 2.0, 0, True, False])
 def test_verify_rejects_an_r_that_is_no_positive_integer(r):
     # The solves' own check, before any other: a part count of r is not
-    # compared, and no closure question is asked.
+    # compared, and no closure question is asked.  The solves and the
+    # referee make the same check, so a bool is no r for any of them.
     m, s, c, parts = _valid_setup()
-    with pytest.raises(PreconditionViolated, match=f"r must be a positive integer, got {r!r}"):
-        verify_partition(m, s, c, r, parts)
+    for check in (
+        lambda: verify_partition(m, s, c, r, parts),
+        lambda: solve_general(m, s, c, r),
+        lambda: brute_force_solve(m, s, c, r),
+    ):
+        with pytest.raises(PreconditionViolated, match=f"r must be a positive integer, got {r!r}"):
+            check()
     assert m.oracle_calls == 0
 
 
@@ -802,24 +808,27 @@ def test_no_member_question_reaches_the_oracle(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["general", "noncolor"])
 def test_no_question_about_a_known_coloop_reaches_the_oracle(monkeypatch, mode):
-    # A coloop c lies in cl(Y) only when c is in Y, so the padding coloops
-    # that solve_general adds are never the subject of a question, neither
-    # in the engine nor in certification.
+    # A coloop c lies in cl(Y) only when c is in Y, so neither the matroid's
+    # own coloops nor the pads that solve_general adjoins are ever the
+    # subject of a question, in the engine or in certification, and no pad
+    # reaches the matroid inside a question's set either.
     asked = []
-    padded = []
+    pads = set()
+    counts = []
     in_closure = MatroidOracle.in_closure
-    pad = solver.add_coloops
+    view = solver._Padded
 
     def recorded(self, x, ys):
-        asked.append(x in self.known_coloops)
+        asked.append(x in self.known_coloops or x in pads or not pads.isdisjoint(ys))
         return in_closure(self, x, ys)
 
-    def recorded_pad(matroid, count):
-        padded.append(count)
-        return pad(matroid, count)
+    def recorded_view(base, new_pads):
+        pads.update(new_pads)
+        counts.append(len(new_pads))
+        return view(base, new_pads)
 
     monkeypatch.setattr(MatroidOracle, "in_closure", recorded)
-    monkeypatch.setattr(solver, "add_coloops", recorded_pad)
+    monkeypatch.setattr(solver, "_Padded", recorded_view)
     labels = set()
     for family in GENERATOR_FAMILIES:
         for (m, r, extra), seed in product(((3, 3, 4), (2, 5, 3), (3, 4, 0)), (1, 2)):
@@ -830,5 +839,34 @@ def test_no_question_about_a_known_coloop_reaches_the_oracle(monkeypatch, mode):
             coloring = None if mode == "noncolor" else coloring
             assert verify_partition(matroid, seq, coloring, r, partition.parts).ok
     assert labels >= {"case_a", "case_b", "case_c"}
-    assert any(padded) and (mode == "general" or all(padded))
+    assert any(counts) and (mode == "general" or all(counts))
     assert asked and not any(asked)
+
+
+def test_a_padded_solve_builds_no_oracle(monkeypatch):
+    # The pads live in a view of the matroid, so a padded solve copies no
+    # ground: it constructs no MatroidOracle, whatever the ground's size.
+    matroid = UniformMatroid(3, 1000)
+    seq = seq_of([f"e{i}" for i in range(0, 28, 4)])
+    built = []
+    init = MatroidOracle.__init__
+
+    def recorded(self, ground):
+        built.append(type(self).__name__)
+        init(self, ground)
+
+    monkeypatch.setattr(MatroidOracle, "__init__", recorded)
+    stats = SolveStats()
+    partition = solve_noncolor(matroid, seq, 3, stats=stats)
+    assert verify_partition(matroid, seq, None, 3, partition.parts).ok
+    assert stats.events  # 7 colors over rank 3: four pads, and the engine ran
+    assert built == []
+
+
+def test_padding_needs_no_fresh_names():
+    # The pads are sentinels, so a ground may hold any name, x1 included.
+    m = UniformMatroid(2, 4, ids=("x1", "x2", "_x1", "_x2"))
+    s = seq_of(["x1", "x2", "_x1", "_x2"])
+    part = solve_noncolor(m, s, 2)
+    assert verify_partition(m, s, None, 2, part.parts).ok
+    assert all(p.set_image <= m.ground_set for p in part.parts)
