@@ -1,73 +1,30 @@
 """The closure questions every golden solve asks, in order.
 
 Each row of ``test_cheap_golden.py`` and ``test_rational_golden.py`` is
-solved again with ``MatroidOracle.in_closure`` patched at class level.  A
-padded solve's view of the matroid passes each question it cannot answer
-by the axioms to the matroid itself, with the pads dropped, so the patch
-records the questions behind the padding as the matroid receives them.
-Each question is recorded as ``(x, sorted ys)``, and one sha256 over all
-rows of a file, in row order, pins what is asked and in which order.
-Each row also pins the engine's counters and its ``(depth, label)``
-events, written ``depth`` plus the label's first letter (``s``panning,
-case ``a``, ``b``, ``c``).  A change to the engine's data that keeps its
-logic must leave all of it as recorded here.
+solved again by ``golden_questions.record``, which records every counted
+closure question as ``(x, sorted ys, answer)``.  One sha256 over the
+``(x, sorted ys)`` of all rows of a file, in row order, pins what is asked
+and in which order.  Each row also pins the engine's counters and its
+``(depth, label)`` events, written ``depth`` plus the label's first letter
+(``s``panning, case ``a``, ``b``, ``c``).  A change to the engine's data
+that keeps its logic must leave all of it as recorded here.
 """
 
 import hashlib
 
 import pytest
-import test_cheap_golden
-import test_rational_golden
-
-from matroid_tverberg import (
-    MatroidOracle,
-    SolveStats,
-    gen_random_instance,
-    solve_general,
-    solve_noncolor,
-    solve_special,
-)
+from golden_questions import cheap_rows, rational_rows, record
 
 
 _LETTER = {"spanning": "s", "case_a": "a", "case_b": "b", "case_c": "c"}
 
 
-def _cheap_rows():
-    for family, mode, m, r, length, _, _ in test_cheap_golden.GOLDEN:
-        yield f"{family}-{mode}-m{m}-r{r}-len{length}", family, mode, m, r, length
-
-
-def _rational_rows():
-    for family, profile, m, length, _, _ in test_rational_golden.GOLDEN:
-        yield f"{family}-{profile}-m{m}-len{length}", family, profile, m, m, length
-
-
-def _solve(family, mode, m, r, length, stats):
-    profile = "general" if mode == "noncolor" else mode
-    inst = gen_random_instance(family, m, r, length, 1, profile)
-    matroid, seq = inst.build_matroid(), inst.build_sequence()
-    if mode == "noncolor":
-        return solve_noncolor(matroid, seq, r, stats=stats)
-    solver = solve_general if mode == "general" else solve_special
-    return solver(matroid, seq, inst.build_coloring(), r, stats=stats)
-
-
-def _record(monkeypatch, rows):
+def _pins(rows):
     """sha256 of every row's questions, and each row's counters and events."""
-    asked = []
-    in_closure = MatroidOracle.in_closure
-
-    def recorded(self, x, ys):
-        asked.append((x, sorted(ys)))
-        return in_closure(self, x, ys)
-
-    monkeypatch.setattr(MatroidOracle, "in_closure", recorded)
     digest = hashlib.sha256()
     pins = {}
-    for row_id, *row in rows:
-        asked.clear()
-        stats = SolveStats()
-        _solve(*row, stats)
+    for row_id, (questions, _, stats) in record(rows).items():
+        asked = [(x, ys) for x, ys, _ in questions]
         digest.update(repr((row_id, asked)).encode())
         counters = (stats.cycle_iterations, stats.restarts, stats.recursion_depth,
                     stats.invariant_checks)
@@ -207,12 +164,12 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (_cheap_rows, "33669803b23137cc91d983ee6badf6a70cf627bbe653b876495afafbff7349ab", CHEAP),
-        (_rational_rows, "f7b13c6207e03e83757cf2ac0f44f1d3ccc1e42795362989de1c3c5f7fd3e43c", RATIONAL),
+        (cheap_rows, "33669803b23137cc91d983ee6badf6a70cf627bbe653b876495afafbff7349ab", CHEAP),
+        (rational_rows, "f7b13c6207e03e83757cf2ac0f44f1d3ccc1e42795362989de1c3c5f7fd3e43c", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )
-def test_golden_solves_ask_the_pinned_questions(monkeypatch, rows, digest, pinned):
-    recorded_digest, pins = _record(monkeypatch, rows())
+def test_golden_solves_ask_the_pinned_questions(rows, digest, pinned):
+    recorded_digest, pins = _pins(rows())
     assert pins == pinned
     assert recorded_digest == digest
