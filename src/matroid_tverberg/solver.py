@@ -30,11 +30,12 @@ returns, once.
 
 On every cycle pass the engine checks the replacement rules that masks and
 colors decide (``_check_rules``), and asks no closure question only to
-check itself.  The rules that take closure either follow from those checks
-(in case c, RI spans C_K and cl(I) strictly grows), or a fault that breaks
-them (an exchange without its entry spanning other than cl(I), so that the
-grown RI is dependent) ends in an answer that ``verify_partition`` rejects
-or in one that still verifies.
+check itself.  The rules that take closure either follow from the
+construction (in case c, RI spans C_K, and the exchange map holds exactly
+the entries outside cl(I)) or from those checks (cl(I) strictly grows), or
+a fault that breaks them (an exchange without its entry spanning other
+than cl(I), so that the grown RI is dependent) ends in an answer that
+``verify_partition`` rejects or in one that still verifies.
 
 Every closure question here goes through the matroid's ``covers``, which
 answers by the member and coloop axioms where they settle it and asks
@@ -135,7 +136,8 @@ def verify_partition(matroid, seq, coloring, r, parts):
     when every element of S_i lies in cl(S_{i+1}), so the chain check asks
     that of each distinct element of each part but the last, in entry order.
     A failure's ``detail`` names the part and the entry, or the color, at
-    fault.
+    fault.  A part is an ``IndexedSequence`` or a list of (index, element)
+    entries.
     """
     _check_r(r)
     if isinstance(parts, Partition):
@@ -169,11 +171,11 @@ def verify_partition(matroid, seq, coloring, r, parts):
         if len(parts[0]) == 0:
             detail = "part 1 is empty, so its closure is cl(empty)"
         else:
-            i, e = parts[0].entries[0]
+            i, e = min(parts[0])
             detail = f"every entry of part 1, the first ({i}, {e}), is a loop"
         return VerificationReport(False, "strictness", detail)
     for i in range(r - 1):
-        target = parts[i + 1].set_image
+        target = frozenset([e for _, e in parts[i + 1]])
         for e in distinct_elements(parts[i]):
             if not matroid.covers(e, target):
                 index = next(j for j, el in parts[i] if el == e)
@@ -521,7 +523,8 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     a smaller flat and the caller should solve that instance, or ("grow",
     enlarged_seed) when RI can be extended and the caller should restart.  K is held as
     C_K, the mask of its color classes, and the exchange map ``aug`` takes
-    each eligible entry p to (I^p, the class of the color I^p gains).
+    each eligible entry p to (I^p, the class of the color I^p gains).  The
+    eligible entries are those of C_K outside cl(I): a pass scans the keys.
     """
     ri_cover = sum(work.classes_of(ri))
     c_k = seq & ~ri_cover
@@ -532,21 +535,21 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     # loop, so none is in cl(empty)), and may simply replace the empty I by itself.
     aug = {b: (1 << b, work.classes[work.color[b]]) for b in work.bits(c_k)}
     element = work.element
-    outside_i = work.bits(c_k)
 
     iterations = 0
     while True:
-        _check_rules(work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats)
+        _check_rules(work, ri, ri_cover, c_k, i_mask, aug, stats)
         iterations += 1
         stats.cycle_iterations += 1
         stats.max_cycle_iterations = max(stats.max_cycle_iterations, iterations)
         if iterations > m:
             raise InternalInvariantBroken("cycle ran longer than the rank allows")
 
-        if not outside_i:
+        if not aug:
             stats.note(depth, "case_a", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
             return "flat", _case_smaller_flat(work, i_mask, c_k)
 
+        outside_i = sorted(aug)
         ri_elems = work.elements(ri)
         escape = next((p for p in outside_i if not matroid.covers(element[p], ri_elems)), None)
         if escape is not None:
@@ -554,12 +557,7 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
             return "grow", _case_grow(work, seq, ri, i_mask, aug, escape)
 
         stats.note(depth, "case_c", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
-        # cl(I) ⊆ cl(next I): an entry inside the one is inside the other,
-        # so only this pass's outside entries and the new classes are asked.
-        inside = c_k & ~sum([1 << b for b in outside_i])
-        c_k, i_mask, aug = _case_advance(matroid, work, ri, i_mask, aug, c_k)
-        i_elems = work.elements(i_mask)
-        outside_i = [b for b in work.bits(c_k & ~inside) if not matroid.covers(element[b], i_elems)]
+        c_k, i_mask, aug = _case_advance(matroid, work, ri, i_mask, aug, outside_i, c_k)
 
 
 def _case_smaller_flat(work, i_mask, c_k):
@@ -606,18 +604,20 @@ def _case_grow(work, seq, ri, i_mask, aug, p):
     return grown
 
 
-def _case_advance(matroid, work, ri, i_mask, aug, c_k):
+def _case_advance(matroid, work, ri, i_mask, aug, outside_i, c_k):
     """All of C_K sits inside cl(RI) but not inside cl(I): enlarge (K, I).
 
-    The new I is an inclusion-minimal subsequence of RI spanning C_K,
-    computed by greedy deletion in ascending index order.  For every entry p
-    of a color new to K that escapes cl(new I), an exchange sequence is
-    assembled from the old rules.  Returns the new C_K, I and exchange map.
+    ``outside_i`` is the domain of ``aug``, the entries of C_K outside
+    cl(I), in index order.  The new I is an inclusion-minimal subsequence of
+    RI spanning C_K, computed by greedy deletion in ascending index order.
+    For every entry p of a color new to K that escapes cl(new I), an
+    exchange sequence is assembled from the old rules.  Returns the new C_K,
+    I and exchange map, whose domain is again the entries of the new C_K
+    outside cl(new I): the old ones lie inside it, and each new one is asked.
     """
     element = work.element
-    # Each trial and ``reduced`` set holds I, so only the entries outside cl(I),
-    # which ``_check_rules`` matched with the domain of ``aug``, are asked about.
-    outside_i = sorted(aug)
+    # Each trial and ``reduced`` set holds I, so only the entries outside
+    # cl(I) are asked about.
     open_elems = tuple(dict.fromkeys([element[b] for b in outside_i]))
     ck_set = work.elements(c_k)
     coloops = matroid.known_coloops
@@ -628,9 +628,7 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     # RI is independent, so its elements are distinct, and a trial without
     # an entry cannot span the entry's own element: known without asking.
     # RI spans C_K: the escape scan put every entry outside cl(I) inside
-    # cl(RI).  Were one outside, it would stay outside cl(next I) with no
-    # exchange (the new map holds colors new to K only), and the next
-    # pass's domain check would fail.
+    # cl(RI), so the greedy deletion starts from a spanning set.
     i_next, i_next_elems = ri, work.elements(ri)
     for b in work.bits(ri):
         if element[b] in ck_set:
@@ -661,20 +659,19 @@ def _case_advance(matroid, work, ri, i_mask, aug, c_k):
     return c_k | sum(work.classes_of(i_next)), i_next, aug_next
 
 
-def _check_rules(work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats):
-    """Assert the replacement rules that need no closure question, plus domain.
+def _check_rules(work, ri, ri_cover, c_k, i_mask, aug, stats):
+    """Assert the replacement rules that need no closure question.
 
     (1) colors of I form a proper subset of K; (2) each exchange uses the
     colors of I plus one color from K unused by RI; (3) each exchange is one
     entry longer than I; (4) each exchange contains its entry p (that it
     spans exactly cl(I) without p is not asked; see ``_case_grow``); (5) RI
     meets the K-colored entries exactly in I, and K keeps a color unused by
-    RI.  ``c_k`` is the K-colored part of the sequence, ``ri_cover`` the
-    part colored like RI, and ``outside_i`` the entries of ``c_k`` outside
-    cl(I) as the cycle's own scan found them for this pass; the domain
-    of ``aug`` must be exactly those.  Color classes are disjoint and not
-    empty, so an exchange has the colors of I plus the gained one exactly
-    when it lies in the union of their classes and meets each.
+    RI.  ``c_k`` is the K-colored part of the sequence and ``ri_cover`` the
+    part colored like RI; the domain of ``aug`` takes closure and is not
+    checked.  Color classes are disjoint and not empty, so an exchange has
+    the colors of I plus the gained one exactly when it lies in the union
+    of their classes and meets each.
     """
     stats.invariant_checks += 1
     i_classes = work.classes_of(i_mask)
@@ -685,8 +682,6 @@ def _check_rules(work, ri, ri_cover, c_k, i_mask, aug, outside_i, stats):
         raise InternalInvariantBroken("rules: K has no color unused by RI")
     if ri & c_k != i_mask:
         raise InternalInvariantBroken("rules: RI meets C_K in something other than I")
-    if set(aug) != set(outside_i):
-        raise InternalInvariantBroken("rules: exchange map domain mismatch")
     size, outside_k = i_mask.bit_count() + 1, ~c_k | ri
     for p, (exchange, gained) in aug.items():
         if exchange.bit_count() != size:

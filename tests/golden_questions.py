@@ -44,10 +44,15 @@ def rational_rows():
         yield f"{family}-{profile}-m{m}-len{length}", family, profile, m, m, length
 
 
+def row_instance(family, mode, m, r, length):
+    """The generated instance of one golden row; a noncolor row takes the general one."""
+    profile = "general" if mode == "noncolor" else mode
+    return gen_random_instance(family, m, r, length, 1, profile)
+
+
 def solve_row(family, mode, m, r, length, stats):
     """The partition of one golden row, solved as its golden test solves it."""
-    profile = "general" if mode == "noncolor" else mode
-    inst = gen_random_instance(family, m, r, length, 1, profile)
+    inst = row_instance(family, mode, m, r, length)
     matroid, seq = inst.build_matroid(), inst.build_sequence()
     if mode == "noncolor":
         return solve_noncolor(matroid, seq, r, stats=stats)

@@ -164,8 +164,8 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (cheap_rows, "33669803b23137cc91d983ee6badf6a70cf627bbe653b876495afafbff7349ab", CHEAP),
-        (rational_rows, "f7b13c6207e03e83757cf2ac0f44f1d3ccc1e42795362989de1c3c5f7fd3e43c", RATIONAL),
+        (cheap_rows, "fb138214e224443ad774a003cb2a965aeb80b6fe06b7563fdd965673dc18c125", CHEAP),
+        (rational_rows, "2923c23cd3cb531bda94935fdc45e72c56ab96c77f53d41a1246dc5af1227cfc", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )

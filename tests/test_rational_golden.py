@@ -21,23 +21,23 @@ GOLDEN = [
      "6 | 3 4 5 | 0 1 2"),
     ("vector_rational", "general", 4, 13, 33,
      "12 | 8 9 10 11 | 3 5 6 7 | 0 1 2 4"),
-    ("vector_rational", "general", 4, 21, 69,
+    ("vector_rational", "general", 4, 21, 64,
      "8 | 2 10 11 12 | 5 6 7 9 | 0 1 3 4"),
     ("vector_rational", "general", 5, 21, 56,
      "20 | 14 15 17 18 19 | 2 11 12 13 16 | 1 5 8 9 10 | 0 3 4 6 7"),
-    ("vector_rational", "general", 5, 31, 133,
+    ("vector_rational", "general", 5, 31, 120,
      "19 | 4 15 16 18 20 | 10 11 12 13 17 | 3 7 8 9 14 | 0 1 2 5 6"),
     ("vector_rational", "general", 6, 31, 85,
      "30 | 22 24 25 27 28 29 | 12 16 18 21 23 26 | 7 10 11 15 19 20 | 4 6 8 9 13 17 | 0 1 2 3 5 14"),
-    ("vector_rational", "general", 6, 43, 228,
+    ("vector_rational", "general", 6, 43, 189,
      "30 | 17 25 26 27 28 29 | 10 18 20 21 22 24 | 6 11 15 16 19 23 | 3 5 8 12 13 14 | 0 1 2 4 7 9"),
     ("vector_rational", "general", 7, 43, 120,
      "40 | 31 32 34 36 39 41 42 | 25 29 30 33 35 37 38 | 17 20 21 22 26 27 28 | 6 10 15 16 18 19 24 | 3 5 7 12 13 14 23 | 0 1 2 4 8 9 11"),
-    ("vector_rational", "general", 7, 57, 342,
+    ("vector_rational", "general", 7, 57, 272,
      "42 | 32 33 35 38 39 40 41 | 20 24 28 31 34 36 37 | 14 19 25 26 27 29 30 | 5 10 15 16 17 21 22 | 4 8 9 11 12 13 23 | 0 1 2 3 6 7 18"),
     ("vector_rational", "general", 8, 57, 161,
      "51 | 47 48 49 50 52 54 55 56 | 35 39 42 43 44 45 46 53 | 28 32 33 34 36 38 40 41 | 20 21 24 25 27 29 31 37 | 8 11 14 15 17 22 26 30 | 2 5 9 10 13 16 19 23 | 0 1 3 4 6 7 12 18"),
-    ("vector_rational", "general", 8, 73, 611,
+    ("vector_rational", "general", 8, 73, 459,
      "53 | 43 44 46 48 51 54 55 56 | 29 33 36 39 40 45 47 52 | 14 18 26 32 34 38 41 49 | 15 17 27 30 31 35 37 42 | 6 11 13 16 24 25 28 50 | 4 7 10 12 19 20 22 23 | 0 1 2 3 5 8 9 21"),
     ("vector_rational", "special", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),
@@ -69,23 +69,23 @@ GOLDEN = [
      "6 | 3 4 5 | 0 1 2"),
     ("affine_rational", "general", 4, 13, 33,
      "12 | 8 9 10 11 | 3 5 6 7 | 0 1 2 4"),
-    ("affine_rational", "general", 4, 21, 69,
+    ("affine_rational", "general", 4, 21, 64,
      "8 | 2 10 11 12 | 5 6 7 9 | 0 1 3 4"),
     ("affine_rational", "general", 5, 21, 56,
      "20 | 14 15 17 18 19 | 2 11 12 13 16 | 1 5 8 9 10 | 0 3 4 6 7"),
-    ("affine_rational", "general", 5, 31, 130,
+    ("affine_rational", "general", 5, 31, 117,
      "19 | 4 15 16 18 20 | 10 11 12 13 17 | 3 7 8 9 14 | 0 1 2 5 6"),
     ("affine_rational", "general", 6, 31, 86,
      "30 | 22 24 25 27 28 29 | 12 16 18 21 23 26 | 7 10 11 15 19 20 | 4 6 8 9 13 17 | 0 1 2 3 5 14"),
-    ("affine_rational", "general", 6, 43, 228,
+    ("affine_rational", "general", 6, 43, 189,
      "30 | 17 25 26 27 28 29 | 10 18 20 21 22 24 | 6 11 15 16 19 23 | 3 5 8 12 13 14 | 0 1 2 4 7 9"),
     ("affine_rational", "general", 7, 43, 120,
      "40 | 31 32 34 36 39 41 42 | 25 29 30 33 35 37 38 | 17 20 21 22 26 27 28 | 6 10 15 16 18 19 24 | 3 5 7 12 13 14 23 | 0 1 2 4 8 9 11"),
-    ("affine_rational", "general", 7, 57, 342,
+    ("affine_rational", "general", 7, 57, 272,
      "42 | 32 33 35 38 39 40 41 | 20 24 28 31 34 36 37 | 14 19 25 26 27 29 30 | 5 10 15 16 17 21 22 | 4 8 9 11 12 13 23 | 0 1 2 3 6 7 18"),
     ("affine_rational", "general", 8, 57, 161,
      "51 | 47 48 49 50 52 54 55 56 | 35 39 42 43 44 45 46 53 | 28 32 33 34 36 38 40 41 | 20 21 24 25 27 29 31 37 | 8 11 14 15 17 22 26 30 | 2 5 9 10 13 16 19 23 | 0 1 3 4 6 7 12 18"),
-    ("affine_rational", "general", 8, 73, 611,
+    ("affine_rational", "general", 8, 73, 459,
      "53 | 43 44 46 48 51 54 55 56 | 29 33 36 39 40 45 47 52 | 14 18 26 32 34 38 41 49 | 15 17 27 30 31 35 37 42 | 6 11 13 16 24 25 28 50 | 4 7 10 12 19 20 22 23 | 0 1 2 3 5 8 9 21"),
     ("affine_rational", "special", 3, 7, 16,
      "6 | 2 4 5 | 0 1 3"),

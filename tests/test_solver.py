@@ -31,6 +31,7 @@ from matroid_tverberg import solver
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 from acceptance_checks import max_rainbow_independent
 from conftest import gfp_matroid
+from golden_questions import cheap_rows, rational_rows, row_instance, solve_row
 
 
 def seq_of(elements):
@@ -403,6 +404,23 @@ def test_verify_strictness_detail_names_the_first_part():
     assert report.detail == "part 1 is empty, so its closure is cl(empty)"
 
 
+@pytest.mark.parametrize("chained", [True, False], ids=["chain", "broken_chain"])
+def test_verify_reports_the_same_on_parts_given_as_lists_of_entries(chained):
+    # The first five predicates read a part as entries; the chain check and
+    # the strictness detail read them too, not a sequence's attributes.
+    m = gfp_matroid(2, 3, {"o": (0, 0, 0)})
+    s = seq_of(["b1", "b1", "b2", "b1", "b2", "b3", "o"])
+    indices = [{0}, {1, 2} if chained else {2}, {3, 4, 5}]
+    parts = [s.with_indices(part) for part in indices]
+    report = verify_partition(m, s, None, 3, parts)
+    assert report.ok is chained
+    assert verify_partition(m, s, None, 3, [list(part) for part in parts]) == report
+    loops_first = [s.with_indices({6}), parts[1], parts[2]]
+    report = verify_partition(m, s, None, 3, loops_first)
+    assert report.failure == "strictness"
+    assert verify_partition(m, s, None, 3, [list(part) for part in loops_first]) == report
+
+
 def test_verify_success_asks_only_the_chain_questions():
     # One membership of b1 in cl(part 2); strictness reads the matroid's
     # declared loops.
@@ -652,14 +670,20 @@ def test_no_function_of_the_solver_calls_itself():
 @pytest.mark.parametrize("fault", ["drop", "add"])
 def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     # The chained-advance instance hands a non-empty exchange map to the
-    # second pass.  Dropping an entry of it, or adding an old C_K entry
-    # (inside cl(I) by construction), must trip the rule check, which
-    # compares the map's domain with the pass's own scan of C_K.  Entries
-    # are bit positions and C_K is a mask.
+    # second pass, which scans the map's keys as the entries outside cl(I).
+    # Dropping an entry of it hides an entry outside cl(next I) from every
+    # later scan, so the cycle takes case a with that entry outside cl(I),
+    # and the smaller flat's instance fails its profile check.  Adding an
+    # old C_K entry (inside cl(I) by construction) with another entry's
+    # exchange trips rule 4.  Entries are bit positions and C_K is a mask.
     advance = solver._case_advance
+    caught = {
+        "drop": "recursion lost the color profile",
+        "add": "rules: exchange does not contain its entry",
+    }
 
-    def faulty(matroid, work, ri, i_mask, aug, c_k):
-        c_next, i_next, aug_next = advance(matroid, work, ri, i_mask, aug, c_k)
+    def faulty(matroid, work, ri, i_mask, aug, outside_i, c_k):
+        c_next, i_next, aug_next = advance(matroid, work, ri, i_mask, aug, outside_i, c_k)
         if fault == "drop":
             del aug_next[min(aug_next)]
         else:
@@ -673,8 +697,36 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
     })
     s = seq_of(["g0", "g1", "g2", "g3", "g4"])
     c = coloring_of(["c1", "c2", "c1", "c3", "c2"])
-    with pytest.raises(InternalInvariantBroken, match="exchange map domain mismatch"):
+    with pytest.raises(InternalInvariantBroken, match=caught[fault]):
         solve_special(m, s, c, 2)
+
+
+@pytest.mark.parametrize("rows", [cheap_rows, rational_rows], ids=["cheap", "rational"])
+def test_case_c_keys_the_exchange_map_by_the_entries_outside_the_new_closure(monkeypatch, rows):
+    # The next pass scans the map's keys as the entries of C_K outside
+    # cl(next I), and no rule check compares them with a scan.  So after
+    # every case c of every golden solve, a separately built copy of the
+    # row's matroid is asked about each entry of the new C_K; the solve's
+    # own matroid, and so its counts, are left alone.  A padded solve's view
+    # is rebuilt over the copy with the same pads.
+    advance = solver._case_advance
+    advances = 0
+
+    def checked(matroid, work, *rest):
+        nonlocal advances
+        c_next, i_next, aug_next = advance(matroid, work, *rest)
+        judge = solver._Padded(separate, matroid.pads) if isinstance(matroid, solver._Padded) else separate
+        elems = work.elements(i_next)
+        outside = {b for b in work.bits(c_next) if not judge.covers(work.element[b], elems)}
+        assert set(aug_next) == outside
+        advances += 1
+        return c_next, i_next, aug_next
+
+    monkeypatch.setattr(solver, "_case_advance", checked)
+    for _, *row in rows():
+        separate = row_instance(*row).build_matroid()
+        solve_row(*row, SolveStats())
+    assert advances > 0
 
 
 class _SaysAllInside:
@@ -705,10 +757,10 @@ class _SaysAllInside:
         # Case c composes each new exchange from the wrong old one, so an
         # exchange without its entry need not span cl(I): no check asks.
         ("composed_wrong", ("special", "uniform", 5, 5, 26, 1), "output failed verification: chain"),
-        # Case c runs although an entry escapes cl(RI).  That entry stays
-        # outside cl(I) without an exchange, so the next pass's domain
-        # check fails; no check asks whether RI spans C_K.
-        ("escape_unseen", ("special", "uniform", 3, 4, 14, 3), "exchange map domain mismatch"),
+        # Case c runs although an entry escapes cl(RI).  No subset of RI
+        # spans that entry, so next I is RI itself, and the next case c
+        # cannot grow I; no check asks whether RI spans C_K.
+        ("escape_unseen", ("special", "uniform", 3, 4, 14, 3), "I did not strictly grow"),
     ],
 )
 def test_a_fault_that_no_closure_check_asks_about_is_caught(monkeypatch, fault, instance, caught):
@@ -721,10 +773,10 @@ def test_a_fault_that_no_closure_check_asks_about_is_caught(monkeypatch, fault, 
         other = aug[next((q for q in aug if q != p), p)]
         return grow(work, seq, ri, i_mask, {**aug, p: other}, p)
 
-    def advance_with_rotated_exchanges(matroid, work, ri, i_mask, aug, c_k):
+    def advance_with_rotated_exchanges(matroid, work, ri, i_mask, aug, outside_i, c_k):
         keys = list(aug)
         rotated = {q: aug[keys[(n + 1) % len(keys)]] for n, q in enumerate(keys)}
-        return advance(matroid, work, ri, i_mask, rotated, c_k)
+        return advance(matroid, work, ri, i_mask, rotated, outside_i, c_k)
 
     def cycle_blind_to_escapes(matroid, work, m, seq, ri, depth, stats):
         return cycle(_SaysAllInside(matroid, work.elements(ri)), work, m, seq, ri, depth, stats)
