@@ -52,11 +52,7 @@ def _is_subsequence(short, long):
 
 def compare(old, new):
     """The report's lines, and whether some row's parts changed."""
-    lines = []
-    missing = sorted(set(new) - set(old))
-    if missing:
-        lines.append(f"rows the parent does not have: {', '.join(missing)}")
-    rows = [row for row in new if row in old]
+    lines, rows = [], list(new)
     parts_changed = [row for row in rows if old[row]["parts"] != new[row]["parts"]]
     lines.append(f"rows whose parts changed: {', '.join(parts_changed) or 'none'}")
     not_sub = [row for row in rows if not _is_subsequence(new[row]["questions"], old[row]["questions"])]
@@ -84,7 +80,7 @@ def main(argv):
     commit = argv[0]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", commit], check=True,
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", commit, "src"], check=True,
                                  capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "parent", filter="data")
