@@ -1,7 +1,8 @@
 """Exact rank computation over GF(p) for int64 matrices: the package's numpy module.
 
-This is the one numeric inner loop of the package: every closure-membership
-query on a GF(p) vector matroid reduces to two small eliminations mod p.
+This is the one numeric inner loop of the package: every rank of a set of
+GF(p) vectors is one small elimination mod p, and every closure-membership
+query compares two such ranks, with and without x.
 The elimination is vectorized numpy and exact: all arithmetic stays in int64
 residues, which is why primes are capped below 2**31 (``instances.MAX_P``;
 intermediate products then fit comfortably in int64).  ``check_prime``
@@ -46,10 +47,3 @@ def gfp_rank(mat, p):
         r += 1
     return r
 
-
-def gfp_in_span(mat, rows, x, p):
-    """Whether row ``x`` of ``mat`` lies in the span of its rows ``rows`` over GF(p)."""
-    sub = mat[rows]
-    base = gfp_rank(sub, p)
-    aug = np.vstack([sub, mat[x][None, :]])
-    return gfp_rank(aug, p) == base

@@ -1,10 +1,11 @@
 """Finite matroids presented through an exact closure-membership oracle.
 
-Every algorithm in this package sees a matroid only through
-``in_closure(x, ys)``: "does x lie in the closure of ys?".  Rank and
-independence are derived from that single question.  The loops, cl(∅), are
-the one exception: each family reads them off its data at construction
-(``loops``), and the solvers answer "is x a loop?" from them.
+Every algorithm in this package asks a matroid one counted question,
+``in_closure(x, ys)``: "does x lie in the closure of ys?".  Two more facts
+come from each family's own data and are not counted: ``rank(ys)``, which
+each family computes with one pass of its own kernel, and the loops,
+cl(∅), which each family reads off at construction (``loops``) and from
+which the solvers answer "is x a loop?".
 
 Concrete families: vectors over GF(p), vectors over the rationals, affine
 point sets over either field (homogenized internally), uniform matroids,
@@ -60,9 +61,11 @@ def call_counting_enabled():
 class MatroidOracle:
     """Base class: a finite ground set plus a closure-membership procedure.
 
-    Subclasses implement ``_members(x, ys)`` with ``ys`` a frozenset already
-    validated against the ground set.  ``in_closure`` adds validation, call
-    counting and memoization (sound because an oracle's answers never change).
+    Subclasses implement ``_members(x, ys)`` and ``_rank(ys)``, each with
+    ``ys`` a frozenset already validated against the ground set.
+    ``in_closure`` adds validation, call counting and memoization (sound
+    because an oracle's answers never change) to the first; ``rank`` adds
+    validation to the second, and counts nothing.
 
     ``known_coloops`` is a set of elements the oracle knows to be coloops,
     empty unless the family declares some.  A coloop c lies in cl(Y) only
@@ -87,7 +90,6 @@ class MatroidOracle:
             raise ValueError("ground element ids must be distinct")
         self._calls = 0
         self._memo = {}
-        self._rank_bound = None
 
     @cached_property
     def _position(self):
@@ -103,12 +105,10 @@ class MatroidOracle:
     def ground_set(self):
         return self._ground_set
 
-    @property
+    @cached_property
     def rank_bound(self):
         """Rank of the whole matroid."""
-        if self._rank_bound is None:
-            self._rank_bound = self._compute_rank_bound()
-        return self._rank_bound
+        return self._rank(self._ground_set)
 
     @property
     def oracle_calls(self):
@@ -143,6 +143,10 @@ class MatroidOracle:
         """Raise ``UnknownElement`` unless x and all of ``fs`` lie in the ground set."""
         if x not in self._ground_set:
             raise UnknownElement(f"unknown element {x!r}")
+        self._check_set(fs)
+
+    def _check_set(self, fs):
+        """Raise ``UnknownElement`` unless all of ``fs`` lies in the ground set."""
         if not fs <= self._ground_set:
             bad = next(iter(fs - self._ground_set))
             raise UnknownElement(f"unknown element {bad!r}")
@@ -150,36 +154,14 @@ class MatroidOracle:
     def _members(self, x, ys):
         raise NotImplementedError
 
-    def _compute_rank_bound(self):
-        return len(self._greedy(self._ground, None))  # no stop: it would read this bound
-
     def rank(self, ys):
-        """Size of a maximal independent subset of ``ys``."""
-        return len(self.max_independent(ys))
-
-    def max_independent(self, ys):
-        """A maximal independent subset of ``ys``.
-
-        Greedy scan of ``ys`` in stored ground order, so results are
-        reproducible and, once ``_position`` is built, the cost grows with
-        |ys|, not with the ground.  It stops at ``rank_bound`` elements,
-        which span the matroid, so every later element is in their closure.
-        """
+        """Size of a maximal independent subset of ``ys``: one kernel pass, not counted."""
         fs = frozenset(ys)
-        if not fs <= self._ground_set:
-            bad = next(iter(fs - self._ground_set))
-            raise UnknownElement(f"unknown element {bad!r}")
-        return self._greedy(fs, self.rank_bound)
+        self._check_set(fs)
+        return self._rank(fs)
 
-    def _greedy(self, fs, bound):
-        """``max_independent``'s scan of the validated ``fs``, stopping at ``bound`` elements."""
-        indep = []
-        for e in sorted(fs, key=self._position.__getitem__):
-            if len(indep) == bound:
-                break
-            if not self.covers(e, indep):
-                indep.append(e)
-        return tuple(indep)
+    def _rank(self, ys):
+        raise NotImplementedError
 
     def is_loop(self, x):
         if x not in self._ground_set:
@@ -223,13 +205,10 @@ class VectorMatroidGFp(MatroidOracle):
         return tuple(int(c) for c in self._matrix[self._position[eid]])
 
     def _members(self, x, ys):
-        if x in ys:
-            return True
-        rows = sorted(self._position[y] for y in ys)
-        return self._kernels.gfp_in_span(self._matrix, rows, self._position[x], self.p)
+        return x in ys or self._rank(ys | {x}) == self._rank(ys)
 
-    def _compute_rank_bound(self):
-        return self._kernels.gfp_rank(self._matrix, self.p)
+    def _rank(self, ys):
+        return self._kernels.gfp_rank(self._matrix[[self._position[y] for y in ys]], self.p)
 
 
 def integer_row(coords):
@@ -276,14 +255,6 @@ def _insert(basis, v):
     return False
 
 
-def rational_rank(rows):
-    """Rank of a matrix given as rows of rationals (exact integer elimination)."""
-    basis = []
-    for row in rows:
-        _insert(basis, integer_row(row))
-    return len(basis)
-
-
 class VectorMatroidRational(MatroidOracle):
     """Vectors with exact rational coordinates (arbitrary precision).
 
@@ -324,15 +295,20 @@ class VectorMatroidRational(MatroidOracle):
                 basis = basis.copy()
                 _insert(basis, self._rows[y])
             else:
-                basis = []
-                for y in sorted(ys, key=self._position.__getitem__):
-                    if _insert(basis, self._rows[y]) and len(basis) == self.dim:
-                        break
+                basis = self._echelon(ys)
             self._kept = (ys, basis)
         return len(basis) == self.dim or not any(_reduce(self._rows[x], basis))
 
-    def _compute_rank_bound(self):
-        return rational_rank(self._rows[e] for e in self._ground)
+    def _echelon(self, ys):
+        """An echelon basis of the rows of ``ys``, inserted in ground order until it has ``dim`` rows."""
+        basis = []
+        for y in sorted(ys, key=self._position.__getitem__):
+            if _insert(basis, self._rows[y]) and len(basis) == self.dim:
+                break
+        return basis
+
+    def _rank(self, ys):
+        return len(self._echelon(ys))
 
 
 class AffineMatroid(MatroidOracle):
@@ -367,8 +343,8 @@ class AffineMatroid(MatroidOracle):
     def _members(self, x, ys):
         return self._inner._members(x, ys)
 
-    def _compute_rank_bound(self):
-        return self._inner._compute_rank_bound()
+    def _rank(self, ys):
+        return self._inner._rank(ys)
 
 
 class UniformMatroid(MatroidOracle):
@@ -397,8 +373,8 @@ class UniformMatroid(MatroidOracle):
     def _members(self, x, ys):
         return x in ys or len(ys) >= self.k
 
-    def _compute_rank_bound(self):
-        return min(self.k, len(self._ground))
+    def _rank(self, ys):
+        return min(self.k, len(ys))
 
 
 class GraphicMatroid(MatroidOracle):
@@ -446,8 +422,8 @@ class GraphicMatroid(MatroidOracle):
             self._kept = (ys, parent)
         return _union(parent, u, v, join=False)
 
-    def _compute_rank_bound(self):
-        return _spanning_forest(self._edges.values())[1]
+    def _rank(self, ys):
+        return _spanning_forest(map(self._edges.__getitem__, ys))[1]
 
 
 def _union(parent, a, b, join=True):
@@ -494,7 +470,8 @@ class DirectSumMatroid(MatroidOracle):
     (the set is passed on as it is when it has none, so the summand's kept
     structure is reused).  A coloop of either summand is a coloop of the
     sum and a loop of either is a loop of the sum, so the sum declares the
-    unions of its summands' sets.
+    unions of its summands' sets.  Rank is the sum of the summands' ranks
+    of their parts of ys.
     """
 
     def __init__(self, left, right):
@@ -513,8 +490,8 @@ class DirectSumMatroid(MatroidOracle):
             side, other = self.right, self.left.ground_set
         return side._members(x, ys if ys.isdisjoint(other) else ys - other)
 
-    def _compute_rank_bound(self):
-        return self.left.rank_bound + self.right.rank_bound
+    def _rank(self, ys):
+        return self.left._rank(ys & self.left.ground_set) + self.right._rank(ys & self.right.ground_set)
 
 
 # Miller-Rabin to these bases decides primality exactly for every n below

@@ -47,6 +47,15 @@ def with_coloops(matroid, count):
     return DirectSumMatroid(matroid, UniformMatroid(count, count, ids=ids))
 
 
+def greedy_rank(matroid, ys):
+    """The rank of ``ys`` by a greedy of ``covers`` questions in ground order, with no early stop."""
+    indep = []
+    for e in sorted(ys, key=matroid.ground.index):
+        if not matroid.covers(e, indep):
+            indep.append(e)
+    return len(indep)
+
+
 def standard_basis_ids(m):
     return tuple(f"b{i + 1}" for i in range(m))
 

@@ -119,24 +119,24 @@ GOLDEN = [
     ("graphic", "special", 3, 2, 10, 0, "8 | 9"),
     ("graphic", "special", 4, 2, 5, 5, "2 | 3"),
     ("graphic", "special", 4, 2, 10, 14, "6 | 7 8"),
-    ("vector_gf2", "tight", 2, 4, 6, 4, "none"),
-    ("vector_gf2", "tight", 3, 3, 6, 12, "none"),
-    ("vector_gf2", "tight", 4, 3, 8, 32, "none"),
-    ("vector_gf3", "tight", 2, 4, 6, 4, "none"),
-    ("vector_gf3", "tight", 3, 3, 6, 12, "none"),
-    ("vector_gf3", "tight", 4, 3, 8, 32, "none"),
-    ("vector_rational", "tight", 2, 4, 6, 4, "none"),
-    ("vector_rational", "tight", 3, 3, 6, 12, "none"),
-    ("vector_rational", "tight", 4, 3, 8, 32, "none"),
-    ("affine_rational", "tight", 2, 4, 6, 4, "none"),
-    ("affine_rational", "tight", 3, 3, 6, 12, "none"),
-    ("affine_rational", "tight", 4, 3, 8, 32, "none"),
-    ("uniform", "tight", 2, 4, 6, 4, "none"),
-    ("uniform", "tight", 3, 3, 6, 12, "none"),
-    ("uniform", "tight", 4, 3, 8, 32, "none"),
-    ("graphic", "tight", 2, 4, 6, 4, "none"),
-    ("graphic", "tight", 3, 3, 6, 12, "none"),
-    ("graphic", "tight", 4, 3, 8, 32, "none"),
+    ("vector_gf2", "tight", 2, 4, 6, 2, "none"),
+    ("vector_gf2", "tight", 3, 3, 6, 9, "none"),
+    ("vector_gf2", "tight", 4, 3, 8, 28, "none"),
+    ("vector_gf3", "tight", 2, 4, 6, 2, "none"),
+    ("vector_gf3", "tight", 3, 3, 6, 9, "none"),
+    ("vector_gf3", "tight", 4, 3, 8, 28, "none"),
+    ("vector_rational", "tight", 2, 4, 6, 2, "none"),
+    ("vector_rational", "tight", 3, 3, 6, 9, "none"),
+    ("vector_rational", "tight", 4, 3, 8, 28, "none"),
+    ("affine_rational", "tight", 2, 4, 6, 2, "none"),
+    ("affine_rational", "tight", 3, 3, 6, 9, "none"),
+    ("affine_rational", "tight", 4, 3, 8, 28, "none"),
+    ("uniform", "tight", 2, 4, 6, 2, "none"),
+    ("uniform", "tight", 3, 3, 6, 9, "none"),
+    ("uniform", "tight", 4, 3, 8, 28, "none"),
+    ("graphic", "tight", 2, 4, 6, 2, "none"),
+    ("graphic", "tight", 3, 3, 6, 9, "none"),
+    ("graphic", "tight", 4, 3, 8, 28, "none"),
 ]
 
 

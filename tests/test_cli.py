@@ -56,7 +56,8 @@ def test_solve_json_is_one_line(special_instance, capsys):
 
 def test_a_violated_precondition_reports_what_the_solve_cost(tmp_path, capsys):
     # Four entries over rank 2 and r = 3: the special profile fails after
-    # normalization, whose rank asks the oracle.
+    # normalization.  Its rank is a kernel pass, not a closure question, so
+    # the solve asks none, and its wall time is still reported.
     inst = write(
         tmp_path,
         "short.txt",
@@ -66,7 +67,7 @@ def test_a_violated_precondition_reports_what_the_solve_cost(tmp_path, capsys):
     assert main(["solve", inst, "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["outcome"] == "precondition-violated"
-    assert payload["oracle_calls"] == 3
+    assert payload["oracle_calls"] == 0
     assert payload["wall_ms"] > 0
 
 

@@ -164,8 +164,8 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (cheap_rows, "fb138214e224443ad774a003cb2a965aeb80b6fe06b7563fdd965673dc18c125", CHEAP),
-        (rational_rows, "2923c23cd3cb531bda94935fdc45e72c56ab96c77f53d41a1246dc5af1227cfc", RATIONAL),
+        (cheap_rows, "e58716c91b0ac134bc09742457b00674fdd2ceb9f1cb79729905199bf58ae2c0", CHEAP),
+        (rational_rows, "830e6f67f46d26ff0ff20d72a3f7cbb534f7442df9e857318ce73f2f08b4d322", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )

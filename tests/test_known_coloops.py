@@ -15,7 +15,7 @@ from matroid_tverberg import (
 )
 
 from acceptance_checks import is_coloop
-from conftest import with_coloops
+from conftest import greedy_rank, with_coloops
 
 
 @st.composite
@@ -71,12 +71,14 @@ def test_a_direct_sum_keeps_only_its_summands_own_coloops():
     assert not is_coloop(total, "a")
 
 
-def test_max_independent_takes_a_known_coloop_without_asking():
+def test_rank_takes_a_known_coloop_without_asking():
     padded = with_coloops(UniformMatroid(1, 3), 2)
-    before = padded.oracle_calls
-    assert padded.max_independent(padded.ground) == ("e0", "x1", "x2")
-    # e0 (not in cl(empty)), e1 and e2 (both in cl(e0)); x1 and x2 unasked.
-    assert padded.oracle_calls - before == 3
+    assert padded.rank(padded.ground) == 3
+    assert padded.oracle_calls == 0
+    # The greedy asks about e0 (not in cl(empty)), e1 and e2 (both in
+    # cl(e0)); it takes x1 and x2 unasked.
+    assert greedy_rank(padded, padded.ground) == 3
+    assert padded.oracle_calls == 3
 
 
 def test_direct_sum_forwards_a_disjoint_set_as_it_is():

@@ -12,7 +12,6 @@ from matroid_tverberg import (
     AffineMatroid,
     DirectSumMatroid,
     GraphicMatroid,
-    MatroidOracle,
     UniformMatroid,
     UnknownElement,
     VectorMatroidGFp,
@@ -22,7 +21,7 @@ from matroid_tverberg.instances import MAX_P
 from matroid_tverberg.matroids import check_prime
 
 from acceptance_checks import closure, is_coloop
-from conftest import family_zoo, gfp_matroid, triangle_graph, with_coloops
+from conftest import family_zoo, gfp_matroid, greedy_rank, triangle_graph, with_coloops
 
 
 def test_gf2_membership_example(gf2_plane):
@@ -91,7 +90,7 @@ def test_coloop_example():
 
 
 def test_coloops_raise_the_rank_via_oracle():
-    # Rank of the extended ground set, measured through the oracle itself.
+    # Rank of the extended ground set, asked of the sum itself.
     base = VectorMatroidGFp(2, 1, {"x": (1,)})
     extended = with_coloops(base, 2)
     assert extended.rank(extended.ground) == 3
@@ -110,14 +109,6 @@ def test_unknown_element_errors(gf2_plane):
         gf2_plane.rank({"nope"})
     with pytest.raises(UnknownElement):
         is_coloop(gf2_plane, "nope")
-
-
-def test_max_independent_rejects_an_unknown_element(u24):
-    # The greedy walks ys itself, so an element outside the ground is named,
-    # not skipped, before any question is asked.
-    with pytest.raises(UnknownElement, match="'zz'"):
-        u24.max_independent(["zz", "e1"])
-    assert u24.oracle_calls == 0
 
 
 def test_direct_sum_requires_disjoint_ids():
@@ -265,48 +256,24 @@ def test_rank_is_monotone_submodular_bounded(m):
             assert matroid.rank(a | b) + matroid.rank(a & b) <= ra + rb, name
 
 
-def _greedy_rank(matroid, ys):
-    """The rank of ``ys`` by a greedy of ``covers`` in ground order that never stops early."""
-    indep = []
-    for e in sorted(ys, key=matroid.ground.index):
-        if not matroid.covers(e, indep):
-            indep.append(e)
-    return len(indep)
-
-
 def test_rank_bound_matches_greedy_rank():
-    # ``rank`` stops at ``rank_bound`` elements, so only a greedy without
-    # that stop shows a ``rank_bound`` set too low.
     for m in (1, 2, 3):
         for name, (matroid, _) in family_zoo(m).items():
-            assert _greedy_rank(matroid, matroid.ground) == matroid.rank_bound == m, name
+            assert greedy_rank(matroid, matroid.ground) == matroid.rank_bound == m, name
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_rank_stopping_at_the_bound_matches_the_full_greedy(m):
+def test_rank_matches_the_full_greedy_without_asking(m):
+    # Each family's rank is one pass of its own kernel, checked here
+    # against a greedy of closure questions; the pass asks none.
     rng = random.Random(500 + m)
     for name, (matroid, _) in family_zoo(m).items():
         for _ in range(20):
             ys = _random_subset(rng, matroid.ground)
-            indep = matroid.max_independent(ys)
-            assert len(indep) == matroid.rank(ys) == _greedy_rank(matroid, ys), name
-            assert all(matroid.covers(y, indep) for y in ys), name
-
-
-def test_a_subclass_without_a_rank_finds_it_by_the_greedy():
-    # The default ``_compute_rank_bound`` runs the greedy without the stop
-    # at ``rank_bound``, which would ask for the bound it computes.
-    class TwoOfFour(MatroidOracle):
-        """U_2^4 through its closure alone."""
-
-        def _members(self, x, ys):
-            return x in ys or len(ys) >= 2
-
-    first_rank = TwoOfFour(range(4))
-    assert first_rank.rank({0, 1, 2}) == 2 and first_rank.rank_bound == 2
-    first_bound = TwoOfFour(range(4))
-    assert first_bound.rank_bound == 2 and first_bound.rank(range(4)) == 2
-    assert first_bound.max_independent({1, 3}) == (1, 3)
+            before = matroid.oracle_calls
+            rank = matroid.rank(ys)
+            assert matroid.oracle_calls == before, name
+            assert rank == greedy_rank(matroid, ys), name
 
 
 def test_rational_scaling_invariance():

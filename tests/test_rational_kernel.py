@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_tverberg import AffineMatroid, VectorMatroidRational
-from matroid_tverberg.matroids import integer_row, rational_rank
+from matroid_tverberg.matroids import integer_row
 
 
 def reference_rank(rows):
@@ -72,10 +72,11 @@ def matrices(draw, max_rows=6, max_cols=5):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rank_matches_fraction_elimination(rows):
-    assert rational_rank(rows) == reference_rank(rows)
-    if rows:
-        vectors = {f"v{i}": tuple(r) for i, r in enumerate(rows)}
-        assert VectorMatroidRational(len(rows[0]), vectors).rank_bound == reference_rank(rows)
+    vectors = {f"v{i}": tuple(r) for i, r in enumerate(rows)}
+    matroid = VectorMatroidRational(len(rows[0]) if rows else 0, vectors)
+    assert matroid.rank_bound == reference_rank(rows)
+    for end in range(len(rows)):
+        assert matroid.rank(list(vectors)[:end]) == reference_rank(rows[:end])
 
 
 @settings(max_examples=200, deadline=None)

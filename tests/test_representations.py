@@ -151,6 +151,7 @@ def test_sampled_closure_answers_agree(oracles, data):
         x, ys = data.draw(ground), data.draw(st.frozensets(ground, max_size=5))
         assert len({oracle.in_closure(x, ys) for oracle in oracles}) == 1, (x, ys)
         assert len({oracle.covers(x, ys) for oracle in oracles}) == 1, (x, ys)
+        assert len({oracle.rank(ys) for oracle in oracles}) == 1, ys
     assert len({oracle.oracle_calls for oracle in oracles}) == 1
 
 

@@ -635,6 +635,18 @@ def test_many_spanning_levels_do_not_grow_the_stack():
     assert [(d, label) for d, label, _ in stats.events] == [(d, "spanning") for d in range(1, r)]
 
 
+def test_a_large_uniform_solve_asks_fewer_questions_than_its_rank():
+    # Each level's rank is one kernel pass, not a greedy of closure
+    # questions over the level's elements, so a solve of rank k = 3,200
+    # asks fewer than k questions, and its memo stays small.
+    k = 3200
+    matroid, seq, coloring = _seeded("uniform", "general", k, 2, k + 1, 1)
+    stats = SolveStats()
+    partition = solve_general(matroid, seq, coloring, 2, stats=stats)
+    assert len(partition.parts) == 2
+    assert stats.oracle_calls < k
+
+
 def test_no_function_of_the_solver_calls_itself():
     # Neither way down (a spanning RI, case a's smaller flat) may be a
     # recursive call, so the stack does not grow with r or the rank.  A
