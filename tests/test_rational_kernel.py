@@ -75,8 +75,6 @@ def test_rank_matches_fraction_elimination(rows):
     vectors = {f"v{i}": tuple(r) for i, r in enumerate(rows)}
     matroid = VectorMatroidRational(len(rows[0]) if rows else 0, vectors)
     assert matroid.rank_bound == reference_rank(rows)
-    for end in range(len(rows)):
-        assert matroid.rank(list(vectors)[:end]) == reference_rank(rows[:end])
 
 
 @settings(max_examples=200, deadline=None)
