@@ -5,7 +5,7 @@ Every algorithm in this package asks a matroid one counted question,
 come from each family's own data and are not counted: ``rank(ys)``, which
 each family computes with one pass of its own kernel, and the loops,
 cl(∅), which each family reads off at construction (``loops``) and from
-which the solvers answer "is x a loop?".
+which ``covers`` and the solvers answer "is x a loop?".
 
 Concrete families: vectors over GF(p), vectors over the rationals, affine
 point sets over either field (homogenized internally), uniform matroids,
@@ -72,7 +72,8 @@ class MatroidOracle:
     when c is in Y, so ``covers`` answers questions about them itself.
 
     ``loops`` is the exact set of loops, cl(∅).  Every family of this module
-    declares it at construction from its own data.
+    declares it at construction from its own data, and ``covers`` answers
+    every question about the empty set from it.
     """
 
     known_coloops = frozenset()
@@ -133,10 +134,14 @@ class MatroidOracle:
     def covers(self, x, ys):
         """Decide whether x lies in the closure of the set ``ys``, axioms first.
 
-        A member of ``ys`` is in cl(ys), and a known coloop outside ``ys`` is
-        not; only the questions these two axioms leave open go to
-        ``in_closure`` and are counted.
+        cl(∅) is the set of loops, a member of ``ys`` is in cl(ys), and a
+        known coloop outside ``ys`` is not; only the questions these three
+        axioms leave open go to ``in_closure`` and are counted.  An x
+        outside the ground raises ``UnknownElement`` even when ``ys`` is
+        empty.
         """
+        if not ys:
+            return self.is_loop(x)
         return x in ys or (x not in self.known_coloops and self.in_closure(x, ys))
 
     def _check_query(self, x, fs):

@@ -38,16 +38,28 @@ than cl(I), so that the grown RI is dependent) ends in an answer that
 ``verify_partition`` rejects or in one that still verifies.
 
 Every closure question here goes through the matroid's ``covers``, which
-answers by the member and coloop axioms where they settle it and asks
-``in_closure``, counted, otherwise.  The loop axiom: x ∈ cl(∅) exactly when
-x is one of the ``loops`` every family declares, so the input check, the
-non-loop witness and the strictness check ask no question.  The coloop
-fact also lets ``_case_advance`` drop a coloop outside C_K from a set
-spanning C_K without a trial: the rest still spans C_K.
+answers by the loop, member and coloop axioms where they settle it and
+asks ``in_closure``, counted, otherwise.  The loop axiom: x ∈ cl(∅) exactly
+when x is one of the ``loops`` every family declares, so no question about
+the empty set is counted, and the input check, the non-loop witness and
+the strictness check ask none.  The coloop fact also lets
+``_case_advance`` drop a coloop outside C_K from a set spanning C_K
+without a trial: the rest still spans C_K.
+
+Closure is monotone, so an answer the engine holds settles the same
+question about a larger set, and no scan asks about an element twice.
+``_extend_rainbow``'s set only grows, so it asks about each element once
+and returns the elements it found inside; the cycle's escape scan skips
+them and adds each one it finds inside cl(RI), until RI grows.  The
+new-class scan of ``_case_advance`` has the one target cl(next I), and its
+witness for an entry rr of next I comes from the greedy deletion that
+kept rr: the first entry outside cl(trial) lies outside cl(next I − rr),
+a subset of the trial.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import time
@@ -137,9 +149,11 @@ def verify_partition(matroid, seq, coloring, r, parts):
     that of each distinct element of each part but the last, in entry order.
     A failure's ``detail`` names the part and the entry, or the color, at
     fault.  A part is an ``IndexedSequence`` or a list of (index, element)
-    entries.
+    entries.  An entry of S outside the ground raises ``UnknownElement``,
+    as a solve's input check does.
     """
     _check_r(r)
+    _check_ground(matroid, seq)
     if isinstance(parts, Partition):
         parts = parts.parts
     parts = tuple(parts)
@@ -189,13 +203,18 @@ def _check_r(r):
         raise PreconditionViolated(f"r must be a positive integer, got {r!r}")
 
 
+def _check_ground(matroid, seq):
+    ground = matroid.ground_set
+    for i, e in seq:
+        if e not in ground:
+            raise UnknownElement(f"sequence entry ({i}, {e!r}) is not in the ground set")
+
+
 def _validate_input(matroid, seq, coloring, r):
     _check_r(r)
     if len(seq) == 0:
         raise PreconditionViolated("the sequence is empty")
-    for i, e in seq:
-        if e not in matroid.ground_set:
-            raise UnknownElement(f"sequence entry ({i}, {e!r}) is not in the ground set")
+    _check_ground(matroid, seq)
     if coloring is None:
         raise PreconditionViolated("no coloring given (solve_noncolor solves without colors)")
     coloring.colors_of(seq)
@@ -442,17 +461,27 @@ def _normalize(matroid, work, seq, restriction=None):
 
 
 def _extend_rainbow(matroid, work, seq, seed):
-    """Extend the rainbow independent mask ``seed`` to a maximal one inside ``seq``, in index order."""
+    """Extend the rainbow independent mask ``seed`` to a maximal one inside ``seq``, in index order.
+
+    Returns the mask and the set of elements the scan found inside the
+    closure of its growing set, so inside cl(mask).  The set only grows, so
+    an inside answer stays true, and each element is asked about once.
+    """
     element, color = work.element, work.color
     chosen, used = seed, {color[b] for b in work.bits(seed)}
     elems = set(work.elements(seed))
+    inside = set()
     for b in work.bits(seq):
-        if color[b] in used or matroid.covers(element[b], elems):
+        x = element[b]
+        if color[b] in used or x in inside:
+            continue
+        if matroid.covers(x, elems):
+            inside.add(x)
             continue
         chosen |= 1 << b
         used.add(color[b])
-        elems.add(element[b])
-    return chosen
+        elems.add(x)
+    return chosen, inside
 
 
 def _solve(matroid, work, seq, r, restriction, stats):
@@ -491,10 +520,10 @@ def _solve(matroid, work, seq, r, restriction, stats):
                 raise InternalInvariantBroken("rank-1 base case is short of entries")
             return [1 << b for b in work.bits(seq)[:r]] + tops[::-1]
 
-        ri = _extend_rainbow(matroid, work, seq, 0)
+        ri, inside = _extend_rainbow(matroid, work, seq, 0)
         restarts = 0
         while ri.bit_count() < m:
-            kind, found = _run_cycle(matroid, work, m, seq, ri, depth, stats)
+            kind, found = _run_cycle(matroid, work, m, seq, ri, inside, depth, stats)
             if kind == "flat":
                 break
             restarts += 1
@@ -504,7 +533,9 @@ def _solve(matroid, work, seq, r, restriction, stats):
                 raise InternalInvariantBroken("more cycle restarts than the rank allows")
             if found.bit_count() != ri.bit_count() + 1:
                 raise InternalInvariantBroken("restart did not grow the rainbow independent set")
-            ri = found  # maximal as RI was: cl(found) ⊇ cl(RI), and its colors hold RI's
+            # Maximal as RI was: cl(found) ⊇ cl(RI), and its colors hold RI's.
+            # The inside set is carried only with the RI it was found for.
+            ri, inside = found, set()
         else:
             # RI spans: it is the top part, and r-1 parts remain below it.
             stats.note(depth, "spanning", ri=ri.bit_count(), r=r)
@@ -516,7 +547,7 @@ def _solve(matroid, work, seq, r, restriction, stats):
         (seq, work), depth = found, depth + 1
 
 
-def _run_cycle(matroid, work, m, seq, ri, depth, stats):
+def _run_cycle(matroid, work, m, seq, ri, inside, depth, stats):
     """One run of the replacement cycle for a non-spanning RI of rank-m elements.
 
     Returns ("flat", (sub_seq, recolored work)) when the answer lies inside
@@ -525,6 +556,8 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     C_K, the mask of its color classes, and the exchange map ``aug`` takes
     each eligible entry p to (I^p, the class of the color I^p gains).  The
     eligible entries are those of C_K outside cl(I): a pass scans the keys.
+    ``inside`` holds elements known to lie in cl(RI); the escape scan skips
+    them and adds each element it finds inside.
     """
     ri_cover = sum(work.classes_of(ri))
     c_k = seq & ~ri_cover
@@ -534,7 +567,7 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
     # Initially every entry colored from K is eligible, unasked (no entry is a
     # loop, so none is in cl(empty)), and may simply replace the empty I by itself.
     aug = {b: (1 << b, work.classes[work.color[b]]) for b in work.bits(c_k)}
-    element = work.element
+    element, ri_elems = work.element, work.elements(ri)
 
     iterations = 0
     while True:
@@ -550,11 +583,13 @@ def _run_cycle(matroid, work, m, seq, ri, depth, stats):
             return "flat", _case_smaller_flat(work, i_mask, c_k)
 
         outside_i = sorted(aug)
-        ri_elems = work.elements(ri)
-        escape = next((p for p in outside_i if not matroid.covers(element[p], ri_elems)), None)
-        if escape is not None:
-            stats.note(depth, "case_b", p=work.index[escape])
-            return "grow", _case_grow(work, seq, ri, i_mask, aug, escape)
+        for p in outside_i:
+            if element[p] in inside:
+                continue
+            if not matroid.covers(element[p], ri_elems):
+                stats.note(depth, "case_b", p=work.index[p])
+                return "grow", _case_grow(work, seq, ri, i_mask, aug, p)
+            inside.add(element[p])
 
         stats.note(depth, "case_c", k=len(work.classes_of(c_k)), i=i_mask.bit_count())
         c_k, i_mask, aug = _case_advance(matroid, work, ri, i_mask, aug, outside_i, c_k)
@@ -617,45 +652,67 @@ def _case_advance(matroid, work, ri, i_mask, aug, outside_i, c_k):
     """
     element = work.element
     # Each trial and ``reduced`` set holds I, so only the entries outside
-    # cl(I) are asked about.
-    open_elems = tuple(dict.fromkeys([element[b] for b in outside_i]))
+    # cl(I) are asked about: the first entry of each of their elements.
+    first_of = {}
+    for q in outside_i:
+        first_of.setdefault(element[q], q)
+    firsts = tuple(first_of.values())
     ck_set = work.elements(c_k)
     coloops = matroid.known_coloops
 
-    def spans(elems):
-        return all(matroid.covers(x, elems) for x in open_elems)
+    def first_outside(elems):
+        return next((q for q in firsts if not matroid.covers(element[q], elems)), None)
 
     # RI is independent, so its elements are distinct, and a trial without
     # an entry cannot span the entry's own element: known without asking.
     # RI spans C_K: the escape scan put every entry outside cl(I) inside
-    # cl(RI), so the greedy deletion starts from a spanning set.
+    # cl(RI), so the greedy deletion starts from a spanning set.  For each
+    # entry b it keeps after a trial, ``misses`` holds the first entry
+    # outside cl(trial) and the mask that b's trial was taken from.
     i_next, i_next_elems = ri, work.elements(ri)
+    misses = {}
     for b in work.bits(ri):
         if element[b] in ck_set:
             continue
         trial = i_next_elems - {element[b]}
         # A coloop outside C_K adds nothing to the span of C_K: the trial
         # spans because ``i_next`` does.
-        if element[b] in coloops or spans(trial):
+        miss = None if element[b] in coloops else first_outside(trial)
+        if miss is None:
             i_next, i_next_elems = i_next & ~(1 << b), trial
+        else:
+            misses[b] = (miss, i_next)
 
     # I ⊊ next I ⊆ RI, and RI is independent, so cl(I) strictly grows.
     if i_mask & ~i_next or i_mask == i_next:
         raise InternalInvariantBroken("I did not strictly grow")
 
-    aug_next = {}
+    aug_next, inside_next = {}, {}
     for rr in work.bits(i_next & ~i_mask):
         reduced = i_next & ~(1 << rr)
         reduced_elems = i_next_elems - {element[rr]}
-        witness = next((q for q in outside_i if not matroid.covers(element[q], reduced_elems)), None)
+        # reduced ⊆ rr's trial, so rr's miss lies outside cl(reduced) too.
+        # The entries before it lay inside cl(trial); when nothing was
+        # deleted after rr, reduced is that trial and they need no question.
+        miss, taken_from = misses.get(rr, (None, None))
+        if miss is None:
+            unsettled = outside_i
+        elif taken_from == i_next:
+            unsettled = ()
+        else:
+            unsettled = outside_i[:bisect.bisect_left(outside_i, miss)]
+        witness = next((q for q in unsettled if not matroid.covers(element[q], reduced_elems)), miss)
         if witness is None:
             raise InternalInvariantBroken("minimal I has a removable entry")
         exchange_q, gained_q = aug[witness]
         base = reduced & ~i_mask | exchange_q
+        # The target cl(next I) is the same for every class: one answer per element.
         for p in work.bits(work.classes[work.color[rr]]):
-            if matroid.covers(element[p], i_next_elems):
-                continue
-            aug_next[p] = (base | 1 << p, gained_q)
+            x = element[p]
+            if x not in inside_next:
+                inside_next[x] = matroid.covers(x, i_next_elems)
+            if not inside_next[x]:
+                aug_next[p] = (base | 1 << p, gained_q)
     return c_k | sum(work.classes_of(i_next)), i_next, aug_next
 
 

@@ -62,7 +62,8 @@ def max_rainbow_independent(matroid, seq, coloring, seed=None):
         raise ValueError("seed is not independent")
     work = _Bits(seq.entries, map(coloring.of, seq))
     seed_mask = sum(1 << b for b, i in enumerate(work.index) if i in seed.indices)
-    return work.sequence(_extend_rainbow(matroid, work, work.full, seed_mask))
+    ri, _ = _extend_rainbow(matroid, work, work.full, seed_mask)
+    return work.sequence(ri)
 
 
 def _require_basis(matroid, basis):

@@ -164,8 +164,8 @@ RATIONAL = {
 @pytest.mark.parametrize(
     "rows, digest, pinned",
     [
-        (cheap_rows, "e58716c91b0ac134bc09742457b00674fdd2ceb9f1cb79729905199bf58ae2c0", CHEAP),
-        (rational_rows, "830e6f67f46d26ff0ff20d72a3f7cbb534f7442df9e857318ce73f2f08b4d322", RATIONAL),
+        (cheap_rows, "19a8a211f20a0021fe52e175d0b837b32e35ac647ee06361a83d86dd8f4f8f88", CHEAP),
+        (rational_rows, "224406952bdd5ed8c5ae0688aee68e497c1882c6245de5c368a627c933b6554b", RATIONAL),
     ],
     ids=["cheap", "rational"],
 )

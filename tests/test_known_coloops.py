@@ -75,10 +75,10 @@ def test_rank_takes_a_known_coloop_without_asking():
     padded = with_coloops(UniformMatroid(1, 3), 2)
     assert padded.rank(padded.ground) == 3
     assert padded.oracle_calls == 0
-    # The greedy asks about e0 (not in cl(empty)), e1 and e2 (both in
-    # cl(e0)); it takes x1 and x2 unasked.
+    # The greedy takes e0 unasked (cl(empty) is the declared loops), asks
+    # about e1 and e2 (both in cl(e0)), and takes x1 and x2 unasked.
     assert greedy_rank(padded, padded.ground) == 3
-    assert padded.oracle_calls == 3
+    assert padded.oracle_calls == 2
 
 
 def test_direct_sum_forwards_a_disjoint_set_as_it_is():

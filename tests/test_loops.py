@@ -20,12 +20,16 @@ from matroid_tverberg import (
     LoopInInput,
     MatroidOracle,
     UniformMatroid,
+    UnknownElement,
     VectorMatroidGFp,
     VectorMatroidRational,
     solve_noncolor,
 )
 
+from matroid_tverberg.solver import _Padded
+
 from conftest import with_coloops
+from golden_questions import cheap_rows, rational_rows, record
 
 
 def _ids(prefix, rows):
@@ -81,6 +85,32 @@ def test_declared_loops_are_exactly_the_loops(build):
         assert (x in matroid.loops) == fresh.in_closure(x, ())
         assert matroid.is_loop(x) == (x in matroid.loops)
     assert matroid.oracle_calls == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroid_builders())
+def test_covers_reads_an_empty_set_from_the_loops(build):
+    # cl(∅) is the loops, so covers answers x ∈ cl(∅) without asking, for
+    # the matroid and for a padded view whose set holds only pads.  The
+    # answers are compared with the oracle of a freshly built copy.
+    matroid, fresh = build(), build()
+    pad = object()
+    padded = _Padded(matroid, [pad])
+    for x in matroid.ground:
+        expected = fresh.in_closure(x, ())
+        assert matroid.covers(x, ()) == (x in matroid.loops) == expected
+        assert padded.covers(x, {pad}) == expected
+    assert not padded.covers(pad, ())
+    assert matroid.oracle_calls == 0
+    for covers, ys in ((matroid.covers, ()), (padded.covers, frozenset()), (padded.covers, {pad})):
+        with pytest.raises(UnknownElement, match="unknown element 'zz'"):
+            covers("zz", ys)
+
+
+def test_no_golden_solve_asks_about_the_empty_set():
+    for rows in (cheap_rows, rational_rows):
+        for row_id, (questions, _, _) in record(rows()).items():
+            assert all(ys for _, ys, _ in questions), row_id
 
 
 @pytest.mark.parametrize(

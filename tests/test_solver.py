@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import random
 import sys
+from functools import partial
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from matroid_tverberg import (
     PreconditionViolated,
     SolveStats,
     UniformMatroid,
+    UnknownElement,
     VectorMatroidGFp,
     brute_force_solve,
     build_partition,
@@ -30,7 +33,7 @@ from matroid_tverberg import (
 from matroid_tverberg import solver
 from matroid_tverberg.instances import GENERATOR_FAMILIES
 from acceptance_checks import max_rainbow_independent
-from conftest import gfp_matroid
+from conftest import family_zoo, gfp_matroid
 from golden_questions import cheap_rows, rational_rows, row_instance, solve_row
 
 
@@ -318,6 +321,18 @@ def test_verify_rejects_an_r_that_is_no_positive_integer(r):
         with pytest.raises(PreconditionViolated, match=f"r must be a positive integer, got {r!r}"):
             check()
     assert m.oracle_calls == 0
+
+
+@pytest.mark.parametrize("colored", [False, True], ids=["no_coloring", "coloring"])
+def test_verify_rejects_an_entry_outside_the_ground(colored):
+    # The chain check answers e0 in cl({e0, zz}) by membership, so without
+    # an input check nothing looks at zz, and the parts would verify.
+    m = UniformMatroid(1, 2)
+    s = IndexedSequence([(0, "e0"), (1, "e0"), (2, "zz")])
+    c = coloring_of(["u", "u", "v"]) if colored else None
+    parts = [[(0, "e0")], [(1, "e0"), (2, "zz")]]
+    with pytest.raises(UnknownElement, match=r"sequence entry \(2, 'zz'\) is not in the ground set"):
+        verify_partition(m, s, c, 2, parts)
 
 
 def test_verify_wrong_part_count():
@@ -713,32 +728,135 @@ def test_a_wrong_handover_after_case_c_is_caught(monkeypatch, fault):
         solve_special(m, s, c, 2)
 
 
-@pytest.mark.parametrize("rows", [cheap_rows, rational_rows], ids=["cheap", "rational"])
-def test_case_c_keys_the_exchange_map_by_the_entries_outside_the_new_closure(monkeypatch, rows):
+def _solves(source):
+    """(solve, copy) pairs: a solve to run and a separately built copy of its matroid.
+
+    ``cheap`` and ``rational`` are the golden rows.  ``zoo`` is colorless
+    solves of drawn sequences, which repeat elements, over every
+    ``family_zoo`` matroid of rank 2 and 3.
+    """
+    if source != "zoo":
+        for _, *row in (cheap_rows if source == "cheap" else rational_rows)():
+            yield partial(solve_row, *row, SolveStats()), row_instance(*row).build_matroid()
+        return
+    rng = random.Random(5)
+    for m in (2, 3):
+        for name in sorted(family_zoo(m)):
+            for _ in range(8):
+                matroid, copy = (family_zoo(m)[name][0] for _ in range(2))
+                r = rng.randint(2, 4)
+                seq = seq_of(rng.choices(matroid.ground, k=m * (r - 1) + 1 + rng.randint(0, 3)))
+                yield partial(solve_noncolor, matroid, seq, r), copy
+
+
+def _judged(monkeypatch, source, wrappers):
+    """Run every solve of ``source`` with the engine's functions wrapped.
+
+    ``wrappers`` maps a function name of the solver to a wrapper factory,
+    called with the original function and a ``judge``: ``judge(matroid)``
+    is the separately built copy of the solve's matroid, wrapped in
+    ``_Padded`` with the same pads for a padded solve, so the checks ask
+    their own questions and leave the solve's counts alone.
+    """
+    current = {}
+
+    def judge(matroid):
+        if isinstance(matroid, solver._Padded):
+            return solver._Padded(current["copy"], matroid.pads)
+        return current["copy"]
+
+    for name, wrap in wrappers.items():
+        monkeypatch.setattr(solver, name, wrap(getattr(solver, name), judge))
+    for solve, copy in _solves(source):
+        current["copy"] = copy
+        solve()
+
+
+SOURCES = pytest.mark.parametrize("source", ["cheap", "rational", "zoo"])
+
+
+@SOURCES
+def test_case_c_keys_the_exchange_map_by_the_entries_outside_the_new_closure(monkeypatch, source):
     # The next pass scans the map's keys as the entries of C_K outside
     # cl(next I), and no rule check compares them with a scan.  So after
-    # every case c of every golden solve, a separately built copy of the
-    # row's matroid is asked about each entry of the new C_K; the solve's
-    # own matroid, and so its counts, are left alone.  A padded solve's view
-    # is rebuilt over the copy with the same pads.
-    advance = solver._case_advance
+    # every case c, the separate copy is asked about each entry of the new
+    # C_K.  Case c asks about each element of a new class once.
     advances = 0
 
-    def checked(matroid, work, *rest):
-        nonlocal advances
-        c_next, i_next, aug_next = advance(matroid, work, *rest)
-        judge = solver._Padded(separate, matroid.pads) if isinstance(matroid, solver._Padded) else separate
-        elems = work.elements(i_next)
-        outside = {b for b in work.bits(c_next) if not judge.covers(work.element[b], elems)}
-        assert set(aug_next) == outside
-        advances += 1
-        return c_next, i_next, aug_next
+    def wrap(advance, judge):
+        def checked(matroid, work, *rest):
+            nonlocal advances
+            c_next, i_next, aug_next = advance(matroid, work, *rest)
+            elems = work.elements(i_next)
+            outside = {b for b in work.bits(c_next) if not judge(matroid).covers(work.element[b], elems)}
+            assert set(aug_next) == outside
+            advances += 1
+            return c_next, i_next, aug_next
+        return checked
 
-    monkeypatch.setattr(solver, "_case_advance", checked)
-    for _, *row in rows():
-        separate = row_instance(*row).build_matroid()
-        solve_row(*row, SolveStats())
+    _judged(monkeypatch, source, {"_case_advance": wrap})
     assert advances > 0
+
+
+@SOURCES
+def test_case_c_composes_each_exchange_from_the_first_entry_outside_cl_reduced(monkeypatch, source):
+    # Case c takes the witness for rr from the greedy deletion's answers
+    # where they settle it: the first entry of the exchange map's domain
+    # outside cl(next I − rr).  The separate copy finds that entry by a
+    # full scan, and each new exchange must be composed from its exchange.
+    witnesses = 0
+
+    def wrap(advance, judge):
+        def checked(matroid, work, ri, i_mask, aug, outside_i, c_k):
+            nonlocal witnesses
+            c_next, i_next, aug_next = advance(matroid, work, ri, i_mask, aug, outside_i, c_k)
+            elems, element = work.elements(i_next), work.element
+            for rr in work.bits(i_next & ~i_mask):
+                reduced = elems - {element[rr]}
+                witness = next(q for q in outside_i if not judge(matroid).covers(element[q], reduced))
+                exchange, gained = aug[witness]
+                base = i_next & ~(1 << rr) & ~i_mask | exchange
+                for p in work.bits(work.classes[work.color[rr]]):
+                    if p in aug_next:
+                        assert aug_next[p] == (base | 1 << p, gained)
+                witnesses += 1
+            return c_next, i_next, aug_next
+        return checked
+
+    _judged(monkeypatch, source, {"_case_advance": wrap})
+    assert witnesses > 0
+
+
+@SOURCES
+def test_every_element_carried_as_inside_lies_in_cl_ri(monkeypatch, source):
+    # The extension returns the elements it found inside the closure of its
+    # growing set, and the cycle's escape scan skips them and adds those it
+    # finds inside cl(RI).  The separate copy checks each against cl(RI):
+    # after the extension, and after each cycle run, against the RI that
+    # run was given.
+    carried = 0
+
+    def check(matroid, judge, ri_elems, inside):
+        nonlocal carried
+        assert all(judge(matroid).covers(x, ri_elems) for x in inside)
+        carried += len(inside)
+
+    def wrap_extend(extend, judge):
+        def checked(matroid, work, seq, seed):
+            ri, inside = extend(matroid, work, seq, seed)
+            check(matroid, judge, work.elements(ri), inside)
+            return ri, inside
+        return checked
+
+    def wrap_cycle(cycle, judge):
+        def checked(matroid, work, m, seq, ri, inside, depth, stats):
+            result = cycle(matroid, work, m, seq, ri, inside, depth, stats)
+            check(matroid, judge, work.elements(ri), inside)
+            return result
+        return checked
+
+    _judged(monkeypatch, source, {"_extend_rainbow": wrap_extend, "_run_cycle": wrap_cycle})
+    assert carried > 0
 
 
 class _SaysAllInside:
@@ -790,8 +908,8 @@ def test_a_fault_that_no_closure_check_asks_about_is_caught(monkeypatch, fault, 
         rotated = {q: aug[keys[(n + 1) % len(keys)]] for n, q in enumerate(keys)}
         return advance(matroid, work, ri, i_mask, rotated, outside_i, c_k)
 
-    def cycle_blind_to_escapes(matroid, work, m, seq, ri, depth, stats):
-        return cycle(_SaysAllInside(matroid, work.elements(ri)), work, m, seq, ri, depth, stats)
+    def cycle_blind_to_escapes(matroid, work, m, seq, ri, inside, depth, stats):
+        return cycle(_SaysAllInside(matroid, work.elements(ri)), work, m, seq, ri, inside, depth, stats)
 
     def advance_with_the_true_matroid(matroid, *rest):
         return advance(matroid._matroid, *rest)
